@@ -1,4 +1,5 @@
-(* The repo benchmark: four workloads, end-to-end metrics measured with
+(* The repo benchmark: four workloads (BENCHMARK.json lists the three that
+   are steady on the reference host), end-to-end metrics measured with
    tracing off, and a traced run that splits the same work across the
    library's layers. Run it through perfbench/run.py, which builds this
    binary and fixes its environment; README.md in this directory lists the
@@ -34,8 +35,8 @@ type ctx = {
   seed : int;
   seconds : float;
   full : bool;
-      (** the end-to-end pass: set-up timed repeatedly, and the workload's
-          minimum operation count run even past [seconds] *)
+      (** the end-to-end pass: set-up timed again throughout the run, and
+          the workload's minimum operation count run even past [seconds] *)
   tr : Timing.t option;  (** [Some] in the traced pass *)
 }
 
@@ -79,33 +80,58 @@ let cold_start () =
   Plan_cache.clear_all ();
   Params.clear_gamma_cache ()
 
-(* Run the set-up from cold caches — in the end-to-end pass at least 9
-   times and for at least a second (at most 1000 times), since set-ups take
-   0.2 ms to 0.2 s and a single one is mostly noise; otherwise once. Returns
-   the median time and the last state, disposing of the others. *)
+(* Set-ups take 0.2 ms to 0.2 s and the host's speed drifts over seconds,
+   so in the end-to-end pass the set-up is timed again between operations:
+   a probe every [probe_every] seconds of the run times cold set-ups for at
+   least [probe_s] seconds, and setup_s is the median over the whole run.
+   Probes are left out of the operations' wall. A probe's last set-up
+   leaves the plan caches filled, so the operations after it run as warm
+   as before. *)
+let probe_every = 2.0
+let probe_s = 0.05
+
+type 'a setup = {
+  first : 'a;  (** the state of the first set-up, for the operations *)
+  probe : unit -> unit;
+  setup_s : unit -> float;  (** median of every set-up timed so far *)
+}
+
 let timed_setup ?(dispose = ignore) ctx f =
-  let min_reps, budget = if ctx.full then (9, 1.0) else (1, 0.0) in
-  let start = now_s () in
-  let rec go i times =
+  let times = ref [] in
+  let once () =
     cold_start ();
     let t0 = now_s () in
     let s = f () in
-    let times = (now_s () -. t0) :: times in
-    if i + 1 >= min_reps && (now_s () -. start >= budget || i + 1 >= 1000) then (median times, s)
-    else begin
-      dispose s;
-      go (i + 1) times
-    end
+    times := (now_s () -. t0) :: !times;
+    s
   in
-  go 0 []
+  let first = once () in
+  let probe () =
+    let t0 = now_s () in
+    while now_s () -. t0 < probe_s do
+      dispose (once ())
+    done
+  in
+  { first; probe = (if ctx.full then probe else ignore); setup_s = (fun () -> median !times) }
 
 (* Repeat [step] (which returns the operations it completed) until both the
-   time and [min_ops] are reached; returns (operations, elapsed seconds). *)
-let run_until ~seconds ~min_ops step =
+   time and [min_ops] are reached, probing the set-up in between; returns
+   (operations, elapsed seconds without the probes). *)
+let run_until ~(setup : _ setup) ~seconds ~min_ops step =
   let t0 = now_s () in
+  let probing = ref 0.0 and next_probe = ref probe_every in
   let rec go ops =
-    let elapsed = now_s () -. t0 in
-    if ops >= min_ops && elapsed >= seconds then (ops, elapsed) else go (ops + step ())
+    let elapsed = now_s () -. t0 -. !probing in
+    if ops >= min_ops && elapsed >= seconds then (ops, elapsed)
+    else begin
+      if elapsed >= !next_probe then begin
+        let p0 = now_s () in
+        setup.probe ();
+        probing := !probing +. (now_s () -. p0);
+        next_probe := elapsed +. probe_every
+      end;
+      go (ops + step ())
+    end
   in
   go 0
 
@@ -151,8 +177,8 @@ let session_pass ~g ~l ~m ~factory ~min_ops ctx =
         note_plan ctx (Nab.session_plan_for ses ~source);
         ses)
   in
-  let setup_s, first = timed_setup ctx new_session in
-  let ses = ref first in
+  let setup = timed_setup ctx new_session in
+  let ses = ref setup.first in
   let samples = ref [] and failed = ref 0 and ops = ref 0 and frac = ref nan in
   let finish ses =
     let report = Nab.session_report ses in
@@ -175,11 +201,11 @@ let session_pass ~g ~l ~m ~factory ~min_ops ctx =
     1
   in
   let attempted, measured_s =
-    run_until ~seconds:ctx.seconds ~min_ops:(if ctx.full then min_ops else 1) step
+    run_until ~setup ~seconds:ctx.seconds ~min_ops:(if ctx.full then min_ops else 1) step
   in
   finish !ses;
   {
-    setup_s;
+    setup_s = setup.setup_s ();
     samples = !samples;
     ops = !ops;
     attempted;
@@ -246,7 +272,7 @@ let stream_sat ctx =
         Nab_stream.create ~transport:(timed ctx Sim.default_factory) ~window:stream_window ~g
           ~config ~adversary:honest ())
   in
-  let setup_s, first =
+  let setup =
     timed_setup ctx ~dispose:Nab_stream.close (fun () ->
         let p =
           span ctx "plan.nab_plan" (fun () ->
@@ -255,7 +281,7 @@ let stream_sat ctx =
         note_plan ctx p;
         create ())
   in
-  let next = ref (Some first) in
+  let next = ref (Some setup.first) in
   let samples = ref [] and failed = ref 0 and delivered = ref 0 in
   let rounds = ref 0 and batches = ref 0 and flags = ref 0 and rollbacks = ref 0 in
   let sim_wall = ref 0.0 and sim_frac = ref nan in
@@ -296,10 +322,10 @@ let stream_sat ctx =
         stream_q
   in
   let min_ops = if ctx.full then 3 * stream_q else 1 in
-  let attempted, measured_s = run_until ~seconds:ctx.seconds ~min_ops step in
+  let attempted, measured_s = run_until ~setup ~seconds:ctx.seconds ~min_ops step in
   let per_batch x = float_of_int x /. float_of_int !batches in
   {
-    setup_s;
+    setup_s = setup.setup_s ();
     samples = !samples;
     ops = !delivered;
     attempted;
@@ -479,18 +505,18 @@ let replay_campaign t ~scenarios ~store ~on_row =
    Set-up is the sample plus opening a fresh store; each repetition starts
    from empty caches and is timed over run, seal and analyze. *)
 let campaign_cold ctx =
-  let setup () =
+  let open_campaign () =
     span ctx "store.open" (fun () ->
         let scenarios = campaign_scenarios ~seed:ctx.seed in
         (scenarios, fresh_store ()))
   in
-  let setup_s, first = timed_setup ctx ~dispose:(fun (_, st) -> drop_store st) setup in
-  let next = ref (Some first) in
+  let setup = timed_setup ctx ~dispose:(fun (_, st) -> drop_store st) open_campaign in
+  let next = ref (Some setup.first) in
   let last_dir = ref None in
   let samples = ref [] and failed = ref 0 and bits = ref 0 and run_s = ref 0.0 in
   let fracs = ref [] in
   let step () =
-    let scenarios, (dir, store) = match !next with Some s -> s | None -> setup () in
+    let scenarios, (dir, store) = match !next with Some s -> s | None -> open_campaign () in
     next := None;
     cold_start ();
     Option.iter rm_rf !last_dir;
@@ -545,7 +571,7 @@ let campaign_cold ctx =
     run_s := !run_s +. (now_s () -. t0);
     !ran
   in
-  let attempted, _ = run_until ~seconds:ctx.seconds ~min_ops:1 step in
+  let attempted, _ = run_until ~setup ~seconds:ctx.seconds ~min_ops:1 step in
   (* Keep the rows of the last untraced store for the traced replay. *)
   Option.iter
     (fun dir ->
@@ -559,7 +585,7 @@ let campaign_cold ctx =
     !last_dir;
   let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
   {
-    setup_s;
+    setup_s = setup.setup_s ();
     samples = !samples;
     ops = attempted;
     attempted;

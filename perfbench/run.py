@@ -58,8 +58,10 @@ def main():
     if shutil.which("dune") is None:
         fail(1, "dune is not on PATH")
 
+    # dune's shared cache lives outside the checkout; keep the build inside it.
     build = subprocess.run(["dune", "build", "--root", ".", "./perfbench/bench.exe"],
-                           cwd=ROOT, capture_output=True, text=True)
+                           cwd=ROOT, capture_output=True, text=True,
+                           env=dict(os.environ, DUNE_CACHE="disabled"))
     if build.returncode != 0:
         sys.stderr.write(build.stdout + build.stderr)
         fail(1, "build failed")
