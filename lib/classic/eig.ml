@@ -94,10 +94,13 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
       in
       (* Store received values: j receiving (sigma, v) from i keeps it as
          val_j(sigma ++ [i]) — except round 1, where the label is <s> as
-         sent. Malformed labels (wrong level, relayer already inside, or an
-         unknown instance) are ignored, which is the honest parse of a
-         Byzantine payload. *)
+         sent by s itself. Malformed labels (wrong level, relayer already
+         inside, or an unknown instance) are ignored, which is the honest
+         parse of a Byzantine payload: [known] holds exactly the
+         well-formed labels of this level, so one lookup rejects them all. *)
       let labels_now = if r = 1 then level1 else extend labels_prev in
+      let known = Hashtbl.create (List.length labels_now) in
+      List.iter (fun label -> Hashtbl.replace known label ()) labels_now;
       List.iter
         (fun j ->
           List.iter
@@ -111,11 +114,7 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
                         | Wire.Labeled { label; body } ->
                             let stored_label = if r = 1 then label else label @ [ i ] in
                             let valid =
-                              if r = 1 then label = [ i ] && List.mem label level1
-                              else
-                                List.length label = r - 1
-                                && (not (List.mem i label))
-                                && List.mem stored_label labels_now
+                              (r > 1 || label = [ i ]) && Hashtbl.mem known stored_label
                             in
                             if valid && not (Hashtbl.mem (state j) stored_label) then
                               Hashtbl.replace (state j) stored_label body

@@ -47,7 +47,7 @@ let encode t ~edge x =
 let check t ~edge ~x ~received =
   let c = matrix t ~edge in
   let len = Array.length x in
-  if len mod t.rho <> 0 then invalid_arg "Coding.encode: value length not a multiple of rho";
+  if len mod t.rho <> 0 then invalid_arg "Coding.check: value length not a multiple of rho";
   let stripes = len / t.rho in
   let ze = Matrix.cols c in
   Array.length received = stripes * ze
@@ -72,9 +72,11 @@ let check t ~edge ~x ~received =
        !ok
      end
 
-(* Appendix C: expand C_e (rho x z_e) into B_e ((|h|-1) * rho x z_e). In
-   characteristic 2 the -C_e blocks equal C_e, so each edge contributes its
-   C_e at the block row of each non-reference endpoint. *)
+(* Appendix C: expand C_e (rho x z_e) into B_e ((|h|-1) * rho x z_e) and
+   concatenate the B_e left to right into C_H. In characteristic 2 the -C_e
+   blocks equal C_e, so each edge contributes its C_e at the block row of
+   each non-reference endpoint: one allocation, one row blit per
+   (endpoint, row of C_e), every other entry zero. *)
 let expanded_matrix t ~h =
   let verts = Digraph.vertices h in
   let nh = List.length verts in
@@ -85,18 +87,26 @@ let expanded_matrix t ~h =
     List.iteri (fun i v -> if v <> reference then Hashtbl.add tbl v i) verts;
     tbl
   in
-  let nblocks = nh - 1 in
-  let expand (i, j) ce =
-    let rows = nblocks * t.rho and cols = Matrix.cols ce in
-    Matrix.init rows cols (fun r c ->
-        let block = r / t.rho and within = r mod t.rho in
-        let hit v = v <> reference && Hashtbl.find block_index v = block in
-        if hit i || hit j then Matrix.get ce within c else 0)
-  in
-  let blocks =
-    List.map (fun (s, d, _) -> expand (s, d) (matrix t ~edge:(s, d))) (Digraph.edges h)
-  in
-  Matrix.hcat_list ~rows:(nblocks * t.rho) blocks
+  let blocks = List.map (fun (s, d, _) -> (s, d, matrix t ~edge:(s, d))) (Digraph.edges h) in
+  let rows = (nh - 1) * t.rho in
+  let cols = List.fold_left (fun acc (_, _, ce) -> acc + Matrix.cols ce) 0 blocks in
+  let data = Array.make (rows * cols) 0 in
+  let off = ref 0 in
+  List.iter
+    (fun (i, j, ce) ->
+      let ze = Matrix.cols ce and craw = Matrix.raw ce in
+      List.iter
+        (fun v ->
+          if v <> reference then begin
+            let base = Hashtbl.find block_index v * t.rho in
+            for within = 0 to t.rho - 1 do
+              Array.blit craw (within * ze) data (((base + within) * cols) + !off) ze
+            done
+          end)
+        [ i; j ];
+      off := !off + ze)
+    blocks;
+  Matrix.of_raw ~rows ~cols data
 
 let correct_for t ~h =
   Gauss.has_invertible_submatrix t.fld (expanded_matrix t ~h)

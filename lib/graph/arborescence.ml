@@ -18,14 +18,6 @@ let vertices_by_depth t ~root =
 let depth t ~root =
   List.fold_left (fun acc (_, d) -> max acc d) 0 (vertices_by_depth t ~root)
 
-(* Residual connectivity test: does [g] have MINCUT(root, v) >= need for
-   every vertex v? (Trivially true for need <= 0.) *)
-let connectivity_at_least g ~root need =
-  need <= 0
-  || List.for_all
-       (fun v -> v = root || Maxflow.max_flow g ~src:root ~dst:v >= need)
-       (Digraph.vertices g)
-
 let decrement_cap g u v =
   let c = Digraph.cap g u v in
   assert (c > 0);
@@ -55,7 +47,7 @@ let grow_tree g ~root ~remaining =
             invalid_arg "Arborescence.pack: no valid frontier arc (connectivity too low)"
         | (u, v) :: rest ->
             let g' = decrement_cap g u v in
-            if connectivity_at_least g' ~root remaining then (g', u, v)
+            if Maxflow.broadcast_at_least g' ~src:root ~need:remaining then (g', u, v)
             else try_candidates rest
       in
       let g', u, v = try_candidates (List.rev candidates) in
@@ -67,7 +59,7 @@ let grow_tree g ~root ~remaining =
 let pack g ~root ~k =
   if k < 0 then invalid_arg "Arborescence.pack: negative k";
   if not (Digraph.mem_vertex g root) then invalid_arg "Arborescence.pack: root not in graph";
-  if not (connectivity_at_least g ~root k) then
+  if not (Maxflow.broadcast_at_least g ~src:root ~need:k) then
     invalid_arg "Arborescence.pack: k exceeds the root broadcast min-cut";
   let rec go g remaining acc =
     if remaining = 0 then List.rev acc

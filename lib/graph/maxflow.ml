@@ -32,7 +32,8 @@ let build g =
     edges;
   ({ n; index_of; vertex_of = verts; eto; ecap; adj }, edges)
 
-let dinic nw s t =
+(* Augment until no s-t path is left or the flow reaches [limit]. *)
+let dinic ?(limit = max_int) nw s t =
   let level = Array.make nw.n (-1) in
   let iter = Array.make nw.n [] in
   let bfs () =
@@ -82,13 +83,13 @@ let dinic nw s t =
     end
   in
   let flow = ref 0 in
-  while bfs () do
+  while !flow < limit && bfs () do
     Array.blit nw.adj 0 iter 0 nw.n;
     let rec push () =
-      let f = dfs s max_int in
+      let f = dfs s (limit - !flow) in
       if f > 0 then begin
         flow := !flow + f;
-        push ()
+        if !flow < limit then push ()
       end
     in
     push ()
@@ -158,11 +159,36 @@ let min_cut_edges g ~src ~dst =
   in
   (v, List.sort compare cut)
 
+(* One residual network for every target: [src] -> v flows, capped at
+   [limit], for each other vertex v in [Digraph.vertices] order, with the
+   capacities restored between targets. Stops at the first flow [keep_going]
+   rejects and returns whether every flow was accepted. *)
+let for_all_targets g ~src ~limit keep_going =
+  let nw, _ = build g in
+  let cap0 = Array.copy nw.ecap in
+  let s = Hashtbl.find nw.index_of src in
+  let rec go t =
+    if t >= nw.n then true
+    else if t = s then go (t + 1)
+    else begin
+      Array.blit cap0 0 nw.ecap 0 (Array.length cap0);
+      keep_going (dinic ~limit nw s t) && go (t + 1)
+    end
+  in
+  go 0
+
 let broadcast_mincut g ~src =
   if not (Digraph.mem_vertex g src) then invalid_arg "Maxflow.broadcast_mincut";
-  List.fold_left
-    (fun acc v -> if v = src then acc else min acc (max_flow g ~src ~dst:v))
-    max_int (Digraph.vertices g)
+  let best = ref max_int in
+  ignore
+    (for_all_targets g ~src ~limit:max_int (fun v ->
+         best := min !best v;
+         true));
+  !best
+
+let broadcast_at_least g ~src ~need =
+  if not (Digraph.mem_vertex g src) then invalid_arg "Maxflow.broadcast_at_least";
+  need <= 0 || for_all_targets g ~src ~limit:need (fun v -> v >= need)
 
 let pair_mincut_undirected ug u v =
   max_flow (Ugraph.to_symmetric_digraph ug) ~src:u ~dst:v

@@ -21,6 +21,11 @@ val broadcast_mincut : Digraph.t -> src:int -> int
     0 when some vertex is unreachable; equal to [max_int] only in the
     degenerate single-vertex graph. *)
 
+val broadcast_at_least : Digraph.t -> src:int -> need:int -> bool
+(** [broadcast_mincut g ~src >= need], decided on one residual network:
+    each per-vertex flow stops once it reaches [need], and the scan stops at
+    the first vertex below it. Always [true] for [need <= 0]. *)
+
 val pair_mincut_undirected : Ugraph.t -> int -> int -> int
 (** MINCUT between two vertices of an undirected graph (via the symmetric
     digraph reduction). *)

@@ -91,8 +91,6 @@ let vcat a b =
   init (a.nr + b.nr) a.nc (fun i j ->
       if i < a.nr then get a i j else get b (i - a.nr) j)
 
-let hcat_list ~rows blocks = List.fold_left hcat (create rows 0) blocks
-
 let sub_matrix a ~row ~col ~rows ~cols =
   if row < 0 || col < 0 || rows < 0 || cols < 0 || row + rows > a.nr || col + cols > a.nc
   then invalid_arg "Matrix.sub_matrix: out of range";

@@ -53,10 +53,6 @@ val hcat : t -> t -> t
 
 val vcat : t -> t -> t
 
-val hcat_list : rows:int -> t list -> t
-(** Concatenate many blocks left to right; the empty list gives a
-    [rows] x 0 matrix. *)
-
 val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
 val select_cols : t -> int list -> t
 (** Keep the listed columns, in the order given. *)

@@ -314,6 +314,197 @@ let test_eig_cost_grows_with_f () =
        ~value:(Wire.Flag true) ~default:Wire.Nothing ~faulty:Vset.empty ());
   Alcotest.(check int) "f=2: 3 rounds" 3 (Sim.rounds_run sim2)
 
+(* EIG as it validated labels before the per-round hash set: every check is
+   a [List.mem] over the level's label list. Decisions must not change. *)
+let reference_broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
+    ~adversary () =
+  let g = Transport.graph net in
+  let verts =
+    match nodes with None -> Digraph.vertices g | Some vs -> List.sort_uniq compare vs
+  in
+  let states = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.add states v (Hashtbl.create 64)) verts;
+  let state v = Hashtbl.find states v in
+  let lookup st label = Option.value ~default (Hashtbl.find_opt st label) in
+  List.iter (fun (s, value) -> Hashtbl.replace (state s) [ s ] value) inputs;
+  let level1 = List.map (fun (s, _) -> [ s ]) inputs in
+  let extend labels =
+    List.concat_map
+      (fun label ->
+        List.filter_map (fun i -> if List.mem i label then None else Some (label @ [ i ])) verts)
+      labels
+  in
+  let total_rounds = f + 1 in
+  let rec run_round r labels_prev =
+    if r <= total_rounds then begin
+      let honest_pairs_for i =
+        if r = 1 then
+          List.filter_map
+            (fun (s, _) -> if s = i then Some ([ s ], lookup (state i) [ s ]) else None)
+            inputs
+        else
+          List.filter_map
+            (fun label -> if List.mem i label then None else Some (label, lookup (state i) label))
+            labels_prev
+      in
+      let sends =
+        List.concat_map
+          (fun i ->
+            let base = honest_pairs_for i in
+            List.filter_map
+              (fun j ->
+                if j = i then None
+                else
+                  let pairs =
+                    if Vset.mem i faulty then adversary ~me:i ~round:r ~dst:j base else base
+                  in
+                  match pairs with
+                  | [] -> None
+                  | _ ->
+                      Some
+                        ( i,
+                          j,
+                          Wire.Batch
+                            (List.map (fun (label, body) -> Wire.Labeled { label; body }) pairs) ))
+              verts)
+          verts
+      in
+      let delivery =
+        Reliable.exchange ~net ~phase ~routing ~proto:(phase ^ ":eig") ~faulty
+          ~hooks:Reliable.honest_hooks ~default:Wire.Nothing ~sends
+      in
+      let labels_now = if r = 1 then level1 else extend labels_prev in
+      List.iter
+        (fun j ->
+          List.iter
+            (fun i ->
+              if i <> j then
+                match Reliable.get delivery ~default:Wire.Nothing ~src:i ~dst:j with
+                | Wire.Batch items ->
+                    List.iter
+                      (function
+                        | Wire.Labeled { label; body } ->
+                            let stored_label = if r = 1 then label else label @ [ i ] in
+                            let valid =
+                              if r = 1 then label = [ i ] && List.mem label level1
+                              else
+                                List.length label = r - 1
+                                && (not (List.mem i label))
+                                && List.mem stored_label labels_now
+                            in
+                            if valid && not (Hashtbl.mem (state j) stored_label) then
+                              Hashtbl.replace (state j) stored_label body
+                        | _ -> ())
+                      items
+                | _ -> ())
+            verts;
+          if r > 1 then
+            List.iter
+              (fun label ->
+                if not (List.mem j label) then
+                  Hashtbl.replace (state j) (label @ [ j ]) (lookup (state j) label))
+              labels_prev)
+        verts;
+      run_round (r + 1) labels_now
+    end
+  in
+  run_round 1 level1;
+  let decisions = Hashtbl.create 16 in
+  List.iter
+    (fun j ->
+      let st = state j in
+      let rec resolve label =
+        if List.length label = total_rounds then lookup st label
+        else begin
+          let children =
+            List.filter_map
+              (fun i -> if List.mem i label then None else Some (resolve (label @ [ i ])))
+              verts
+          in
+          let counts =
+            List.fold_left
+              (fun acc v ->
+                match List.assoc_opt v acc with
+                | Some k -> (v, k + 1) :: List.remove_assoc v acc
+                | None -> (v, 1) :: acc)
+              [] children
+          in
+          let total = List.length children in
+          match List.find_opt (fun (_, k) -> 2 * k > total) counts with
+          | Some (v, _) -> v
+          | None -> default
+        end
+      in
+      List.iter (fun (s, _) -> Hashtbl.replace decisions (s, j) (resolve [ s ])) inputs)
+    verts;
+  decisions
+
+(* A faulty node that prefixes its honest pairs with every kind of malformed
+   item, each carrying a lie: a label one level too deep, the empty label,
+   a label that already contains the relayer, a label rooted at a
+   non-source, one naming a vertex outside the participants, and a
+   value-flipped duplicate of each honest pair. A malformed item can only
+   land in a slot that no decision reads, so equal decisions pin that no
+   well-formed item is rejected and that the first of two duplicates wins. *)
+let malformed_labels ~sources ~outsider ~me ~round ~dst pairs =
+  let lie = Wire.Flag (dst mod 2 = 0) in
+  let flip = function Wire.Flag b -> Wire.Flag (not b) | _ -> lie in
+  let src = List.hd sources in
+  let non_source = List.find (fun v -> not (List.mem v sources)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
+  let depth k = List.filteri (fun i _ -> i < k) in
+  let chain = src :: List.filter (fun v -> v <> src && v <> me && v <> dst) [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let bad =
+    [
+      depth round chain;
+      [];
+      depth (max 0 (round - 2)) chain @ [ me ];
+      non_source :: depth (round - 2) (List.tl chain);
+      depth (round - 2) chain @ [ outsider ];
+    ]
+  in
+  List.map (fun label -> (label, lie)) bad
+  @ List.map (fun (label, v) -> (label, flip v)) pairs
+  @ pairs
+
+let test_eig_malformed_labels_match_reference () =
+  let run ~name ~graph ?nodes ~f ~inputs ~faulty () =
+    let sources = List.map fst inputs in
+    let outsider =
+      match nodes with
+      | Some vs -> List.find (fun v -> not (List.mem v vs)) (Digraph.vertices graph)
+      | None -> 99
+    in
+    let adversary = malformed_labels ~sources ~outsider in
+    let routing = Routing.build graph ~f in
+    let decide broadcast_all =
+      let sim = new_sim graph in
+      let d : (int * int, Wire.payload) Hashtbl.t = broadcast_all (Sim.transport sim) in
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) d [])
+    in
+    let got =
+      decide (fun net ->
+          Eig.broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs ~default:Wire.Nothing
+            ~faulty ~adversary ())
+    and want =
+      decide (fun net ->
+          reference_broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs
+            ~default:Wire.Nothing ~faulty ~adversary ())
+    in
+    Alcotest.(check int) (name ^ ": decision count") (List.length want) (List.length got);
+    List.iter2
+      (fun (k, w) (k', g) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: decision (%d,%d)" name (fst k) (snd k))
+          true
+          (k = k' && Wire.equal w g))
+      want got
+  in
+  let flags = List.map (fun s -> (s, Wire.Flag (s mod 2 = 1))) in
+  run ~name:"k4 f=1" ~graph:k4 ~f:1 ~inputs:(flags [ 1; 2; 3; 4 ]) ~faulty:(Vset.singleton 4) ();
+  run ~name:"k7 f=2" ~graph:k7 ~f:2 ~inputs:(flags [ 1; 2; 3 ]) ~faulty:(Vset.of_list [ 2; 6 ]) ();
+  run ~name:"k6 over 5 participants" ~graph:(Gen.complete ~n:6 ~cap:2) ~nodes:[ 1; 2; 3; 4; 5 ]
+    ~f:1 ~inputs:(flags [ 1; 5 ]) ~faulty:(Vset.singleton 5) ()
+
 (* ---------- Phase king ---------- *)
 
 let check_pk_guarantees ~name ~graph ~f ~source ~value ~faulty ?adversary () =
@@ -462,6 +653,8 @@ let () =
           Alcotest.test_case "multi source batch" `Quick test_eig_multi_source;
           Alcotest.test_case "requires n > 3f" `Quick test_eig_requires_n_gt_3f;
           Alcotest.test_case "round count" `Quick test_eig_cost_grows_with_f;
+          Alcotest.test_case "malformed labels = reference" `Quick
+            test_eig_malformed_labels_match_reference;
         ] );
       ( "phase-king",
         [

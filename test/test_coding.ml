@@ -4,6 +4,7 @@
 open Nab_graph
 open Nab_net
 open Nab_core
+open Nab_matrix
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -211,6 +212,98 @@ let test_generate_correct_is_correct () =
   let c, attempts = Coding.generate_correct k4 ~omega:omega4 ~rho:rho4 ~m:8 ~seed:1 () in
   Alcotest.(check bool) "verified" true (Coding.is_correct c ~g:k4 ~omega:omega4);
   Alcotest.(check bool) "few attempts" true (attempts <= 3)
+
+(* C_H as it was built before the one-pass assembly: one [Matrix.init] per
+   edge, concatenated left to right with [Matrix.hcat]. *)
+let reference_expanded_matrix c ~h =
+  let rho = Coding.rho c in
+  let verts = Digraph.vertices h in
+  let nh = List.length verts in
+  let reference = List.nth verts (nh - 1) in
+  let block_index =
+    let tbl = Hashtbl.create nh in
+    List.iteri (fun i v -> if v <> reference then Hashtbl.add tbl v i) verts;
+    tbl
+  in
+  let nblocks = nh - 1 in
+  let expand (i, j) ce =
+    let rows = nblocks * rho and cols = Matrix.cols ce in
+    Matrix.init rows cols (fun r c ->
+        let block = r / rho and within = r mod rho in
+        let hit v = v <> reference && Hashtbl.find block_index v = block in
+        if hit i || hit j then Matrix.get ce within c else 0)
+  in
+  List.fold_left Matrix.hcat
+    (Matrix.create (nblocks * rho) 0)
+    (List.map (fun (s, d, _) -> expand (s, d) (Coding.matrix c ~edge:(s, d))) (Digraph.edges h))
+
+(* [Coding.generate_correct] over the reference C_H: [None] when every
+   attempt fails. *)
+let reference_generate_correct g ~omega ~rho ~m ~seed =
+  let rec go attempt =
+    if attempt > 64 then None
+    else begin
+      let c = Coding.generate g ~rho ~m ~seed:(seed + (attempt * 7919)) in
+      let ok vset =
+        Gauss.has_invertible_submatrix (Coding.field c)
+          (reference_expanded_matrix c ~h:(Digraph.induced g vset))
+      in
+      if List.for_all ok omega then Some (c, attempt) else go (attempt + 1)
+    end
+  in
+  go 1
+
+let same_matrices g a b =
+  List.for_all
+    (fun (s, d, _) -> Matrix.equal (Coding.matrix a ~edge:(s, d)) (Coding.matrix b ~edge:(s, d)))
+    (Digraph.edges g)
+
+(* [Some attempts] when [generate_correct] and the reference agree on the
+   matrices and the attempt count, [None] when both give up; fails the test
+   on any disagreement. *)
+let generate_correct_agrees g ~omega ~rho ~m ~seed =
+  let got =
+    match Coding.generate_correct g ~omega ~rho ~m ~seed () with
+    | r -> Some r
+    | exception Failure _ -> None
+  in
+  match (got, reference_generate_correct g ~omega ~rho ~m ~seed) with
+  | None, None -> None
+  | Some (a, na), Some (b, nb) when na = nb && same_matrices g a b -> Some na
+  | _ -> Alcotest.failf "generate_correct differs from the reference (m=%d seed=%d)" m seed
+
+let test_expanded_matrix_matches_reference =
+  qtest ~count:40 "C_H and generate_correct = reference"
+    QCheck2.Gen.(
+      let* f = int_range 1 2 in
+      let* n = int_range ((3 * f) + 1) 9 in
+      let* gseed = int_range 0 100_000 in
+      let* m = oneofl [ 1; 8; 16 ] in
+      let* seed = int_range 0 9999 in
+      return (f, n, gseed, m, seed))
+    (fun (f, n, gseed, m, seed) ->
+      let g = Gen.random_bb_feasible ~n ~f ~p:0.85 ~min_cap:1 ~max_cap:4 ~seed:gseed in
+      let omega = Params.omega_k g ~total_n:n ~f ~disputes:[] in
+      let rho = max 1 (Params.rho_k g ~total_n:n ~f ~disputes:[]) in
+      let c = Coding.generate g ~rho ~m ~seed in
+      List.for_all
+        (fun vset ->
+          let h = Digraph.induced g vset in
+          Matrix.equal (Coding.expanded_matrix c ~h) (reference_expanded_matrix c ~h))
+        omega
+      &&
+      (ignore (generate_correct_agrees g ~omega ~rho ~m ~seed : int option);
+       true))
+
+(* At m = 1 most draws are rank deficient, so the retry path of
+   [generate_correct] is exercised against the reference too. *)
+let test_generate_correct_retries_match () =
+  let attempts =
+    List.filter_map
+      (fun seed -> generate_correct_agrees k4 ~omega:omega4 ~rho:rho4 ~m:1 ~seed)
+      (List.init 20 Fun.id)
+  in
+  Alcotest.(check bool) "some m=1 draw needed a retry" true (List.exists (fun a -> a > 1) attempts)
 
 (* The (EC) property end-to-end: with verified-correct matrices, whenever the
    values of a candidate fault-free subgraph H differ, some check inside H
@@ -602,6 +695,9 @@ let () =
             test_incorrect_matrices_have_blind_spot;
           Alcotest.test_case "failure bound formula" `Quick test_failure_bound;
           Alcotest.test_case "theorem 1 empirical" `Slow test_theorem1_empirical;
+          test_expanded_matrix_matches_reference;
+          Alcotest.test_case "generate_correct retries = reference" `Quick
+            test_generate_correct_retries_match;
         ] );
       ( "appendix-c",
         [

@@ -119,6 +119,22 @@ let test_quick_matches_baseline () =
       let d = Runner.diff_rows ~baseline:base ~current:rows in
       Alcotest.(check bool) "diff_rows agrees" true (Runner.diff_is_empty d)
 
+(* The soak tier, pinned by digest: the rows of
+   [campaign run --soak 40 --seed 11] (sync backend). Unlike the quick
+   baseline it holds f = 2 rows up to n = 9, where Eig runs three rounds
+   and C_H has up to six block rows. *)
+let soak40_seed11_md5 = "56a9496ea08bd1adc48751d9bb60f1a6"
+
+let test_soak_matches_digest () =
+  let scenarios = Campaigns.soak ~trials:40 ~seed:11 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "soak 40 seed 11 rows at jobs=%d" jobs)
+        soak40_seed11_md5
+        (Digest.to_hex (Digest.string (jsonl (Runner.run_campaign ~jobs scenarios)))))
+    [ 1; 4 ]
+
 (* ---- plan cache ---- *)
 
 let test_plan_cache_basics () =
@@ -402,6 +418,7 @@ let () =
           Alcotest.test_case "jobs-independent rows" `Quick test_jobs_independent;
           Alcotest.test_case "quick matches committed baseline" `Quick
             test_quick_matches_baseline;
+          Alcotest.test_case "soak matches recorded digest" `Quick test_soak_matches_digest;
           Alcotest.test_case "diff detects changes" `Quick test_diff_detects_changes;
           Alcotest.test_case "unknown check is a violation" `Quick
             test_unknown_check_is_violation;

@@ -284,6 +284,90 @@ let test_pack_random =
       let trees = Arborescence.pack g ~root:1 ~k:gamma in
       List.length trees = gamma && Arborescence.verify g ~root:1 trees = Ok ())
 
+(* Directed variant of [graph_gen]: drop each arc with probability 1/4, so
+   some vertices become unreachable and cuts differ by direction. *)
+let digraph_gen =
+  QCheck2.Gen.(
+    pair graph_gen (int_range 0 10_000) >>= fun (g, seed) ->
+    let st = Random.State.make [| seed |] in
+    return
+      (Digraph.fold_edges
+         (fun s d _ acc -> if Random.State.int st 4 = 0 then Digraph.remove_edge acc s d else acc)
+         g g))
+
+let test_broadcast_at_least_matches_max_flow =
+  qtest ~count:150 "broadcast_at_least = for_all (max_flow >= need)"
+    QCheck2.Gen.(triple digraph_gen (int_range 1 7) (int_range (-1) 12))
+    (fun (g, src, need) ->
+      let vs = Digraph.vertices g in
+      let src = List.nth vs (src mod List.length vs) in
+      let reference =
+        need <= 0
+        || List.for_all (fun v -> v = src || Maxflow.max_flow g ~src ~dst:v >= need) vs
+      in
+      Maxflow.broadcast_at_least g ~src ~need = reference
+      && Maxflow.broadcast_mincut g ~src
+         = List.fold_left
+             (fun acc v -> if v = src then acc else min acc (Maxflow.max_flow g ~src ~dst:v))
+             max_int vs)
+
+(* Arborescence packing with the per-vertex max-flow connectivity test it
+   used before [Maxflow.broadcast_at_least]: the trees must come out the
+   same, arc for arc. *)
+let reference_pack g ~root ~k =
+  let connectivity_at_least g ~root need =
+    need <= 0
+    || List.for_all
+         (fun v -> v = root || Maxflow.max_flow g ~src:root ~dst:v >= need)
+         (Digraph.vertices g)
+  in
+  let decrement_cap g u v =
+    let c = Digraph.cap g u v in
+    let g = Digraph.remove_edge g u v in
+    if c = 1 then g else Digraph.add_edge g ~src:u ~dst:v ~cap:(c - 1)
+  in
+  let grow_tree g ~remaining =
+    let all = Digraph.vertex_set g in
+    let rec go g covered tree =
+      if Vset.equal covered all then (g, List.rev tree)
+      else begin
+        let candidates =
+          Vset.fold
+            (fun u acc ->
+              List.fold_left
+                (fun acc (v, _) -> if Vset.mem v covered then acc else (u, v) :: acc)
+                acc (Digraph.out_edges g u))
+            covered []
+        in
+        let g', u, v =
+          List.find_map
+            (fun (u, v) ->
+              let g' = decrement_cap g u v in
+              if connectivity_at_least g' ~root remaining then Some (g', u, v) else None)
+            (List.rev candidates)
+          |> Option.get
+        in
+        go g' (Vset.add v covered) ((u, v) :: tree)
+      end
+    in
+    go g (Vset.singleton root) []
+  in
+  let rec go g remaining acc =
+    if remaining = 0 then List.rev acc
+    else begin
+      let g', tree = grow_tree g ~remaining:(remaining - 1) in
+      go g' (remaining - 1) (tree :: acc)
+    end
+  in
+  go g k []
+
+let test_pack_matches_reference =
+  qtest ~count:40 "pack = per-vertex max-flow reference" graph_gen (fun g ->
+      let gamma = Maxflow.broadcast_mincut g ~src:1 in
+      List.for_all
+        (fun k -> Arborescence.pack g ~root:1 ~k = reference_pack g ~root:1 ~k)
+        (List.init (gamma + 1) Fun.id))
+
 let test_pack_infeasible () =
   let g = Gen.figure2 in
   Alcotest.check_raises "k too large"
@@ -548,6 +632,7 @@ let () =
           test_flow_conservation;
           test_flow_decompose;
           Alcotest.test_case "min cut edges" `Quick test_min_cut_edges;
+          test_broadcast_at_least_matches_max_flow;
         ] );
       ( "stoer-wagner",
         [
@@ -568,6 +653,7 @@ let () =
         [
           Alcotest.test_case "figure 2 packing" `Quick test_figure2_packing;
           test_pack_random;
+          test_pack_matches_reference;
           Alcotest.test_case "infeasible k" `Quick test_pack_infeasible;
           Alcotest.test_case "navigation" `Quick test_tree_navigation;
           Alcotest.test_case "verify rejects bad" `Quick test_verify_rejects_bad;
