@@ -1,5 +1,3 @@
-open Nab_graph
-
 type latency = Zero | Const of float | Uniform of float * float | Exp of float
 
 type partition = { cut : (int * int) list; from_t : float; until_t : float }
@@ -25,13 +23,7 @@ let no_faults =
     seed = 0;
   }
 
-type phase_acc = {
-  mutable p_rounds : int;
-  mutable p_wall : float;
-  mutable p_bottleneck : float;
-  mutable p_bits : int;
-  mutable p_extra : float;
-}
+let fg x = Printf.sprintf "%g" x
 
 (* The event queue: arrival time + a per-run sequence number (ties broken
    in send order, which at zero faults reproduces the synchronous delivery
@@ -43,139 +35,61 @@ module Pq = Map.Make (struct
 end)
 
 type t = {
-  g : Digraph.t;
+  l : Packet.t Ledger.t;
   spec : fault_spec;
-  obs : Nab_obs.ctx;
-  keep_events : bool;
-  nv : int;
-  verts : int array; (* ascending vertex ids *)
-  vidx : (int, int) Hashtbl.t; (* vertex id -> dense index *)
-  (* Edges in (src, dst) lexicographic order, as Digraph.edges reports
-     them — the order of every sorted accessor. *)
-  ne : int;
-  e_src_id : int array;
-  e_dst_id : int array;
-  e_capf : float array;
-  etbl : (int, int) Hashtbl.t; (* (si * nv + di) -> edge index *)
   crash_t : float option array; (* per dense index *)
   cuts : (int, partition list) Hashtbl.t; (* edge index -> windows *)
   rng : Random.State.t;
   mutable now : float;
-  mutable round_no : int;
   mutable seq : int;
   mutable queue : (int * int * Packet.t) Pq.t; (* in flight *)
   mutable n_pending : int;
-  mutable msg_no : int;
-  mutable evs : Transport.event list; (* reversed *)
-  mutable dropped : int; (* non-existent links, as in Sim *)
   mutable fault_drops : int; (* destroyed by injected faults *)
-  link_total : int array;
-  phases : (string, phase_acc) Hashtbl.t;
-  mutable phase_order : string list; (* reversed *)
-  (* per-round scratch *)
-  round_bits : int array;
-  touched : int array;
-  mutable n_touched : int;
 }
 
-let vertex_index t v =
-  match Hashtbl.find_opt t.vidx v with Some i -> i | None -> -1
-
-let create ?(obs = Nab_obs.null) ?(keep_events = false) ?(spec = no_faults) g =
-  let verts = Array.of_list (Digraph.vertices g) in
-  let nv = Array.length verts in
-  let vidx = Hashtbl.create (max 16 nv) in
-  Array.iteri (fun i v -> Hashtbl.replace vidx v i) verts;
-  let edges = Array.of_list (Digraph.edges g) in
-  let ne = Array.length edges in
-  let e_src_id = Array.make ne 0 in
-  let e_dst_id = Array.make ne 0 in
-  let e_capf = Array.make ne 0.0 in
-  let etbl = Hashtbl.create (max 16 ne) in
-  Array.iteri
-    (fun e (src, dst, cap) ->
-      e_src_id.(e) <- src;
-      e_dst_id.(e) <- dst;
-      e_capf.(e) <- float_of_int cap;
-      Hashtbl.replace etbl
-        ((Hashtbl.find vidx src * nv) + Hashtbl.find vidx dst)
-        e)
-    edges;
-  let crash_t = Array.make (max 1 nv) None in
+let create ?obs ?keep_events ?(spec = no_faults) g =
+  let l = Ledger.create ?obs ?keep_events ~who:"Async_sim.round" g ~bits:Packet.bits in
+  let crash_t = Array.make (max 1 (Ledger.nv l)) None in
   List.iter
     (fun (v, time) ->
-      match Hashtbl.find_opt vidx v with
-      | Some i ->
-          crash_t.(i) <-
-            (match crash_t.(i) with
-            | Some prev -> Some (Float.min prev time)
-            | None -> Some time)
-      | None -> ())
+      let i = Ledger.vertex_index l v in
+      if i < 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Async_sim.create: crash entry %d@%s names no vertex of the graph" v
+             (fg time));
+      crash_t.(i) <-
+        (match crash_t.(i) with
+        | Some prev -> Some (Float.min prev time)
+        | None -> Some time))
     spec.crash;
   let cuts = Hashtbl.create 8 in
   List.iter
     (fun p ->
       List.iter
         (fun (src, dst) ->
-          match (Hashtbl.find_opt vidx src, Hashtbl.find_opt vidx dst) with
-          | Some si, Some di -> (
-              match Hashtbl.find_opt etbl ((si * nv) + di) with
-              | Some e ->
-                  Hashtbl.replace cuts e
-                    (p
-                    :: (match Hashtbl.find_opt cuts e with
-                       | Some l -> l
-                       | None -> []))
-              | None -> ())
-          | _ -> ())
+          let e = Ledger.edge_id l src dst in
+          if e < 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "Async_sim.create: partition cut %d>%d is not a link of the graph"
+                 src dst);
+          Hashtbl.replace cuts e
+            (p :: (match Hashtbl.find_opt cuts e with Some l -> l | None -> [])))
         p.cut)
     spec.partitions;
   {
-    g;
+    l;
     spec;
-    obs;
-    keep_events;
-    nv;
-    verts;
-    vidx;
-    ne;
-    e_src_id;
-    e_dst_id;
-    e_capf;
-    etbl;
     crash_t;
     cuts;
     rng = Random.State.make [| spec.seed; 0x45a9; 0xeb17 |];
     now = 0.0;
-    round_no = 0;
     seq = 0;
     queue = Pq.empty;
     n_pending = 0;
-    msg_no = 0;
-    evs = [];
-    dropped = 0;
     fault_drops = 0;
-    link_total = Array.make ne 0;
-    phases = Hashtbl.create 8;
-    phase_order = [];
-    round_bits = Array.make ne 0;
-    touched = Array.make ne 0;
-    n_touched = 0;
   }
-
-let phase_acc t name =
-  match Hashtbl.find_opt t.phases name with
-  | Some acc -> acc
-  | None ->
-      let acc =
-        { p_rounds = 0; p_wall = 0.0; p_bottleneck = 0.0; p_bits = 0; p_extra = 0.0 }
-      in
-      Hashtbl.add t.phases name acc;
-      t.phase_order <- name :: t.phase_order;
-      acc
-
-let elapsed_phases t =
-  Hashtbl.fold (fun _ a acc -> acc +. a.p_wall +. a.p_extra) t.phases 0.0
 
 let crashed_at t di time =
   match t.crash_t.(di) with Some c -> time >= c | None -> false
@@ -209,78 +123,30 @@ let sample_delay t =
   in
   (lat +. jit +. bump, bump_round)
 
-let record_delivery t ~phase src dst msg =
-  if t.keep_events then
-    t.evs <-
-      { Transport.round_no = t.round_no; ev_phase = phase; src; dst; msg }
-      :: t.evs;
-  t.msg_no <- t.msg_no + 1;
-  let sample = Nab_obs.sample_messages t.obs in
-  if sample > 0 && t.msg_no mod sample = 0 then
-    Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-      ~attrs:
-        [
-          ("phase", Nab_obs.S phase);
-          ("round", Nab_obs.I t.round_no);
-          ("src", Nab_obs.I src);
-          ("dst", Nab_obs.I dst);
-          ("bits", Nab_obs.I (Packet.bits msg));
-        ]
-      "msg"
-
 let round t ~phase outbox =
-  let acc = phase_acc t phase in
-  t.round_no <- t.round_no + 1;
-  let round_no = t.round_no in
+  let l = t.l in
+  ignore (Ledger.begin_round l ~phase : int);
   (* Collect this round's accepted sends; arrivals are stamped once the
      round's transmission time is known. *)
   let sends = ref [] in
-  for ui = 0 to t.nv - 1 do
-    let v = t.verts.(ui) in
+  for ui = 0 to Ledger.nv l - 1 do
+    let v = Ledger.vertex l ui in
     List.iter
       (fun (dst, msg) ->
         if crashed_at t ui t.now then t.fault_drops <- t.fault_drops + 1
         else begin
-          let di = vertex_index t dst in
-          let e =
-            if di < 0 then -1
-            else
-              match Hashtbl.find_opt t.etbl ((ui * t.nv) + di) with
-              | Some e -> e
-              | None -> -1
-          in
-          if e < 0 then begin
-            t.dropped <- t.dropped + 1;
-            Nab_obs.add t.obs "sim.dropped" 1
-          end
-          else if partitioned t e t.now then
-            t.fault_drops <- t.fault_drops + 1
+          let e = Ledger.edge_id l v dst in
+          if e < 0 then Ledger.drop l
+          else if partitioned t e t.now then t.fault_drops <- t.fault_drops + 1
           else begin
-            let b = Packet.bits msg in
-            if b <= 0 then
-              invalid_arg "Async_sim.round: message with non-positive bit size";
-            if t.round_bits.(e) = 0 then begin
-              t.touched.(t.n_touched) <- e;
-              t.n_touched <- t.n_touched + 1
-            end;
-            t.round_bits.(e) <- t.round_bits.(e) + b;
-            t.link_total.(e) <- t.link_total.(e) + b;
+            Ledger.charge l e msg;
             let extra, bump_round = sample_delay t in
             sends := (v, dst, msg, extra, bump_round) :: !sends
           end
         end)
       (outbox v)
   done;
-  (* Transmission time: slowest touched link, as in the synchronous model. *)
-  let duration = ref 0.0 in
-  let bits_this_round = ref 0 in
-  for i = 0 to t.n_touched - 1 do
-    let e = t.touched.(i) in
-    let b = t.round_bits.(e) in
-    bits_this_round := !bits_this_round + b;
-    duration := Float.max !duration (float_of_int b /. t.e_capf.(e))
-  done;
-  let duration = !duration and bits_this_round = !bits_this_round in
+  let duration, bits = Ledger.tally l in
   let round_end = t.now +. duration in
   (* Enqueue arrivals (sends were consed: re-reverse to send order so the
      tie-breaking sequence numbers follow it). *)
@@ -303,153 +169,58 @@ let round t ~phase outbox =
     else duration
   in
   t.now <- t.now +. advance;
-  acc.p_rounds <- acc.p_rounds + 1;
-  acc.p_wall <- acc.p_wall +. advance;
-  acc.p_bottleneck <- Float.max acc.p_bottleneck advance;
-  acc.p_bits <- acc.p_bits + bits_this_round;
-  if Nab_obs.enabled t.obs then begin
-    Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-      ~attrs:
-        [
-          ("phase", Nab_obs.S phase);
-          ("round", Nab_obs.I round_no);
-          ("bits", Nab_obs.I bits_this_round);
-          ("duration", Nab_obs.F advance);
-        ]
-      "round";
-    Nab_obs.add t.obs "sim.rounds" 1;
-    Nab_obs.add t.obs "sim.bits" bits_this_round
-  end;
+  Ledger.end_round l ~duration:advance ~bits;
   (* Deliver everything that has arrived by now, in (arrival, seq) order;
      inboxes are consed then stable-sorted by sender — the synchronous
      fabric's construction, so at zero faults the inboxes are identical. *)
-  let acc_inbox = Array.make t.nv [] in
+  let acc_inbox = Array.make (Ledger.nv l) [] in
   let delivered_to = ref [] in
   let rec pump () =
     match Pq.min_binding_opt t.queue with
     | Some (((at, _) as key), (src, dst, msg)) when at <= t.now ->
         t.queue <- Pq.remove key t.queue;
         t.n_pending <- t.n_pending - 1;
-        let di = vertex_index t dst in
+        let di = Ledger.vertex_index l dst in
         if crashed_at t di at then t.fault_drops <- t.fault_drops + 1
         else begin
           if acc_inbox.(di) = [] then delivered_to := di :: !delivered_to;
           acc_inbox.(di) <- (src, msg) :: acc_inbox.(di);
-          record_delivery t ~phase src dst msg
+          Ledger.deliver l src dst msg
         end;
         pump ()
     | _ -> ()
   in
   pump ();
-  let res = Array.make t.nv [] in
+  let res = Array.make (Ledger.nv l) [] in
   List.iter
     (fun di ->
       res.(di) <-
         List.stable_sort (fun (a, _) (b, _) -> compare a b) acc_inbox.(di))
     !delivered_to;
-  for i = 0 to t.n_touched - 1 do
-    t.round_bits.(t.touched.(i)) <- 0
-  done;
-  t.n_touched <- 0;
   fun v ->
-    let di = vertex_index t v in
+    let di = Ledger.vertex_index l v in
     if di < 0 then [] else res.(di)
 
 let pending_count t = t.n_pending
-
-let drain t ~phase =
-  let merged : (int, (int * Packet.t) list) Hashtbl.t = Hashtbl.create 16 in
-  while pending_count t > 0 do
-    let inbox = round t ~phase (fun _ -> []) in
-    List.iter
-      (fun v ->
-        match inbox v with
-        | [] -> ()
-        | arrivals ->
-            Hashtbl.replace merged v
-              ((try Hashtbl.find merged v with Not_found -> []) @ arrivals))
-      (Digraph.vertices t.g)
-  done;
-  fun v -> try Hashtbl.find merged v with Not_found -> []
-
-let add_cost t ~phase c =
-  let acc = phase_acc t phase in
-  acc.p_extra <- acc.p_extra +. c
-
-let phase_stats t =
-  List.rev_map
-    (fun name ->
-      let a = Hashtbl.find t.phases name in
-      {
-        Transport.phase = name;
-        rounds = a.p_rounds;
-        wall = a.p_wall;
-        bottleneck = a.p_bottleneck;
-        bits_total = a.p_bits;
-        extra = a.p_extra;
-      })
-    t.phase_order
-
-let timing t =
-  let phases = phase_stats t in
-  let wall =
-    List.fold_left (fun acc (s : Transport.phase_stat) -> acc +. s.wall +. s.extra) 0.0 phases
-  in
-  let pipelined =
-    List.fold_left
-      (fun acc (s : Transport.phase_stat) -> acc +. s.bottleneck +. s.extra)
-      0.0 phases
-  in
-  { Transport.wall; pipelined; phases }
-
-let link_bits t =
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then acc := ((t.e_src_id.(e), t.e_dst_id.(e)), b) :: !acc
-  done;
-  !acc
-
-let dropped t = t.dropped
+let drain t ~phase = Ledger.drain t.l ~pending:(fun () -> t.n_pending) (round t ~phase)
 let fault_drops t = t.fault_drops
-let now t = t.now
-
-let utilization t =
-  let wall = (timing t).Transport.wall in
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then begin
-      let u =
-        if wall <= 0.0 then 0.0 else float_of_int b /. (t.e_capf.(e) *. wall)
-      in
-      acc := ((t.e_src_id.(e), t.e_dst_id.(e)), u) :: !acc
-    end
-  done;
-  !acc
-
-let events_of_phase t phase =
-  List.filter (fun (e : Transport.event) -> e.ev_phase = phase) (List.rev t.evs)
-
-let keeps_events t = t.keep_events
-let rounds_run t = t.round_no
 
 module Async_transport = struct
   type nonrec t = t
 
-  let graph t = t.g
-  let obs t = t.obs
+  let graph t = Ledger.graph t.l
+  let obs t = Ledger.obs t.l
   let round = round
   let pending_count = pending_count
   let drain = drain
-  let add_cost = add_cost
-  let timing = timing
-  let link_bits = link_bits
-  let dropped = dropped
-  let utilization = utilization
-  let events_of_phase = events_of_phase
-  let keeps_events = keeps_events
-  let rounds_run = rounds_run
+  let add_cost t = Ledger.add_cost t.l
+  let timing t = Ledger.timing t.l
+  let link_bits t = Ledger.link_bits t.l
+  let dropped t = Ledger.dropped t.l
+  let utilization t = Ledger.utilization t.l
+  let events_of_phase t = Ledger.transport_events t.l
+  let keeps_events t = Ledger.keeps_events t.l
+  let rounds_run t = Ledger.rounds_run t.l
   let close _ = ()
 end
 
@@ -459,11 +230,6 @@ let factory ?(spec = no_faults) () : Transport.factory =
  fun ~obs ~keep_events g -> transport (create ~obs ~keep_events ~spec g)
 
 (* ------------------------ spec parsing / labels ----------------------- *)
-
-let fg x =
-  (* %g, but canonical: no trailing ".", stable across printf variants *)
-  let s = Printf.sprintf "%g" x in
-  s
 
 let latency_to_string = function
   | Zero -> "zero"

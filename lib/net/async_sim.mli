@@ -70,7 +70,9 @@ val create :
   t
 (** A fresh event-loop backend over the graph, carrying {!Packet.t}
     messages sized by {!Packet.bits}. [spec] defaults to {!no_faults};
-    [obs]/[keep_events] as in {!Sim.create}. *)
+    [obs]/[keep_events] as in {!Sim.create}. Raises [Invalid_argument]
+    naming the entry when [spec] crashes a node that is not a vertex of
+    the graph or cuts a pair that is not a link of it. *)
 
 val transport : t -> Transport.t
 (** Pack for the protocol layers; shares state with the handle. *)
@@ -85,10 +87,6 @@ val fault_drops : t -> int
     nodes, deliveries to crashed nodes, and traffic on partitioned links.
     Disjoint from {!Transport.dropped}, which keeps its meaning of
     "addressed to a link that never existed". *)
-
-val now : t -> float
-(** Current simulated time (equals [(Transport.timing net).wall] minus
-    analytic costs). *)
 
 (** {1 Spec parsing and labels} — shared by [nab_cli]/[campaign] flags and
     scenario ids. *)

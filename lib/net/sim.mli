@@ -16,13 +16,13 @@
     the paper's Figure-3 pipelining, where successive instances overlap with
     one round per hop.
 
-    Implementation model: {!create} compiles the digraph once into dense
-    vertex- and edge-indexed arrays (a direct id->index table, edge arrays
-    in (src, dst) order carrying capacity and propagation delay, and an
-    O(1) link-id lookup); {!round} runs on preallocated per-edge and
-    per-vertex scratch reset via touched lists, so steady-state rounds
-    allocate only the inboxes they return. The observable semantics are
-    identical to a naive per-round map-based fabric. *)
+    Implementation model: the accounting (phase accumulators, per-link
+    totals, trace, observability points) and the compiled network index
+    live in {!Ledger}; Sim adds synchronous delivery. {!round} runs on
+    preallocated per-vertex scratch reset via touched lists, so
+    steady-state rounds allocate only the inboxes they return. The
+    observable semantics are identical to a naive per-round map-based
+    fabric. *)
 
 type 'm t
 
@@ -135,7 +135,13 @@ val utilization : 'm t -> ((int * int) * float) list
     rather than the whole table being empty. [[]] therefore means "no link
     carried any traffic". *)
 
-type 'm event = { round_no : int; ev_phase : string; src : int; dst : int; msg : 'm }
+type 'm event = 'm Ledger.event = {
+  round_no : int;
+  ev_phase : string;
+  src : int;
+  dst : int;
+  msg : 'm;
+}
 
 val events : 'm t -> 'm event list
 (** Full delivery trace in chronological order — the ground truth that
@@ -149,6 +155,10 @@ val keeps_events : 'm t -> bool
 (** Whether this simulator retains its delivery trace ([keep_events]). *)
 
 val rounds_run : 'm t -> int
+
+val ledger : 'm t -> 'm Ledger.t
+(** The simulator's ledger, for backends that take their accounting from
+    a simulator they drive (the socket backend's prediction). *)
 
 val transport : Packet.t t -> Transport.t
 (** Pack a {!Packet.t}-carrying simulator as a backend-neutral

@@ -1,9 +1,9 @@
 (* Real-network transport: every node of the digraph is its own OS
    process, exchanging framed wire-format bytes over Unix-domain (or TCP
    loopback) stream sockets; the coordinator process keeps the protocol
-   layers' round interface and replicates the synchronous simulator's
-   accounting exactly, so a zero-fault socket run produces the same run
-   report as [Sim] while the inbox data travels through real sockets.
+   layers' round interface and drives a [Sim] whose accounting and inboxes
+   are the run's, so a zero-fault socket run produces the same run report
+   as [Sim] while the inbox data travels through real sockets.
 
    Design notes, in the order they bit:
 
@@ -741,38 +741,15 @@ let exec_node_if_requested () =
 
 (* --------------------------- coordinator ------------------------------ *)
 
-type phase_acc = {
-  mutable p_rounds : int;
-  mutable p_wall : float;
-  mutable p_bottleneck : float;
-  mutable p_bits : int;
-  mutable p_extra : float;
-}
-
+(* The coordinator drives a synchronous simulator as its prediction: the
+   simulator's index, accounting and inboxes are the fleet's, and the wire
+   exchange must reproduce the inboxes exactly. *)
 type t = {
-  g : Digraph.t;
-  obs : Nab_obs.ctx;
-  keep_events : bool;
+  sim : Packet.t Sim.t;
   timeout : float;
   dir : string option; (* Unix-mode socket directory, removed on close *)
-  nv : int;
-  verts : int array; (* vertex ids, ascending (Digraph.vertices order) *)
-  vidx : (int, int) Hashtbl.t;
-  ne : int;
-  e_src : int array; (* edges, (src, dst) lexicographic *)
-  e_dst : int array;
-  e_capf : float array;
-  etbl : (int * int, int) Hashtbl.t;
-  link_total : int array;
-  round_bits : int array;
   pids : int array; (* node process per dense index *)
   conns : conn array; (* control channel per dense index *)
-  mutable round_no : int;
-  mutable msg_no : int;
-  mutable evs : Transport.event list; (* reversed *)
-  mutable dropped : int;
-  phases : (string, phase_acc) Hashtbl.t;
-  mutable phase_order : string list; (* reversed *)
   mutable state : [ `Live | `Failed of string | `Closed ];
   mutable node_stats : (int * stats) list;
   reg_key : int;
@@ -901,23 +878,9 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
        at startup; refusing to fork+exec %s (its main would run per node)"
       Sys.executable_name;
   Lazy.force ignore_sigpipe;
-  let verts = Array.of_list (Digraph.vertices g) in
-  let nv = Array.length verts in
-  let vidx = Hashtbl.create (max 16 nv) in
-  Array.iteri (fun i v -> Hashtbl.replace vidx v i) verts;
-  let edges = Array.of_list (Digraph.edges g) in
-  let ne = Array.length edges in
-  let e_src = Array.make ne 0 in
-  let e_dst = Array.make ne 0 in
-  let e_capf = Array.make ne 0.0 in
-  let etbl = Hashtbl.create (max 16 ne) in
-  Array.iteri
-    (fun e (src, dst, cap) ->
-      e_src.(e) <- src;
-      e_dst.(e) <- dst;
-      e_capf.(e) <- float_of_int cap;
-      Hashtbl.replace etbl (src, dst) e)
-    edges;
+  let sim = Sim.create ~obs ~keep_events g ~bits:Packet.bits in
+  let l = Sim.ledger sim in
+  let nv = Ledger.nv l in
   let token = random_token () in
   (* Control listener. *)
   let dir, ctrl_addr =
@@ -951,8 +914,8 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
     cleanup_fleet (pids, [||], dir)
   in
   (try
-     Array.iteri
-       (fun _i v ->
+     List.iteri
+       (fun i v ->
          let spec =
            Printf.sprintf "%s=%s;%d;%s" env_var (addr_to_string ctrl_addr) v token
          in
@@ -963,8 +926,8 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
          match Unix.fork () with
          | 0 -> (
              try Unix.execve exe argv env with _ -> Unix._exit 127)
-         | pid -> pids.(Hashtbl.find vidx v) <- pid)
-       verts
+         | pid -> pids.(i) <- pid)
+       (Digraph.vertices g)
    with e ->
      cleanup_partial ();
      raise e);
@@ -1026,11 +989,8 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
                     match parse_hello body with
                     | id, tok, data_addr ->
                         if tok <> token then fail "Socket: Hello token mismatch";
-                        let di =
-                          match Hashtbl.find_opt vidx id with
-                          | Some di -> di
-                          | None -> fail "Socket: Hello from unknown node %d" id
-                        in
+                        let di = Ledger.vertex_index l id in
+                        if di < 0 then fail "Socket: Hello from unknown node %d" id;
                         if have_conn.(di) then
                           fail "Socket: duplicate Hello from node %d" id;
                         have_conn.(di) <- true;
@@ -1052,20 +1012,19 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
       let out_ids = Array.make nv [] in
       let in_ids = Array.make nv [] in
       let linked = Hashtbl.create 64 in
-      Array.iteri
-        (fun e src ->
-          let dst = e_dst.(e) in
-          let si = Hashtbl.find vidx src and di = Hashtbl.find vidx dst in
+      List.iter
+        (fun (src, dst, _) ->
+          let si = Ledger.vertex_index l src and di = Ledger.vertex_index l dst in
           out_ids.(si) <- dst :: out_ids.(si);
           in_ids.(di) <- src :: in_ids.(di);
           let pair = (min src dst, max src dst) in
           if not (Hashtbl.mem linked pair) then Hashtbl.replace linked pair ())
-        e_src;
+        (Digraph.edges g);
       let dial = Array.make nv [] in
       let accept_n = Array.make nv 0 in
       Hashtbl.iter
         (fun (a, b) () ->
-          let ai = Hashtbl.find vidx a and bi = Hashtbl.find vidx b in
+          let ai = Ledger.vertex_index l a and bi = Ledger.vertex_index l b in
           dial.(ai) <- (b, data_addrs.(bi)) :: dial.(ai);
           accept_n.(bi) <- accept_n.(bi) + 1)
         linked;
@@ -1092,29 +1051,11 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
       let reg_key = register_fleet pids conns dir in
       let t =
         {
-          g;
-          obs;
-          keep_events;
+          sim;
           timeout;
           dir;
-          nv;
-          verts;
-          vidx;
-          ne;
-          e_src;
-          e_dst;
-          e_capf;
-          etbl;
-          link_total = Array.make ne 0;
-          round_bits = Array.make ne 0;
           pids;
           conns;
-          round_no = 0;
-          msg_no = 0;
-          evs = [];
-          dropped = 0;
-          phases = Hashtbl.create 8;
-          phase_order = [];
           state = `Live;
           node_stats = [];
           reg_key;
@@ -1160,7 +1101,7 @@ let close t =
       if was_live then begin
         Array.iter (fun c -> if c.alive then queue_frame c k_stop "") t.conns;
         let deadline = monotonic () +. 5.0 in
-        let got = Array.make t.nv false in
+        let got = Array.make (Array.length t.conns) false in
         (try
            pump t ~deadline ~expect_live:false ~done_:(fun () ->
                Array.iteri
@@ -1171,7 +1112,8 @@ let close t =
                          match parse_stats body with
                          | s ->
                              got.(i) <- true;
-                             t.node_stats <- (t.verts.(i), s) :: t.node_stats
+                             t.node_stats <-
+                               (Ledger.vertex (Sim.ledger t.sim) i, s) :: t.node_stats
                          | exception Codec.Bad _ -> got.(i) <- true)
                      | _ -> got.(i) <- true
                    end)
@@ -1189,7 +1131,7 @@ let close t =
       (* Reap every node: WNOHANG poll with a grace period, then SIGKILL.
          No child of this fleet survives close. *)
       let deadline = monotonic () +. 5.0 in
-      let reaped = Array.make t.nv false in
+      let reaped = Array.make (Array.length t.pids) false in
       let remaining () =
         let n = ref 0 in
         Array.iteri (fun i r -> if (not r) && t.pids.(i) > 0 then incr n) reaped;
@@ -1224,115 +1166,36 @@ let close t =
            with Sys_error _ -> ());
           try Unix.rmdir d with Unix.Unix_error _ -> ()))
 
-(* ------------------------------ accounting ----------------------------
-
-   Byte-for-byte the synchronous simulator's accounting (Sim), including
-   observability event order — the differential gate depends on it. *)
-
-let phase_acc t name =
-  match Hashtbl.find_opt t.phases name with
-  | Some acc -> acc
-  | None ->
-      let acc =
-        { p_rounds = 0; p_wall = 0.0; p_bottleneck = 0.0; p_bits = 0; p_extra = 0.0 }
-      in
-      Hashtbl.add t.phases name acc;
-      t.phase_order <- name :: t.phase_order;
-      acc
-
-let elapsed_phases t =
-  Hashtbl.fold (fun _ a acc -> acc +. a.p_wall +. a.p_extra) t.phases 0.0
-
 (* ------------------------------- round --------------------------------- *)
 
+(* The simulator runs the round first — recording each node's outbox — and
+   its inboxes are the prediction; the fleet then moves the same sends over
+   real links, and every node's decoded inbox must equal the prediction.
+   Any divergence is a transport fault, not data. *)
 let round t ~phase outbox =
   guard t @@ fun () ->
-  let acc = phase_acc t phase in
-  t.round_no <- t.round_no + 1;
-  let round_no = t.round_no in
-  let sample = Nab_obs.sample_messages t.obs in
-  let record_delivery src dst msg =
-    if t.keep_events then
-      t.evs <- { Transport.round_no; ev_phase = phase; src; dst; msg } :: t.evs;
-    t.msg_no <- t.msg_no + 1;
-    if sample > 0 && t.msg_no mod sample = 0 then
-      Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-        ~attrs:
-          [
-            ("phase", Nab_obs.S phase);
-            ("round", Nab_obs.I round_no);
-            ("src", Nab_obs.I src);
-            ("dst", Nab_obs.I dst);
-            ("bits", Nab_obs.I (Packet.bits msg));
-          ]
-        "msg"
+  let l = Sim.ledger t.sim in
+  let nv = Ledger.nv l in
+  let outboxes = Array.make nv [] in
+  let predicted =
+    Sim.round t.sim ~phase (fun v ->
+        let sends = outbox v in
+        outboxes.(Ledger.vertex_index l v) <- sends;
+        sends)
   in
-  (* Canonical synchronous scan: senders ascending, send order within a
-     sender — bit accounting, drop accounting and the delivery trace all
-     follow it, exactly like Sim.round. Alongside, collect what actually
-     goes on the wire (per-sender send lists) and the prediction the node
-     reports are checked against. *)
-  let sends = Array.make t.nv [] in
-  (* reversed *)
-  let expected = Array.make t.nv [] in
-  (* cons in delivery order *)
-  let touched = ref [] in
-  for ui = 0 to t.nv - 1 do
-    let v = t.verts.(ui) in
-    List.iter
-      (fun (dst, msg) ->
-        match Hashtbl.find_opt t.etbl (v, dst) with
-        | Some e ->
-            let b = Packet.bits msg in
-            if b <= 0 then
-              invalid_arg "Socket.round: message with non-positive bit size";
-            if t.round_bits.(e) = 0 then touched := e :: !touched;
-            t.round_bits.(e) <- t.round_bits.(e) + b;
-            t.link_total.(e) <- t.link_total.(e) + b;
-            sends.(ui) <- (dst, msg) :: sends.(ui);
-            let di = Hashtbl.find t.vidx dst in
-            expected.(di) <- (v, msg) :: expected.(di);
-            record_delivery v dst msg
-        | None ->
-            t.dropped <- t.dropped + 1;
-            Nab_obs.add t.obs "sim.dropped" 1)
-      (outbox v)
-  done;
-  let duration = ref 0.0 in
-  let bits_this_round = ref 0 in
-  List.iter
-    (fun e ->
-      let b = t.round_bits.(e) in
-      bits_this_round := !bits_this_round + b;
-      duration := Float.max !duration (float_of_int b /. t.e_capf.(e));
-      t.round_bits.(e) <- 0)
-    !touched;
-  let duration = !duration and bits_this_round = !bits_this_round in
-  acc.p_rounds <- acc.p_rounds + 1;
-  acc.p_wall <- acc.p_wall +. duration;
-  acc.p_bottleneck <- Float.max acc.p_bottleneck duration;
-  acc.p_bits <- acc.p_bits + bits_this_round;
-  if Nab_obs.enabled t.obs then begin
-    Nab_obs.point t.obs ~scope:"sim" ~t:(elapsed_phases t)
-      ~attrs:
-        [
-          ("phase", Nab_obs.S phase);
-          ("round", Nab_obs.I round_no);
-          ("bits", Nab_obs.I bits_this_round);
-          ("duration", Nab_obs.F duration);
-        ]
-      "round";
-    Nab_obs.add t.obs "sim.rounds" 1;
-    Nab_obs.add t.obs "sim.bits" bits_this_round
-  end;
-  (* The real exchange: ship every node its outbox, collect every inbox. *)
-  for ui = 0 to t.nv - 1 do
-    let frame_sends =
-      List.rev_map (fun (dst, msg) -> (dst, Packet.encode msg)) sends.(ui)
-    in
-    queue_frame t.conns.(ui) k_outbox (body_outbox ~round:round_no frame_sends)
-  done;
-  let inboxes = Array.make t.nv None in
+  let round_no = Sim.rounds_run t.sim in
+  Array.iteri
+    (fun ui sends ->
+      let v = Ledger.vertex l ui in
+      let frame_sends =
+        List.filter_map
+          (fun (dst, msg) ->
+            if Ledger.edge_id l v dst >= 0 then Some (dst, Packet.encode msg) else None)
+          sends
+      in
+      queue_frame t.conns.(ui) k_outbox (body_outbox ~round:round_no frame_sends))
+    outboxes;
+  let inboxes = Array.make nv None in
   let n_in = ref 0 in
   pump t
     ~deadline:(monotonic () +. t.timeout)
@@ -1349,124 +1212,41 @@ let round t ~phase outbox =
                     incr n_in
                 | r, _ ->
                     fail "Socket: node %d reported round %d inbox in round %d"
-                      t.verts.(i) r round_no
+                      (Ledger.vertex l i) r round_no
                 | exception Codec.Bad e -> fail "Socket: bad Inbox: %s" e)
             | _ -> fail "Socket: expected Inbox"
           end)
         t.conns;
-      !n_in = t.nv);
-  (* Decode the node-reported arrivals and canonicalise: groups ascending
-     by sender (the node already reports them that way), reverse delivery
-     order within a group — the exact inbox shape Sim produces. Then hold
-     the wire's answer to the synchronous prediction: any divergence is a
-     transport fault, not data. *)
-  let res = Array.make t.nv [] in
-  for di = 0 to t.nv - 1 do
-    let arrivals =
-      match inboxes.(di) with Some a -> a | None -> assert false
-    in
-    let decoded =
-      List.map
-        (fun (src, bytes) ->
-          match Packet.decode bytes with
-          | Ok p -> (src, p)
-          | Error e -> fail "Socket: corrupt packet from node %d: %s" src e)
-        arrivals
-    in
-    (* The node reports ascending-src groups with reversed send order
-       inside — already the canonical form Sim's inbox construction
-       yields (equivalently: the consed delivery list stable-sorted by
-       sender). *)
-    let canonical = decoded in
-    let predicted =
-      List.stable_sort (fun (a, _) (b, _) -> compare a b) expected.(di)
-    in
-    if not (List.equal (fun (s1, p1) (s2, p2) -> s1 = s2 && p1 = p2) canonical predicted)
-    then
-      fail "Socket: wire exchange diverged from the synchronous prediction at node %d"
-        t.verts.(di);
-    res.(di) <- canonical
-  done;
-  fun v ->
-    match Hashtbl.find_opt t.vidx v with
-    | Some di -> res.(di)
-    | None -> []
+      !n_in = nv);
+  (* Nodes report ascending-src groups with reversed send order inside —
+     the inbox shape Sim produces. *)
+  Array.iteri
+    (fun di arrivals ->
+      let v = Ledger.vertex l di in
+      let decoded =
+        List.map
+          (fun (src, bytes) ->
+            match Packet.decode bytes with
+            | Ok p -> (src, p)
+            | Error e -> fail "Socket: corrupt packet from node %d: %s" src e)
+          (Option.get arrivals)
+      in
+      if
+        not
+          (List.equal (fun (s1, p1) (s2, p2) -> s1 = s2 && p1 = p2) decoded (predicted v))
+      then
+        fail "Socket: wire exchange diverged from the synchronous prediction at node %d" v)
+    inboxes;
+  predicted
 
-(* Synchronous semantics: nothing is ever in flight between rounds. *)
 let pending_count t =
   check_live t;
-  0
+  Sim.pending_count t.sim
 
-let drain t ~phase:_ =
+let drain t ~phase =
   check_live t;
-  fun _ -> []
+  Sim.drain t.sim ~phase
 
-let add_cost t ~phase c =
-  let acc = phase_acc t phase in
-  acc.p_extra <- acc.p_extra +. c
-
-let phase_stats t =
-  List.rev_map
-    (fun name ->
-      let a = Hashtbl.find t.phases name in
-      {
-        Transport.phase = name;
-        rounds = a.p_rounds;
-        wall = a.p_wall;
-        bottleneck = a.p_bottleneck;
-        bits_total = a.p_bits;
-        extra = a.p_extra;
-      })
-    t.phase_order
-
-let elapsed t =
-  List.fold_left
-    (fun acc (s : Transport.phase_stat) -> acc +. s.wall +. s.extra)
-    0.0 (phase_stats t)
-
-let pipelined_elapsed t =
-  List.fold_left
-    (fun acc (s : Transport.phase_stat) -> acc +. s.bottleneck +. s.extra)
-    0.0 (phase_stats t)
-
-let timing t =
-  {
-    Transport.wall = elapsed t;
-    pipelined = pipelined_elapsed t;
-    phases = phase_stats t;
-  }
-
-let link_bits t =
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then acc := ((t.e_src.(e), t.e_dst.(e)), b) :: !acc
-  done;
-  !acc
-
-let dropped t = t.dropped
-
-let utilization t =
-  let wall = elapsed t in
-  let acc = ref [] in
-  for e = t.ne - 1 downto 0 do
-    let b = t.link_total.(e) in
-    if b > 0 then begin
-      let u = if wall <= 0.0 then 0.0 else float_of_int b /. (t.e_capf.(e) *. wall) in
-      acc := ((t.e_src.(e), t.e_dst.(e)), u) :: !acc
-    end
-  done;
-  !acc
-
-let events t = List.rev t.evs
-
-let events_of_phase t phase =
-  List.filter (fun (e : Transport.event) -> e.ev_phase = phase) (events t)
-
-let keeps_events t = t.keep_events
-let rounds_run t = t.round_no
-let graph t = t.g
-let obs t = t.obs
 let node_stats t = t.node_stats
 let pids t = Array.to_list t.pids
 
@@ -1475,19 +1255,19 @@ let pids t = Array.to_list t.pids
 module Socket_transport = struct
   type nonrec t = t
 
-  let graph = graph
-  let obs = obs
+  let graph t = Sim.graph t.sim
+  let obs t = Sim.obs t.sim
   let round = round
   let pending_count = pending_count
   let drain = drain
-  let add_cost = add_cost
-  let timing = timing
-  let link_bits = link_bits
-  let dropped = dropped
-  let utilization = utilization
-  let events_of_phase = events_of_phase
-  let keeps_events = keeps_events
-  let rounds_run = rounds_run
+  let add_cost t = Sim.add_cost t.sim
+  let timing t = Sim.timing t.sim
+  let link_bits t = Sim.link_bits t.sim
+  let dropped t = Sim.dropped t.sim
+  let utilization t = Sim.utilization t.sim
+  let events_of_phase t = Ledger.transport_events (Sim.ledger t.sim)
+  let keeps_events t = Sim.keeps_events t.sim
+  let rounds_run t = Sim.rounds_run t.sim
   let close = close
 end
 

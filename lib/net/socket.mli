@@ -5,11 +5,14 @@
     vertex of the digraph as its own event-driven OS process and moves the
     protocol's bytes through real stream sockets — Unix-domain by default,
     TCP loopback on request. The coordinator (this process) keeps the
-    round-structured interface the protocol layers speak and replicates
-    the synchronous simulator's accounting {e exactly}: a zero-fault run
-    over the socket backend produces the same run report, delivery trace
-    and observability stream as {!Sim}, a property the differential gate
-    in [bench/socket.exe --check] holds.
+    round-structured interface the protocol layers speak and drives a
+    {!Sim} as its prediction: each round runs on the simulator first, the
+    fleet then moves the same sends over real links, and every node's
+    decoded inbox must equal the simulator's. All accounting is the
+    simulator's, so a zero-fault run over the socket backend produces the
+    same run report, delivery trace and observability stream as {!Sim} by
+    construction; [bench/socket.exe --check] and [test/test_socket.ml]
+    gate it.
 
     {2 Process model}
 
@@ -48,7 +51,7 @@ type mode = [ `Unix | `Tcp ]
 
 type t
 (** A live fleet: the node processes, their control channels, and the
-    coordinator-side accounting state. *)
+    simulator that predicts and accounts every round. *)
 
 val exec_node_if_requested : unit -> unit
 (** Call first in the [main] of every binary that may create socket
@@ -75,8 +78,10 @@ val close : t -> unit
     [waitpid] with a grace period and SIGKILL for stragglers — no node
     process survives [close]. Closes every fd and removes the socket
     directory. Idempotent; also safe after a failure. Fleets abandoned
-    without [close] are killed by an [at_exit] hook, and every other
-    operation on a closed or failed fleet raises {!Socket_error}. *)
+    without [close] are killed by an [at_exit] hook. On a closed or failed
+    fleet, [round], [pending_count] and [drain] raise {!Socket_error};
+    the accessors ([timing], [link_bits], [events_of_phase], ...) keep
+    reporting the run. *)
 
 val transport : t -> Transport.t
 (** Pack the fleet behind the backend-neutral boundary. The packed

@@ -4,7 +4,8 @@
     protocol run is parameterised by {e how} messages move — not hard-wired
     to the synchronous round simulator.
 
-    Two backends implement it today:
+    Three backends implement it, all keeping their books in one
+    {!Ledger}:
 
     - {!Sim} — the paper's synchronous capacity model, compiled flat core
       (the reference implementation; byte-identical to the pre-redesign
@@ -12,6 +13,10 @@
     - {!Async_sim} — an in-process event-loop backend with injectable
       per-edge latency, jitter, reordering and crash/partition faults
       (seeded, deterministic replay); pack one with {!Async_sim.transport}.
+    - {!Socket} — one OS process per node, moving wire bytes over real
+      sockets; its accounting is that of a {!Sim} it drives as the
+      prediction every round must match; pack one with
+      {!Socket.transport}.
 
     The signature keeps the round-call shape of {!Sim.round} — protocols
     hand over every node's outbox and get the inboxes back — because the
@@ -102,9 +107,10 @@ module type TRANSPORT = sig
   (** Release whatever the backend holds outside the OCaml heap — OS
       processes, sockets, file descriptors. Idempotent; a no-op for the
       in-process backends ({!Sim}, {!Async_sim}). Session drivers call it
-      when an instance's transport goes out of scope, even on exceptions;
-      using any other operation after [close] is undefined (the socket
-      backend raises). *)
+      when an instance's transport goes out of scope, even on exceptions.
+      After [close], {!round}, {!pending_count} and {!drain} are
+      undefined (the socket backend raises); the accessors keep
+      reporting the closed run. *)
 end
 
 type t = T : (module TRANSPORT with type t = 'a) * 'a -> t

@@ -105,6 +105,31 @@ let test_faulted_regression () =
   Alcotest.(check string) "committed faulted-run fingerprint"
     "dc=0 disputes=0 mismatches=0 wall=610.315 agree=false" summary
 
+(* ---- fault specs must name the graph ---- *)
+
+let test_out_of_graph_faults () =
+  let g = Nab_graph.Gen.complete ~n:4 ~cap:2 in
+  let create spec = ignore (Async_sim.create ~spec g : Async_sim.t) in
+  Alcotest.check_raises "crash of a vertex not in the graph"
+    (Invalid_argument
+       "Async_sim.create: crash entry 99@1.5 names no vertex of the graph")
+    (fun () -> create { Async_sim.no_faults with crash = [ (2, 3.0); (99, 1.5) ] });
+  let cut pairs =
+    {
+      Async_sim.no_faults with
+      partitions = [ { Async_sim.cut = pairs; from_t = 0.0; until_t = 10.0 } ];
+    }
+  in
+  Alcotest.check_raises "cut of a pair that is not a link"
+    (Invalid_argument
+       "Async_sim.create: partition cut 1>1 is not a link of the graph")
+    (fun () -> create (cut [ (1, 2); (1, 1) ]));
+  Alcotest.check_raises "cut towards a vertex not in the graph"
+    (Invalid_argument
+       "Async_sim.create: partition cut 3>7 is not a link of the graph")
+    (fun () -> create (cut [ (3, 7) ]));
+  create { (cut [ (1, 2); (4, 3) ]) with crash = [ (4, 0.0) ] }
+
 let () =
   Alcotest.run "async"
     [
@@ -117,5 +142,10 @@ let () =
         [
           Alcotest.test_case "deterministic replay" `Quick test_faulted_replay_deterministic;
           Alcotest.test_case "committed fingerprint" `Quick test_faulted_regression;
+        ] );
+      ( "fault spec validation",
+        [
+          Alcotest.test_case "out-of-graph faults are rejected" `Quick
+            test_out_of_graph_faults;
         ] );
     ]

@@ -2,10 +2,10 @@
    (Nab_net.Socket): per-round inbox identity against the synchronous
    simulator, crash-mid-round surfacing as a clean Socket_error, close
    reaping every node process (no orphans), and fd hygiene across repeated
-   create/close cycles. The system-level differential (full run reports
-   byte-identical to Sim at zero faults) is gated by bench/socket.exe
-   --check and the socket quick campaign; this file tests the transport
-   directly. *)
+   create/close cycles, and obs JSONL identity with the synchronous run
+   (socket at several sampling rates; zero-fault async alongside). The
+   run-report differential is gated by bench/socket.exe --check and the
+   socket quick campaign. *)
 
 (* Must run before anything else: when this binary is re-executed as a
    socket node process it becomes the node's event loop and never returns
@@ -15,6 +15,10 @@ let () = Nab_net.Socket.exec_node_if_requested ()
 open Nab_graph
 open Nab_net
 
+(* The obs-identity runs plan through Pool, and Unix.fork refuses once a
+   worker domain exists: keep this process single-domain so its fleets
+   can still spawn. *)
+let () = Nab_util.Pool.set_jobs 1
 let availability = Socket.available ()
 
 (* Platforms without fork (or without working sockets) skip — loudly, so a
@@ -74,6 +78,61 @@ let test_rounds_match_sim () =
 let run_round tr ~phase g =
   let (_ : int -> (int * Packet.t) list) = Transport.round tr ~phase (sends g) in
   ()
+
+(* ----------------------------- obs identity ----------------------------- *)
+
+(* The obs JSONL of a fixed run: message points every [sample]-th delivery,
+   fixed inputs, so the trace is a pure function of the backend's
+   accounting. *)
+let obs_trace ~transport ~sample g adversary =
+  let buf = Buffer.create 4096 in
+  let obs = Nab_obs.make ~sample_messages:sample [ Nab_obs.buffer_jsonl_sink buf ] in
+  let inputs k = Nab_core.Bitvec.random 128 (Random.State.make [| 23; k |]) in
+  let config = Nab_core.Nab.config ~f:1 ~l_bits:128 ~m:8 () in
+  let (_ : Nab_core.Nab.run_report) =
+    Nab_core.Nab.run ~obs ~transport ~g ~config ~adversary ~inputs ~q:2 ()
+  in
+  Nab_obs.close obs;
+  Buffer.contents buf
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let obs_cases () =
+  List.concat_map
+    (fun (gname, g) ->
+      List.map
+        (fun (aname, adv) -> (Printf.sprintf "%s/%s" gname aname, g, adv))
+        [ ("none", Nab_core.Adversary.none); ("ec-liar", Nab_core.Adversary.ec_liar) ])
+    [
+      ("complete4", Gen.complete ~n:4 ~cap:2);
+      ("twin", Gen.twin_cliques ~half:3 ~spoke_cap:8 ~intra_cap:8 ~cross_cap:1);
+    ]
+
+let check_obs_identity ~name ~samples transport =
+  List.iter
+    (fun (case, g, adv) ->
+      List.iter
+        (fun sample ->
+          let sync = obs_trace ~transport:Sim.default_factory ~sample g adv in
+          let contains_msg_point = contains sync "\"name\":\"msg\"" in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: sync trace samples messages iff sample > 0" case)
+            (sample > 0) contains_msg_point;
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: obs JSONL = sync (sample %d)" name case sample)
+            sync
+            (obs_trace ~transport ~sample g adv))
+        samples)
+    (obs_cases ())
+
+let test_obs_socket () =
+  check_obs_identity ~name:"socket" ~samples:[ 0; 1; 3 ] (Socket.factory ())
+
+let test_obs_async () =
+  check_obs_identity ~name:"async" ~samples:[ 0 ] (Async_sim.factory ())
 
 (* ----------------------------- lifecycle ------------------------------ *)
 
@@ -171,6 +230,12 @@ let () =
         [
           Alcotest.test_case "inboxes and accounting match Sim" `Quick
             (requires_socket test_rounds_match_sim);
+        ] );
+      ( "obs identity",
+        [
+          Alcotest.test_case "socket trace = sync trace" `Quick
+            (requires_socket test_obs_socket);
+          Alcotest.test_case "zero-fault async trace = sync trace" `Quick test_obs_async;
         ] );
       ( "lifecycle",
         [
