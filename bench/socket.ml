@@ -17,15 +17,16 @@
                                                   # (topology, backend) row
 
    Unlike the async degradation bench, the headline numbers here are REAL
-   seconds — fork/exec, socket syscalls, frame codec — so the committed
+   seconds — process spawn, socket syscalls, frame codec — so the committed
    artifact is a trajectory, not a byte-reproducible value: CI re-verifies
    its grid (presence-only, like BENCH_kernels.json) but never diffs
    regenerated wall-clock numbers. The simulated-time fields (sim_wall,
    the run report content) ARE deterministic, and --check holds the socket
    backend's reports byte-identical to the synchronous simulator's.
 
-   On platforms where the backend cannot run at all (no fork), --check and
-   the sweep skip gracefully via Socket.available, recording the reason. *)
+   On platforms where the backend cannot run at all (no process spawn),
+   --check and the sweep skip gracefully via Socket.available, recording
+   the reason. *)
 
 open Nab_graph
 open Nab_core
@@ -70,8 +71,9 @@ module Json = Nab_obs.Json
 
 (* One (topology, backend) cell: q broadcasts of L bits, timed in real
    seconds around the whole run (transport setup included — for the socket
-   backend that is the fork/exec fleet per instance, a real cost of the
-   design). Goodput is delivered payload over real time. *)
+   backend the first instance spawns the topology's fleet and the later
+   ones lease it from the pool). Goodput is delivered payload over real
+   time. *)
 let cell ~quick (name, g) backend =
   let l = if quick then 256 else 1024 in
   let q = if quick then 2 else 4 in
@@ -181,8 +183,9 @@ let run_checks () =
   (match Socket.available () with
   | Ok () -> ()
   | Error reason ->
-      (* No fork on this platform: the gate cannot run. Skip loudly rather
-         than fail — where the probe succeeds, failures below are real. *)
+      (* No process spawn on this platform: the gate cannot run. Skip
+         loudly rather than fail — where the probe succeeds, failures
+         below are real. *)
       Printf.printf "socket check: SKIPPED (%s)\n" reason;
       exit 0);
   let cases = ref 0 in

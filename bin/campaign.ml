@@ -249,9 +249,10 @@ let run_cmd =
     apply_plan_cache_cap plan_cache_cap;
     (match backend with
     | Scenario.Socket -> (
-        (* Platforms without fork cannot run socket fleets at all; skip the
-           whole campaign loudly instead of erroring every scenario. Where
-           the probe succeeds, socket failures below are real failures. *)
+        (* Platforms that cannot spawn node processes cannot run socket
+           fleets at all; skip the whole campaign loudly instead of
+           erroring every scenario. Where the probe succeeds, socket
+           failures below are real failures. *)
         match Nab_net.Socket.available () with
         | Ok () -> ()
         | Error reason ->

@@ -1,12 +1,14 @@
+type exp_table = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
   m : int;
   taps : int; (* reduction polynomial with the leading x^m term removed *)
   mask : int; (* 2^m - 1 *)
   full : int; (* reduction polynomial including the leading term *)
   gen : int option Atomic.t; (* cached multiplicative generator *)
-  tables : (int array * int array) option Atomic.t;
-      (* lazily-built (exp, log) tables for m <= table_degree_limit:
-         exp has 2*(2^m - 1) entries so products skip a modulo.
+  tables : (exp_table * int array) option Atomic.t;
+      (* lazily-built (exp, log) tables for m <= table_degree_limit, laid
+         out as in [build_tables].
          Both caches are atomics so a racing domain either sees [None] (and
          falls into the mutex-guarded build below) or a fully-built value:
          [Atomic.set] publishes the array contents, a plain mutable field
@@ -176,12 +178,21 @@ let build_tables f =
   let is_gen g = List.for_all (fun p -> raw_pow g (group / p) <> 1) primes in
   let rec search g = if is_gen g then g else search (g + 1) in
   let gen = if f.m = 1 then 1 else search 2 in
-  let exp_t = Array.make (2 * group) 0 in
-  let log_t = Array.make (group + 1) 0 in
+  (* Sentinel-extended tables: log 0 is undefined, so its slot holds
+     s = 2 * (2^m - 1), past any sum of two real logs; exp holds the
+     generator powers twice over [0, s) (a sum of two logs needs no
+     modulo) and zeros over [s, 2s]. Then exp.{log a + log b} = a * b for
+     every a and b, zero included, with no branch. Elements fit 16 bits,
+     so exp is an unboxed int16 bigarray; log is an int array because s
+     does not fit 16 bits at m = 16. Kernel uses both as they are. *)
+  let s = 2 * group in
+  let exp_t = Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout ((2 * s) + 1) in
+  Bigarray.Array1.fill exp_t 0;
+  let log_t = Array.make (group + 1) s in
   let x = ref 1 in
   for k = 0 to group - 1 do
-    exp_t.(k) <- !x;
-    exp_t.(k + group) <- !x;
+    exp_t.{k} <- !x;
+    exp_t.{k + group} <- !x;
     log_t.(!x) <- k;
     x := raw_mul !x gen
   done;
@@ -208,7 +219,7 @@ let tables = tables_of
 let mul f a b =
   assert (is_valid f a && is_valid f b);
   match tables_of f with
-  | Some (exp_t, log_t) -> if a = 0 || b = 0 then 0 else exp_t.(log_t.(a) + log_t.(b))
+  | Some (exp_t, log_t) -> exp_t.{log_t.(a) + log_t.(b)}
   | None -> mul_with ~m:f.m ~taps:f.taps a b
 
 let sq f a = mul f a a
@@ -227,7 +238,7 @@ let pow f x k =
 let inv f a =
   if a = 0 then raise Division_by_zero;
   match tables_of f with
-  | Some (exp_t, log_t) -> exp_t.(f.mask - log_t.(a))
+  | Some (exp_t, log_t) -> exp_t.{f.mask - log_t.(a)}
   | None -> pow f a (f.mask - 1)
 
 let div f a b = mul f a (inv f b)

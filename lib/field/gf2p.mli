@@ -88,10 +88,15 @@ val irreducible : m:int -> poly:int -> bool
 (** Rabin irreducibility test for a degree-[m] polynomial over GF(2), given
     as a full bit mask. Exposed for tests. *)
 
-val tables : t -> (int array * int array) option
+type exp_table = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val tables : t -> (exp_table * int array) option
 (** [(exp, log)] discrete-log tables for [m <= 16], built (once, domain-safe)
-    on first call; [None] above the table limit. [exp] has [2 * (2^m - 1)]
-    entries (generator powers, doubled so a product of two logs needs no
-    modulo); [log] maps a nonzero element to its discrete log. The arrays are
-    immutable once published — callers ({!Kernel}) may read them freely but
-    must not mutate them. *)
+    on first call; [None] above the table limit. Sentinel-extended: with
+    [s = 2 * (2^m - 1)], [log] maps a nonzero element to its discrete log
+    and [log.(0) = s]; [exp] has [2s + 1] entries, the generator powers
+    twice over [[0, s)] and zeros over [[s, 2s]]. So
+    [exp.{log.(a) + log.(b)} = a * b] for all elements, zero included, and
+    [exp.{2^m - 1 - log.(a)}] is the inverse of a nonzero [a]. The tables
+    are immutable once published — callers ({!Kernel}) may read them
+    freely but must not mutate them. *)

@@ -24,10 +24,7 @@
 type mode =
   | Bytes8 of { exp8 : Bytes.t; log8 : int array }
       (* m = 8 fast path: byte-backed sentinel-extended exp table. *)
-  | Tab of {
-      exp : (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
-      log : int array;
-    }
+  | Tab of { exp : Gf2p.exp_table; log : int array }
       (* 9 <= m <= 16: log-domain loops over sentinel-extended tables
          (see header). log is an int array because the sentinel 2*(2^m-1)
          does not fit 16 bits at m = 16. *)
@@ -162,30 +159,15 @@ let resolve fld =
   let mode =
     match Gf2p.tables fld with
     | Some (exp_t, log_t) ->
-        (* Sentinel extension: log'(0) = s = 2*(2^m - 1) exceeds any
-           legitimate log sum (those stay <= s - 2), and exp' is zero over
-           [s, 2s], so exp'(log' a + log' b) = a * b with no zero test.
-           Indices below s keep the doubled exp entries the inv path
-           reads. *)
-        let group = (1 lsl m) - 1 in
-        let s = 2 * group in
-        let log' = Array.make (group + 1) 0 in
-        log'.(0) <- s;
-        Array.blit log_t 1 log' 1 group;
-        if m = 8 then begin
-          let exp8 = Bytes.make ((2 * s) + 1) '\000' in
-          Array.iteri (fun i v -> Bytes.set exp8 i (Char.chr v)) exp_t;
-          Bytes8 { exp8; log8 = log' }
-        end
-        else begin
-          let exp' =
-            Bigarray.Array1.create Bigarray.int16_unsigned Bigarray.c_layout
-              ((2 * s) + 1)
-          in
-          Bigarray.Array1.fill exp' 0;
-          Array.iteri (fun i v -> Bigarray.Array1.unsafe_set exp' i v) exp_t;
-          Tab { exp = exp'; log = log' }
-        end
+        (* [Gf2p.tables] are sentinel-extended already (see the header):
+           the tabled modes share them rather than keep copies. *)
+        if m = 8 then
+          Bytes8
+            {
+              exp8 = Bytes.init (Bigarray.Array1.dim exp_t) (fun i -> Char.chr exp_t.{i});
+              log8 = log_t;
+            }
+        else Tab { exp = exp_t; log = log_t }
     | None ->
         let taps = Gf2p.reduction_poly fld land mask in
         let hi = 1 lsl (m - 1) in

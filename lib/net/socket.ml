@@ -7,17 +7,28 @@
 
    Design notes, in the order they bit:
 
-   - OCaml 5 forbids fork-without-exec from a multi-domain program (the
-     child can deadlock on another domain's locks), and the campaign
-     driver runs scenarios on pool domains. Node processes are therefore
-     fork+EXEC of [Sys.executable_name]: everything the exec needs (argv,
-     environment) is allocated before the fork, and the child calls
-     nothing but [Unix.execve]. The re-exec'd binary must announce itself
-     by calling {!exec_node_if_requested} first thing in [main] — and
+   - OCaml 5's [Unix.fork] raises once a second domain exists, and the
+     campaign driver runs scenarios on pool domains. Node processes are
+     therefore started with [Unix.create_process_env] (posix_spawn, no
+     fork of the OCaml runtime) as fresh instances of
+     [Sys.executable_name]. The spawned binary must announce itself by
+     calling {!exec_node_if_requested} first thing in [main] — and
      [create] refuses to run in a process that never installed that hook,
-     because forking a binary that does not check the hook would re-run
-     that binary's [main] per node (a fork bomb for a driver like
-     campaign).
+     because spawning a binary that does not check the hook would re-run
+     that binary's [main] per node (a process bomb for a driver like
+     campaign). A spawned child inherits every fd not marked
+     close-on-exec, so every coordinator fd is opened close-on-exec:
+     otherwise a node of one fleet would hold the control channels of
+     another and hide their EOF from that fleet's nodes.
+
+   - A fleet outlives the instance that spawned it. [close] ends a lease:
+     the nodes report the lease's traffic and go idle, and the fleet is
+     parked in a small process-wide pool keyed by (mode, graph), from
+     which the next [create] on the same graph leases it instead of
+     spawning. Node state is clean between rounds by construction, so
+     the only per-lease work is a fresh [Sim] and a Release handshake.
+     A fleet that failed, or whose lease ended mid-round, is never
+     parked.
 
    - OCaml's [Unix] has no fd passing, so links are established by
      address: the coordinator listens on a control address, every node
@@ -69,7 +80,7 @@ let k_ready = 3
 let k_outbox = 4
 let k_inbox = 5
 let k_stats = 6
-let k_stop = 7
+let k_release = 7
 
 (* Data links (node <-> node): *)
 let k_peer_hello = 8
@@ -99,12 +110,6 @@ let nbuf_reserve b k =
     end
   end
 
-let nbuf_add_string b s =
-  let k = String.length s in
-  nbuf_reserve b k;
-  Bytes.blit_string s 0 b.buf (b.start + b.len) k;
-  b.len <- b.len + k
-
 let nbuf_drop b k =
   b.start <- b.start + k;
   b.len <- b.len - k;
@@ -116,44 +121,61 @@ type conn = {
   tx : nbuf;
   frames : (int * string) Queue.t; (* parsed (kind, body), arrival order *)
   mutable alive : bool;
+  mutable fd_open : bool; (* [alive] clears on EOF; the fd stays ours *)
   mutable frames_in : int;
   mutable frames_out : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
 }
 
-let conn_make fd =
-  Unix.set_nonblock fd;
+let conn_of_fd ~cap fd =
   {
     fd;
-    rx = nbuf_make 8192;
-    tx = nbuf_make 8192;
+    rx = nbuf_make cap;
+    tx = nbuf_make cap;
     frames = Queue.create ();
     alive = true;
+    fd_open = true;
     frames_in = 0;
     frames_out = 0;
     bytes_in = 0;
     bytes_out = 0;
   }
 
+let conn_make fd =
+  Unix.set_nonblock fd;
+  conn_of_fd ~cap:2048 fd
+
+(* A slot that never held a connection; closing it is a no-op. *)
+let conn_none () = { (conn_of_fd ~cap:1 Unix.stdin) with alive = false; fd_open = false }
+
+(* Idempotent: a second close must never hit an fd number that another
+   domain has since reused. *)
 let conn_close c =
   c.alive <- false;
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
+  if c.fd_open then begin
+    c.fd_open <- false;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
+
+let write_header b o kind n =
+  Bytes.set b o magic0;
+  Bytes.set b (o + 1) magic1;
+  Bytes.set b (o + 2) (Char.chr version);
+  Bytes.set b (o + 3) (Char.chr kind);
+  Bytes.set b (o + 4) (Char.chr ((n lsr 24) land 0xff));
+  Bytes.set b (o + 5) (Char.chr ((n lsr 16) land 0xff));
+  Bytes.set b (o + 6) (Char.chr ((n lsr 8) land 0xff));
+  Bytes.set b (o + 7) (Char.chr (n land 0xff))
 
 let queue_frame c kind body =
   let n = String.length body in
   if n > max_frame then fail "Socket: refusing to send oversized frame (%d bytes)" n;
-  let hdr = Bytes.create header_len in
-  Bytes.set hdr 0 magic0;
-  Bytes.set hdr 1 magic1;
-  Bytes.set hdr 2 (Char.chr version);
-  Bytes.set hdr 3 (Char.chr kind);
-  Bytes.set hdr 4 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set hdr 5 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set hdr 6 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set hdr 7 (Char.chr (n land 0xff));
-  nbuf_add_string c.tx (Bytes.to_string hdr);
-  nbuf_add_string c.tx body;
+  nbuf_reserve c.tx (header_len + n);
+  let o = c.tx.start + c.tx.len in
+  write_header c.tx.buf o kind n;
+  Bytes.blit_string body 0 c.tx.buf (o + header_len) n;
+  c.tx.len <- c.tx.len + header_len + n;
   c.frames_out <- c.frames_out + 1;
   c.bytes_out <- c.bytes_out + header_len + n
 
@@ -173,20 +195,19 @@ let conn_flush c =
 
 (* Pull bytes off the socket; false = the peer closed (or reset). Frame
    extraction happens separately so header corruption is detected even on
-   a connection that then goes quiet. *)
+   a connection that then goes quiet. The reservation per read is small:
+   a buffer grows (doubling) only while reads keep filling it, so an idle
+   control channel keeps a small buffer. *)
 let conn_read c =
-  let scratch_len = 65536 in
   let rec go () =
-    nbuf_reserve c.rx scratch_len;
-    match
-      Unix.read c.fd c.rx.buf (c.rx.start + c.rx.len)
-        (Bytes.length c.rx.buf - c.rx.start - c.rx.len)
-    with
+    nbuf_reserve c.rx 1024;
+    let room = Bytes.length c.rx.buf - c.rx.start - c.rx.len in
+    match Unix.read c.fd c.rx.buf (c.rx.start + c.rx.len) room with
     | 0 -> c.alive <- false
     | n ->
         c.rx.len <- c.rx.len + n;
         c.bytes_in <- c.bytes_in + n;
-        if n = scratch_len then go ()
+        if n = room then go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
@@ -252,9 +273,9 @@ let addr_of_string s =
   | _ -> fail "Socket: bad address %S" s
 
 let socket_for = function
-  | Unix.ADDR_UNIX _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
+  | Unix.ADDR_UNIX _ -> Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   | Unix.ADDR_INET _ ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.TCP_NODELAY true;
       fd
 
@@ -375,6 +396,9 @@ let body_stats s =
   Codec.add_uvarint buf s.decode_errors;
   Buffer.contents buf
 
+let no_stats =
+  { frames_sent = 0; frames_received = 0; bytes_sent = 0; bytes_received = 0; decode_errors = 0 }
+
 let parse_stats body =
   let r = { Codec.src = body; pos = 0 } in
   let frames_sent = Codec.uvarint r in
@@ -407,7 +431,7 @@ let parse_eor body =
 
 (* ------------------------------ node side -----------------------------
 
-   The re-exec'd process. Everything below runs in the child, which owns
+   The spawned process. Everything below runs in the child, which owns
    nothing of the coordinator's state; it exits instead of raising. *)
 
 type link = {
@@ -428,6 +452,7 @@ type node = {
   mutable outbox_round : int; (* last round whose Outbox was processed *)
   mutable reported_round : int; (* last round whose Inbox was sent *)
   mutable decode_errors : int;
+  mutable baseline : stats; (* totals when the last lease was released *)
 }
 
 let node_link n peer = List.assoc_opt peer n.links
@@ -462,6 +487,20 @@ let node_try_complete n =
     n.reported_round <- r
   end
 
+(* This node's counters since it started: control channel plus links. *)
+let node_totals n =
+  List.fold_left
+    (fun s c ->
+      {
+        s with
+        frames_sent = s.frames_sent + c.frames_out;
+        frames_received = s.frames_received + c.frames_in;
+        bytes_sent = s.bytes_sent + c.bytes_out;
+        bytes_received = s.bytes_received + c.bytes_in;
+      })
+    { no_stats with decode_errors = n.decode_errors }
+    (n.ctrl :: List.map (fun (_, l) -> l.c) n.links)
+
 let node_handle_ctrl n (kind, body) =
   if kind = k_outbox then begin
     match parse_outbox body with
@@ -485,38 +524,36 @@ let node_handle_ctrl n (kind, body) =
         node_try_complete n
     | exception Codec.Bad _ -> exit 4 (* corrupt coordinator: bail out *)
   end
-  else if kind = k_stop then begin
-    let fs, fr, bs, br =
-      List.fold_left
-        (fun (fs, fr, bs, br) (_, l) ->
-          ( fs + l.c.frames_out,
-            fr + l.c.frames_in,
-            bs + l.c.bytes_out,
-            br + l.c.bytes_in ))
-        ( n.ctrl.frames_out,
-          n.ctrl.frames_in,
-          n.ctrl.bytes_out,
-          n.ctrl.bytes_in )
-        n.links
+  else if kind = k_release then begin
+    (* The lease is over. Every round it ran has completed everywhere (the
+       coordinator saw every Inbox), so no arrivals are pending: restart
+       the round numbering for the next lease, report this lease's traffic
+       (everything since the last Release, this Release included, the
+       Stats frame itself excluded) and stay up. *)
+    let settled src =
+      match node_link n src with
+      | Some l -> l.cur = [] && l.recv_round = n.reported_round + 1
+      | None -> true
     in
+    if
+      n.outbox_round <> n.reported_round
+      || Hashtbl.length n.done_rounds > 0
+      || not (List.for_all settled n.in_ids)
+    then exit 4;
+    n.outbox_round <- 0;
+    n.reported_round <- 0;
+    List.iter (fun (_, l) -> l.recv_round <- 1) n.links;
+    let now = node_totals n and b = n.baseline in
     queue_frame n.ctrl k_stats
       (body_stats
          {
-           frames_sent = fs;
-           frames_received = fr;
-           bytes_sent = bs;
-           bytes_received = br;
-           decode_errors = n.decode_errors;
+           frames_sent = now.frames_sent - b.frames_sent;
+           frames_received = now.frames_received - b.frames_received;
+           bytes_sent = now.bytes_sent - b.bytes_sent;
+           bytes_received = now.bytes_received - b.bytes_received;
+           decode_errors = now.decode_errors - b.decode_errors;
          });
-    (* Best-effort flush of the Stats frame, then leave. *)
-    let deadline = monotonic () +. 5.0 in
-    while n.ctrl.alive && n.ctrl.tx.len > 0 && monotonic () < deadline do
-      (match Unix.select [] [ n.ctrl.fd ] [] 0.2 with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      conn_flush n.ctrl
-    done;
-    exit 0
+    n.baseline <- node_totals n
   end
   else exit 4
 
@@ -627,18 +664,11 @@ let write_all_blocking fd s =
   Unix.set_nonblock fd
 
 let frame_string kind body =
-  let buf = Buffer.create (header_len + String.length body) in
-  Buffer.add_char buf magic0;
-  Buffer.add_char buf magic1;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr kind);
   let n = String.length body in
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  let b = Bytes.create (header_len + n) in
+  write_header b 0 kind n;
+  Bytes.blit_string body 0 b header_len n;
+  Bytes.unsafe_to_string b
 
 let node_main spec =
   Lazy.force ignore_sigpipe;
@@ -660,7 +690,7 @@ let node_main spec =
   Unix.bind listener data_addr;
   Unix.listen listener 64;
   let data_addr = Unix.getsockname listener in
-  (* Control channel. The coordinator listens before forking, so a plain
+  (* Control channel. The coordinator listens before spawning, so a plain
      connect is race-free. *)
   let ctrl_fd = socket_for ctrl_addr in
   Unix.connect ctrl_fd ctrl_addr;
@@ -688,7 +718,7 @@ let node_main spec =
   in
   let accepted = ref [] in
   for _ = 1 to init.i_accept do
-    let fd, _ = Unix.accept listener in
+    let fd, _ = Unix.accept ~cloexec:true listener in
     (* Not inherited from the listener on every platform; meaningless (and
        an error) on Unix-domain sockets. *)
     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -721,6 +751,7 @@ let node_main spec =
       outbox_round = 0;
       reported_round = 0;
       decode_errors = 0;
+      baseline = no_stats;
     }
   in
   queue_frame n.ctrl k_ready "";
@@ -730,6 +761,7 @@ let exec_node_if_requested () =
   Atomic.set hook_installed true;
   match Sys.getenv_opt env_var with
   | None -> ()
+  | Some "probe" -> exit 0 (* spawned by [available] *)
   | Some spec -> (
       try node_main spec with
       | Socket_error e ->
@@ -741,38 +773,67 @@ let exec_node_if_requested () =
 
 (* --------------------------- coordinator ------------------------------ *)
 
-(* The coordinator drives a synchronous simulator as its prediction: the
-   simulator's index, accounting and inboxes are the fleet's, and the wire
-   exchange must reproduce the inboxes exactly. *)
+(* A fleet: one node process and one control channel per vertex. It
+   outlives the leases that use it — [close] parks it for the next
+   [create] on the same (mode, graph). *)
+type fleet = {
+  id : int;
+  key : string; (* mode and graph fingerprint *)
+  pids : int array; (* node process per dense index; -1 = not spawned *)
+  conns : conn array; (* control channel per dense index *)
+  dir : string option; (* Unix-mode socket directory, removed on stop *)
+}
+
+(* A lease: one instance's use of a fleet. The coordinator drives a
+   synchronous simulator as its prediction: the simulator's index,
+   accounting and inboxes are the lease's, and the wire exchange must
+   reproduce the inboxes exactly. *)
 type t = {
   sim : Packet.t Sim.t;
   timeout : float;
-  dir : string option; (* Unix-mode socket directory, removed on close *)
-  pids : int array; (* node process per dense index *)
-  conns : conn array; (* control channel per dense index *)
+  fleet : fleet;
   mutable state : [ `Live | `Failed of string | `Closed ];
   mutable node_stats : (int * stats) list;
-  reg_key : int;
 }
 
-(* Fleets that have not been closed yet, per process: abandoning a handle
-   must not leak node processes past exit. *)
-let registry : (int, int array * conn array * string option) Hashtbl.t =
-  Hashtbl.create 8
+(* Process-wide fleet state, under one lock: every fleet not stopped yet
+   (leased or parked), so that neither an abandoned handle nor a parked
+   fleet leaks node processes past exit; and the parked fleets, oldest
+   first. *)
+let lock = Mutex.create ()
+let locked f = Mutex.protect lock f
+let fleets : (int, fleet) Hashtbl.t = Hashtbl.create 8
+let fleet_ctr = ref 0
+let parked : fleet list ref = ref []
 
-let registry_mutex = Mutex.create ()
-let registry_ctr = ref 0
+(* At most one parked fleet per (mode, graph), and this many in all. *)
+let max_parked = 4
 
-let cleanup_fleet (pids, conns, dir) =
-  Array.iter (fun c -> if c.alive then conn_close c) conns;
-  Array.iter
+(* Close every control channel — a node exits on its channel's EOF —
+   give the nodes [grace] seconds to exit, SIGKILL the stragglers, reap
+   them all and remove the socket directory. No child of the fleet
+   survives. *)
+let stop_fleet ~grace f =
+  locked (fun () -> Hashtbl.remove fleets f.id);
+  Array.iter conn_close f.conns;
+  let exited pid =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error _ -> true
+  in
+  let deadline = monotonic () +. grace in
+  let live = ref (List.filter (fun pid -> pid > 0) (Array.to_list f.pids)) in
+  while !live <> [] && monotonic () < deadline do
+    live := List.filter (fun pid -> not (exited pid)) !live;
+    if !live <> [] then Unix.sleepf 0.005
+  done;
+  List.iter
     (fun pid ->
-      if pid > 0 then begin
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-      end)
-    pids;
-  match dir with
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    !live;
+  match f.dir with
   | None -> ()
   | Some d -> (
       (try
@@ -784,49 +845,74 @@ let cleanup_fleet (pids, conns, dir) =
 
 let at_exit_installed = Atomic.make false
 
-let register_fleet pids conns dir =
-  Mutex.lock registry_mutex;
-  incr registry_ctr;
-  let key = !registry_ctr in
-  Hashtbl.replace registry key (pids, conns, dir);
-  Mutex.unlock registry_mutex;
+let register f =
+  locked (fun () -> Hashtbl.replace fleets f.id f);
   if not (Atomic.exchange at_exit_installed true) then
     at_exit (fun () ->
-        Mutex.lock registry_mutex;
-        let fleets = Hashtbl.fold (fun _ f acc -> f :: acc) registry [] in
-        Hashtbl.reset registry;
-        Mutex.unlock registry_mutex;
-        List.iter cleanup_fleet fleets);
-  key
+        let all =
+          locked (fun () ->
+              parked := [];
+              let all = Hashtbl.fold (fun _ f acc -> f :: acc) fleets [] in
+              Hashtbl.reset fleets;
+              all)
+        in
+        List.iter (stop_fleet ~grace:0.0) all)
 
-let unregister_fleet key =
-  Mutex.lock registry_mutex;
-  Hashtbl.remove registry key;
-  Mutex.unlock registry_mutex
+let take_parked key =
+  locked (fun () ->
+      match List.partition (fun f -> f.key = key) !parked with
+      | f :: _, rest ->
+          parked := rest;
+          Some f
+      | [], _ -> None)
+
+(* Park [f] as the newest entry; a fleet parked earlier for the same key,
+   and the oldest one beyond [max_parked], are stopped. *)
+let park f =
+  let evicted =
+    locked (fun () ->
+        let same, rest = List.partition (fun p -> p.key = f.key) !parked in
+        match rest @ [ f ] with
+        | oldest :: keep when List.length keep >= max_parked ->
+            parked := keep;
+            oldest :: same
+        | keep ->
+            parked := keep;
+            same)
+  in
+  List.iter (stop_fleet ~grace:5.0) evicted
+
+let shutdown () =
+  let all =
+    locked (fun () ->
+        let all = !parked in
+        parked := [];
+        all)
+  in
+  List.iter (stop_fleet ~grace:5.0) all
 
 (* The coordinator's half of the event loop: flush writes, read control
    frames, until [done_ ()] or the deadline. Any control-channel EOF or
    framing error while we still expect frames is a transport failure. *)
-let pump t ~deadline ~expect_live ~done_ =
+let pump conns ~deadline ~expect_live ~done_ =
   let rec go () =
     if done_ () then ()
     else begin
-      Array.iter (fun c -> if c.alive then conn_flush c) t.conns;
+      Array.iter (fun c -> if c.alive then conn_flush c) conns;
       if done_ () then ()
       else begin
         let now = monotonic () in
         if now > deadline then fail "Socket: timeout waiting for node processes";
-        let rset =
-          Array.to_list t.conns
-          |> List.filter_map (fun c -> if c.alive then Some c.fd else None)
-        in
-        let wset =
-          Array.to_list t.conns
-          |> List.filter_map (fun c ->
-                 if c.alive && c.tx.len > 0 then Some c.fd else None)
-        in
-        if rset = [] && wset = [] then fail "Socket: all node processes gone";
-        (match Unix.select rset wset [] (Float.min 1.0 (deadline -. now)) with
+        let rset = ref [] and wset = ref [] in
+        Array.iter
+          (fun c ->
+            if c.alive then begin
+              rset := c.fd :: !rset;
+              if c.tx.len > 0 then wset := c.fd :: !wset
+            end)
+          conns;
+        if !rset = [] then fail "Socket: all node processes gone";
+        (match Unix.select !rset !wset [] (Float.min 1.0 (deadline -. now)) with
         | rs, _, _ ->
             Array.iter
               (fun c ->
@@ -836,14 +922,14 @@ let pump t ~deadline ~expect_live ~done_ =
                   | Ok () -> ()
                   | Error e -> fail "Socket: control framing from node: %s" e
                 end)
-              t.conns
+              conns
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         if expect_live then
           Array.iter
             (fun c ->
               if (not c.alive) && Queue.is_empty c.frames then
                 fail "Socket: node process died (control channel closed)")
-            t.conns;
+            conns;
         go ()
       end
     end
@@ -856,12 +942,14 @@ let check_live t =
   | `Failed e -> fail "Socket: transport failed earlier: %s" e
   | `Closed -> fail "Socket: transport is closed"
 
+(* Any exception inside a round — a transport fault or an outbox closure
+   raising — leaves the fleet mid-round: the lease fails, and [close]
+   stops the fleet instead of parking it. *)
 let guard t f =
   check_live t;
   try f ()
-  with Socket_error _ as e ->
-    (t.state <-
-       (match e with Socket_error m -> `Failed m | _ -> `Failed "unknown"));
+  with e ->
+    t.state <- `Failed (match e with Socket_error m -> m | e -> Printexc.to_string e);
     raise e
 
 (* ------------------------------- create ------------------------------- *)
@@ -870,19 +958,27 @@ let random_token () =
   let rng = Random.State.make_self_init () in
   String.init 16 (fun _ -> "0123456789abcdef".[Random.State.int rng 16])
 
-let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
-    ?(keep_events = false) g =
-  if not (Atomic.get hook_installed) then
-    fail
-      "Socket.create: this process never called Socket.exec_node_if_requested \
-       at startup; refusing to fork+exec %s (its main would run per node)"
-      Sys.executable_name;
-  Lazy.force ignore_sigpipe;
-  let sim = Sim.create ~obs ~keep_events g ~bits:Packet.bits in
-  let l = Sim.ledger sim in
+(* Start [Sys.executable_name] as a node: posix_spawn, so it works from
+   any domain. The child inherits stdio and nothing else of ours (every
+   other coordinator fd is close-on-exec). *)
+let spawn_node spec =
+  let exe = Sys.executable_name in
+  let prefix = env_var ^ "=" in
+  let env =
+    (prefix ^ spec)
+    :: List.filter
+         (fun kv -> not (String.starts_with ~prefix kv))
+         (Array.to_list (Unix.environment ()))
+  in
+  Unix.create_process_env exe [| exe |] (Array.of_list env) Unix.stdin Unix.stdout
+    Unix.stderr
+
+(* Spawn one node process per vertex, run the Hello/Init handshake, and
+   wait for every node to finish its peer wiring. On failure everything
+   spawned so far is reaped before the exception propagates. *)
+let spawn_fleet ~mode ~timeout ~key l g =
   let nv = Ledger.nv l in
   let token = random_token () in
-  (* Control listener. *)
   let dir, ctrl_addr =
     match mode with
     | `Unix ->
@@ -890,290 +986,243 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
         (Some d, Unix.ADDR_UNIX (Filename.concat d "ctrl"))
     | `Tcp -> (None, Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
   in
-  let listener = socket_for ctrl_addr in
-  Unix.bind listener ctrl_addr;
-  Unix.listen listener (max 16 nv);
-  let ctrl_addr = Unix.getsockname listener in
-  Unix.set_nonblock listener;
-  (* Fork+exec one process per vertex. Everything the child touches is
-     computed before the fork; the child calls only execve/_exit. *)
-  let exe = Sys.executable_name in
-  let env_prefix = env_var ^ "=" in
-  let base_env =
-    Array.of_list
-      (List.filter
-         (fun kv ->
-           not
-             (String.length kv >= String.length env_prefix
-             && String.sub kv 0 (String.length env_prefix) = env_prefix))
-         (Array.to_list (Unix.environment ())))
-  in
-  let pids = Array.make nv (-1) in
-  let cleanup_partial () =
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    cleanup_fleet (pids, [||], dir)
-  in
-  (try
-     List.iteri
-       (fun i v ->
-         let spec =
-           Printf.sprintf "%s=%s;%d;%s" env_var (addr_to_string ctrl_addr) v token
-         in
-         let env = Array.append base_env [| spec |] in
-         let argv = [| exe |] in
-         flush stdout;
-         flush stderr;
-         match Unix.fork () with
-         | 0 -> (
-             try Unix.execve exe argv env with _ -> Unix._exit 127)
-         | pid -> pids.(i) <- pid)
-       (Digraph.vertices g)
-   with e ->
-     cleanup_partial ();
-     raise e);
-  (* Accept the control connections and match Hellos to vertices. *)
-  let dummy_conn =
+  let f =
     {
-      fd = Unix.stdin;
-      rx = nbuf_make 1;
-      tx = nbuf_make 1;
-      frames = Queue.create ();
-      alive = false;
-      frames_in = 0;
-      frames_out = 0;
-      bytes_in = 0;
-      bytes_out = 0;
+      id = locked (fun () -> incr fleet_ctr; !fleet_ctr);
+      key;
+      pids = Array.make nv (-1);
+      conns = Array.init nv (fun _ -> conn_none ());
+      dir;
     }
   in
-  let conns = Array.make nv dummy_conn in
-  let have_conn = Array.make nv false in
-  let data_addrs = Array.make nv "" in
+  register f;
+  let listener = ref None in
+  let close_listener () =
+    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listener;
+    listener := None
+  in
   let anon = ref [] in
   (* conns accepted, Hello pending *)
-  let result =
-    try
-      let deadline = monotonic () +. timeout in
-      let connected = ref 0 in
-      while !connected < nv do
-        if monotonic () > deadline then
-          fail "Socket: timeout waiting for node Hellos";
-        let rset = listener :: List.map (fun c -> c.fd) !anon in
-        (match Unix.select rset [] [] 0.5 with
-        | rs, _, _ ->
-            if List.memq listener rs then begin
-              match Unix.accept listener with
-              | fd, _ -> anon := conn_make fd :: !anon
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ()
-            end;
-            List.iter
-              (fun c ->
-                if List.memq c.fd rs then begin
-                  conn_read c;
-                  match conn_extract c with
-                  | Ok () -> ()
-                  | Error e -> fail "Socket: bad Hello framing: %s" e
-                end)
-              !anon
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        anon :=
-          List.filter
+  try
+    let lfd = socket_for ctrl_addr in
+    listener := Some lfd;
+    Unix.bind lfd ctrl_addr;
+    Unix.listen lfd (max 16 nv);
+    let ctrl_addr = Unix.getsockname lfd in
+    Unix.set_nonblock lfd;
+    List.iteri
+      (fun i v ->
+        f.pids.(i) <-
+          spawn_node (Printf.sprintf "%s;%d;%s" (addr_to_string ctrl_addr) v token))
+      (Digraph.vertices g);
+    (* Accept the control connections and match Hellos to vertices. *)
+    let have_conn = Array.make nv false in
+    let data_addrs = Array.make nv "" in
+    let deadline = monotonic () +. timeout in
+    let connected = ref 0 in
+    while !connected < nv do
+      if monotonic () > deadline then fail "Socket: timeout waiting for node Hellos";
+      let rset = lfd :: List.map (fun c -> c.fd) !anon in
+      (match Unix.select rset [] [] 0.5 with
+      | rs, _, _ ->
+          if List.memq lfd rs then begin
+            match Unix.accept ~cloexec:true lfd with
+            | fd, _ -> anon := conn_make fd :: !anon
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+          end;
+          List.iter
             (fun c ->
-              if Queue.is_empty c.frames then
-                if c.alive then true
-                else fail "Socket: node died before Hello"
-              else begin
-                (match Queue.pop c.frames with
-                | k, body when k = k_hello -> (
-                    match parse_hello body with
-                    | id, tok, data_addr ->
-                        if tok <> token then fail "Socket: Hello token mismatch";
-                        let di = Ledger.vertex_index l id in
-                        if di < 0 then fail "Socket: Hello from unknown node %d" id;
-                        if have_conn.(di) then
-                          fail "Socket: duplicate Hello from node %d" id;
-                        have_conn.(di) <- true;
-                        conns.(di) <- c;
-                        data_addrs.(di) <- data_addr;
-                        incr connected
-                    | exception Codec.Bad e -> fail "Socket: bad Hello: %s" e)
-                | _ -> fail "Socket: expected Hello");
-                false
+              if List.memq c.fd rs then begin
+                conn_read c;
+                match conn_extract c with
+                | Ok () -> ()
+                | Error e -> fail "Socket: bad Hello framing: %s" e
               end)
             !anon
-      done;
-      Unix.close listener;
-      (match ctrl_addr with
-      | Unix.ADDR_UNIX p -> ( try Sys.remove p with Sys_error _ -> ())
-      | _ -> ());
-      (* Wire plan: an undirected peer link per vertex pair with an edge in
-         either direction; the lower id dials. *)
-      let out_ids = Array.make nv [] in
-      let in_ids = Array.make nv [] in
-      let linked = Hashtbl.create 64 in
-      List.iter
-        (fun (src, dst, _) ->
-          let si = Ledger.vertex_index l src and di = Ledger.vertex_index l dst in
-          out_ids.(si) <- dst :: out_ids.(si);
-          in_ids.(di) <- src :: in_ids.(di);
-          let pair = (min src dst, max src dst) in
-          if not (Hashtbl.mem linked pair) then Hashtbl.replace linked pair ())
-        (Digraph.edges g);
-      let dial = Array.make nv [] in
-      let accept_n = Array.make nv 0 in
-      Hashtbl.iter
-        (fun (a, b) () ->
-          let ai = Ledger.vertex_index l a and bi = Ledger.vertex_index l b in
-          dial.(ai) <- (b, data_addrs.(bi)) :: dial.(ai);
-          accept_n.(bi) <- accept_n.(bi) + 1)
-        linked;
-      for di = 0 to nv - 1 do
-        queue_frame conns.(di) k_init
-          (body_init
-             {
-               i_out = List.sort_uniq compare out_ids.(di);
-               i_in = List.sort_uniq compare in_ids.(di);
-               i_dial = List.sort compare dial.(di);
-               i_accept = accept_n.(di);
-             })
-      done;
-      Ok (conns, dir)
-    with e ->
-      Array.iteri (fun i c -> if have_conn.(i) then conn_close c) conns;
-      List.iter conn_close !anon;
-      cleanup_partial ();
-      Error e
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      anon :=
+        List.filter
+          (fun c ->
+            if Queue.is_empty c.frames then
+              if c.alive then true else fail "Socket: node died before Hello"
+            else begin
+              (match Queue.pop c.frames with
+              | k, body when k = k_hello -> (
+                  match parse_hello body with
+                  | id, tok, data_addr ->
+                      if tok <> token then fail "Socket: Hello token mismatch";
+                      let di = Ledger.vertex_index l id in
+                      if di < 0 then fail "Socket: Hello from unknown node %d" id;
+                      if have_conn.(di) then fail "Socket: duplicate Hello from node %d" id;
+                      have_conn.(di) <- true;
+                      f.conns.(di) <- c;
+                      data_addrs.(di) <- data_addr;
+                      incr connected
+                  | exception Codec.Bad e -> fail "Socket: bad Hello: %s" e)
+              | _ -> fail "Socket: expected Hello");
+              false
+            end)
+          !anon
+    done;
+    close_listener ();
+    (match ctrl_addr with
+    | Unix.ADDR_UNIX p -> ( try Sys.remove p with Sys_error _ -> ())
+    | _ -> ());
+    (* Wire plan: an undirected peer link per vertex pair with an edge in
+       either direction; the lower id dials. *)
+    let out_ids = Array.make nv [] in
+    let in_ids = Array.make nv [] in
+    let linked = Hashtbl.create 64 in
+    List.iter
+      (fun (src, dst, _) ->
+        let si = Ledger.vertex_index l src and di = Ledger.vertex_index l dst in
+        out_ids.(si) <- dst :: out_ids.(si);
+        in_ids.(di) <- src :: in_ids.(di);
+        let pair = (min src dst, max src dst) in
+        if not (Hashtbl.mem linked pair) then Hashtbl.replace linked pair ())
+      (Digraph.edges g);
+    let dial = Array.make nv [] in
+    let accept_n = Array.make nv 0 in
+    Hashtbl.iter
+      (fun (a, b) () ->
+        let ai = Ledger.vertex_index l a and bi = Ledger.vertex_index l b in
+        dial.(ai) <- (b, data_addrs.(bi)) :: dial.(ai);
+        accept_n.(bi) <- accept_n.(bi) + 1)
+      linked;
+    for di = 0 to nv - 1 do
+      queue_frame f.conns.(di) k_init
+        (body_init
+           {
+             i_out = List.sort_uniq compare out_ids.(di);
+             i_in = List.sort_uniq compare in_ids.(di);
+             i_dial = List.sort compare dial.(di);
+             i_accept = accept_n.(di);
+           })
+    done;
+    (* Wait for every node to finish peer wiring. *)
+    let ready = Array.make nv false in
+    let n_ready = ref 0 in
+    pump f.conns
+      ~deadline:(monotonic () +. timeout)
+      ~expect_live:true
+      ~done_:(fun () ->
+        Array.iteri
+          (fun i c ->
+            if (not ready.(i)) && not (Queue.is_empty c.frames) then begin
+              match Queue.pop c.frames with
+              | k, _ when k = k_ready ->
+                  ready.(i) <- true;
+                  incr n_ready
+              | _ -> fail "Socket: expected Ready"
+            end)
+          f.conns;
+        !n_ready = nv);
+    f
+  with e ->
+    close_listener ();
+    List.iter conn_close !anon;
+    stop_fleet ~grace:0.0 f;
+    raise e
+
+(* A parked node is silent, so a readable control channel means EOF (the
+   node died while parked) or stray bytes: either way not reusable. *)
+let idle f =
+  Array.for_all (fun c -> c.alive) f.conns
+  &&
+  match Unix.select (Array.fold_right (fun c acc -> c.fd :: acc) f.conns []) [] [] 0.0 with
+  | [], _, _ -> true
+  | _ -> false
+  | exception Unix.Unix_error _ -> false
+
+let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
+    ?(keep_events = false) g =
+  if not (Atomic.get hook_installed) then
+    fail
+      "Socket.create: this process never called Socket.exec_node_if_requested \
+       at startup; refusing to spawn %s (its main would run per node)"
+      Sys.executable_name;
+  Lazy.force ignore_sigpipe;
+  let sim = Sim.create ~obs ~keep_events g ~bits:Packet.bits in
+  let key = (match mode with `Unix -> "unix " | `Tcp -> "tcp ") ^ Digraph.fingerprint g in
+  let fleet =
+    match take_parked key with
+    | Some f when idle f -> f
+    | stale ->
+        Option.iter (stop_fleet ~grace:0.0) stale;
+        spawn_fleet ~mode ~timeout ~key (Sim.ledger sim) g
   in
-  match result with
-  | Error e -> raise e
-  | Ok (conns, dir) ->
-      let reg_key = register_fleet pids conns dir in
-      let t =
-        {
-          sim;
-          timeout;
-          dir;
-          pids;
-          conns;
-          state = `Live;
-          node_stats = [];
-          reg_key;
-        }
-      in
-      (* Wait for every node to finish peer wiring. *)
-      (try
-         let ready = Array.make nv false in
-         let n_ready = ref 0 in
-         pump t
-           ~deadline:(monotonic () +. timeout)
-           ~expect_live:true
-           ~done_:(fun () ->
-             Array.iteri
-               (fun i c ->
-                 if (not ready.(i)) && not (Queue.is_empty c.frames) then begin
-                   match Queue.pop c.frames with
-                   | k, _ when k = k_ready ->
-                       ready.(i) <- true;
-                       incr n_ready
-                   | _ -> fail "Socket: expected Ready"
-                 end)
-               t.conns;
-             !n_ready = nv)
-       with e ->
-         t.state <- `Failed (Printexc.to_string e);
-         unregister_fleet reg_key;
-         cleanup_fleet (pids, conns, dir);
-         raise e);
-      t
+  { sim; timeout; fleet; state = `Live; node_stats = [] }
 
 (* ------------------------------- close -------------------------------- *)
+
+(* End the lease on a quiescent fleet: every node reports the lease's
+   traffic in a Stats frame and stays up, silent, for the next lease. *)
+let release t =
+  let f = t.fleet in
+  Array.iter (fun c -> queue_frame c k_release "") f.conns;
+  let got = Array.make (Array.length f.conns) false in
+  pump f.conns
+    ~deadline:(monotonic () +. 5.0)
+    ~expect_live:true
+    ~done_:(fun () ->
+      Array.iteri
+        (fun i c ->
+          if (not got.(i)) && not (Queue.is_empty c.frames) then begin
+            match Queue.pop c.frames with
+            | k, body when k = k_stats -> (
+                match parse_stats body with
+                | s ->
+                    got.(i) <- true;
+                    t.node_stats <- (Ledger.vertex (Sim.ledger t.sim) i, s) :: t.node_stats
+                | exception Codec.Bad e -> fail "Socket: bad Stats: %s" e)
+            | _ -> fail "Socket: expected Stats"
+          end)
+        f.conns;
+      Array.for_all Fun.id got);
+  if not (Array.for_all (fun c -> Queue.is_empty c.frames && c.rx.len = 0) f.conns) then
+    fail "Socket: unexpected control frames at release"
 
 let close t =
   match t.state with
   | `Closed -> ()
-  | `Live | `Failed _ ->
-      let was_live = t.state = `Live in
+  | `Failed _ ->
       t.state <- `Closed;
-      unregister_fleet t.reg_key;
-      (* Polite shutdown first (collects the node Stats frames), then the
-         hammer for anything that did not comply. *)
-      if was_live then begin
-        Array.iter (fun c -> if c.alive then queue_frame c k_stop "") t.conns;
-        let deadline = monotonic () +. 5.0 in
-        let got = Array.make (Array.length t.conns) false in
-        (try
-           pump t ~deadline ~expect_live:false ~done_:(fun () ->
-               Array.iteri
-                 (fun i c ->
-                   if (not got.(i)) && not (Queue.is_empty c.frames) then begin
-                     match Queue.pop c.frames with
-                     | k, body when k = k_stats -> (
-                         match parse_stats body with
-                         | s ->
-                             got.(i) <- true;
-                             t.node_stats <-
-                               (Ledger.vertex (Sim.ledger t.sim) i, s) :: t.node_stats
-                         | exception Codec.Bad _ -> got.(i) <- true)
-                     | _ -> got.(i) <- true
-                   end)
-                 t.conns;
-               Array.for_all Fun.id got
-               || Array.for_all (fun c -> not c.alive) t.conns)
-         with Socket_error _ -> ());
-        t.node_stats <- List.sort compare t.node_stats
-      end;
-      (* Unconditional: a passively-dead connection (EOF, reset, framing
-         error) only cleared [alive] — its fd is still ours to close. Every
-         slot holds a real accepted connection once create succeeded, and
-         this is the single close site for coordinator conn fds. *)
-      Array.iter conn_close t.conns;
-      (* Reap every node: WNOHANG poll with a grace period, then SIGKILL.
-         No child of this fleet survives close. *)
-      let deadline = monotonic () +. 5.0 in
-      let reaped = Array.make (Array.length t.pids) false in
-      let remaining () =
-        let n = ref 0 in
-        Array.iteri (fun i r -> if (not r) && t.pids.(i) > 0 then incr n) reaped;
-        !n
-      in
-      while remaining () > 0 && monotonic () < deadline do
-        Array.iteri
-          (fun i r ->
-            if (not r) && t.pids.(i) > 0 then
-              match Unix.waitpid [ Unix.WNOHANG ] t.pids.(i) with
-              | 0, _ -> ()
-              | _ -> reaped.(i) <- true
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> reaped.(i) <- true)
-          reaped;
-        if remaining () > 0 then ignore (Unix.select [] [] [] 0.005)
-      done;
-      Array.iteri
-        (fun i r ->
-          if (not r) && t.pids.(i) > 0 then begin
-            (try Unix.kill t.pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] t.pids.(i))
-            with Unix.Unix_error _ -> ()
-          end)
-        reaped;
-      (match t.dir with
-      | None -> ()
-      | Some d -> (
-          (try
-             Array.iter
-               (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-               (Sys.readdir d)
-           with Sys_error _ -> ());
-          try Unix.rmdir d with Unix.Unix_error _ -> ()))
+      stop_fleet ~grace:5.0 t.fleet
+  | `Live ->
+      t.state <- `Closed;
+      (match release t with
+      | () -> park t.fleet
+      | exception (Socket_error _ | Unix.Unix_error _) -> stop_fleet ~grace:5.0 t.fleet);
+      t.node_stats <- List.sort compare t.node_stats
 
 (* ------------------------------- round --------------------------------- *)
 
+(* Why an Inbox body differs from the prediction, for the error. *)
+let diverged ~v ~round_no body =
+  match parse_inbox body with
+  | exception Codec.Bad e -> fail "Socket: bad Inbox from node %d: %s" v e
+  | r, _ when r <> round_no ->
+      fail "Socket: node %d reported round %d inbox in round %d" v r round_no
+  | _, arrivals ->
+      List.iter
+        (fun (src, bytes) ->
+          match Packet.decode bytes with
+          | Ok _ -> ()
+          | Error e -> fail "Socket: corrupt packet from node %d: %s" src e)
+        arrivals;
+      fail "Socket: wire exchange diverged from the synchronous prediction at node %d" v
+
 (* The simulator runs the round first — recording each node's outbox — and
    its inboxes are the prediction; the fleet then moves the same sends over
-   real links, and every node's decoded inbox must equal the prediction.
-   Any divergence is a transport fault, not data. *)
+   real links, and every node's inbox must equal the prediction. Nodes
+   report [Packet.encode] of what they decoded, and the encoding is
+   deterministic and injective, so the check is one comparison of the
+   Inbox body with the body of the predicted inbox — built from the
+   encodings already made for the Outbox frames. Any divergence is a
+   transport fault, not data. *)
 let round t ~phase outbox =
   guard t @@ fun () ->
+  let f = t.fleet in
   let l = Sim.ledger t.sim in
   let nv = Ledger.nv l in
   let outboxes = Array.make nv [] in
@@ -1184,20 +1233,28 @@ let round t ~phase outbox =
         sends)
   in
   let round_no = Sim.rounds_run t.sim in
+  (* Per destination index: (src, packet, encoding) of every wire send. *)
+  let sent = Array.make nv [] in
   Array.iteri
     (fun ui sends ->
       let v = Ledger.vertex l ui in
       let frame_sends =
         List.filter_map
           (fun (dst, msg) ->
-            if Ledger.edge_id l v dst >= 0 then Some (dst, Packet.encode msg) else None)
+            if Ledger.edge_id l v dst >= 0 then begin
+              let bytes = Packet.encode msg in
+              let di = Ledger.vertex_index l dst in
+              sent.(di) <- (v, msg, bytes) :: sent.(di);
+              Some (dst, bytes)
+            end
+            else None)
           sends
       in
-      queue_frame t.conns.(ui) k_outbox (body_outbox ~round:round_no frame_sends))
+      queue_frame f.conns.(ui) k_outbox (body_outbox ~round:round_no frame_sends))
     outboxes;
   let inboxes = Array.make nv None in
   let n_in = ref 0 in
-  pump t
+  pump f.conns
     ~deadline:(monotonic () +. t.timeout)
     ~expect_live:true
     ~done_:(fun () ->
@@ -1205,37 +1262,24 @@ let round t ~phase outbox =
         (fun i c ->
           if inboxes.(i) = None && not (Queue.is_empty c.frames) then begin
             match Queue.pop c.frames with
-            | k, body when k = k_inbox -> (
-                match parse_inbox body with
-                | r, arrivals when r = round_no ->
-                    inboxes.(i) <- Some arrivals;
-                    incr n_in
-                | r, _ ->
-                    fail "Socket: node %d reported round %d inbox in round %d"
-                      (Ledger.vertex l i) r round_no
-                | exception Codec.Bad e -> fail "Socket: bad Inbox: %s" e)
+            | k, body when k = k_inbox ->
+                inboxes.(i) <- Some body;
+                incr n_in
             | _ -> fail "Socket: expected Inbox"
           end)
-        t.conns;
+        f.conns;
       !n_in = nv);
-  (* Nodes report ascending-src groups with reversed send order inside —
-     the inbox shape Sim produces. *)
   Array.iteri
-    (fun di arrivals ->
+    (fun di body ->
       let v = Ledger.vertex l di in
-      let decoded =
-        List.map
-          (fun (src, bytes) ->
-            match Packet.decode bytes with
-            | Ok p -> (src, p)
-            | Error e -> fail "Socket: corrupt packet from node %d: %s" src e)
-          (Option.get arrivals)
+      let encoded (src, p) =
+        match List.find_opt (fun (s, m, _) -> s = src && m == p) sent.(di) with
+        | Some (_, _, bytes) -> (src, bytes)
+        | None -> (src, Packet.encode p)
       in
-      if
-        not
-          (List.equal (fun (s1, p1) (s2, p2) -> s1 = s2 && p1 = p2) decoded (predicted v))
-      then
-        fail "Socket: wire exchange diverged from the synchronous prediction at node %d" v)
+      let expect = body_inbox ~round:round_no (List.map encoded (predicted v)) in
+      let body = Option.get body in
+      if not (String.equal body expect) then diverged ~v ~round_no body)
     inboxes;
   predicted
 
@@ -1248,7 +1292,7 @@ let drain t ~phase =
   Sim.drain t.sim ~phase
 
 let node_stats t = t.node_stats
-let pids t = Array.to_list t.pids
+let pids t = Array.to_list t.fleet.pids
 
 (* --------------------------- TRANSPORT packing ------------------------- *)
 
@@ -1279,9 +1323,10 @@ let factory ?mode ?timeout () : Transport.factory =
 (* ----------------------------- availability ---------------------------- *)
 
 (* Can this process run socket fleets at all? Probes the exact primitives
-   create relies on: the worker hook, fork+waitpid, and a bound listener
-   in the selected mode. Used by test/bench tiers to skip gracefully on
-   platforms without fork rather than fail. *)
+   create relies on: the worker hook, spawning this binary as a node (it
+   exits at once) and reaping it, and a bound listener in the selected
+   mode. Used by test/bench tiers to skip gracefully on platforms where
+   the backend cannot run rather than fail. *)
 let available ?(mode : mode = `Unix) () =
   if not (Atomic.get hook_installed) then
     Error "process did not call Socket.exec_node_if_requested at startup"
@@ -1302,11 +1347,9 @@ let available ?(mode : mode = `Unix) () =
           (try Sys.remove (Filename.concat d "probe") with Sys_error _ -> ());
           try Unix.rmdir d with Unix.Unix_error _ -> ())
       | None -> ());
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 -> Unix._exit 0
-      | pid -> ignore (Unix.waitpid [] pid)
+      match Unix.waitpid [] (spawn_node "probe") with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> fail "probe node process did not exit cleanly"
     with
     | () -> Ok ()
     | exception e -> Error (Printexc.to_string e)

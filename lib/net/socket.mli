@@ -8,7 +8,7 @@
     round-structured interface the protocol layers speak and drives a
     {!Sim} as its prediction: each round runs on the simulator first, the
     fleet then moves the same sends over real links, and every node's
-    decoded inbox must equal the simulator's. All accounting is the
+    inbox must equal the simulator's. All accounting is the
     simulator's, so a zero-fault run over the socket backend produces the
     same run report, delivery trace and observability stream as {!Sim} by
     construction; [bench/socket.exe --check] and [test/test_socket.ml]
@@ -16,14 +16,33 @@
 
     {2 Process model}
 
-    Nodes are fork+exec of [Sys.executable_name] (OCaml 5 forbids bare
-    fork from a multi-domain program): the re-exec'd binary recognises
-    itself as a node via the [NAB_SOCKET_NODE] environment variable.
-    {b Every binary that creates socket transports must therefore call}
+    Nodes are fresh instances of [Sys.executable_name] started with
+    [Unix.create_process_env] (posix_spawn — no fork of the OCaml
+    runtime, so fleets can be created from any domain, also while a
+    {!Nab_util.Pool} is running): the spawned binary recognises itself as
+    a node via the [NAB_SOCKET_NODE] environment variable. {b Every binary
+    that creates socket transports must therefore call}
     {!exec_node_if_requested} {b first thing in [main]} — it is a no-op in
     the coordinator and never returns in a node. {!create} refuses to run
-    in a process that did not, because re-executing a binary that never
+    in a process that did not, because spawning a binary that never
     checks the hook would re-run that binary's [main] once per node.
+    Every coordinator fd is close-on-exec, so a node inherits only stdio.
+
+    {2 Fleet lifecycle}
+
+    A {e fleet} — the node processes and their control channels — outlives
+    the handle that spawned it. A handle [t] is a {e lease} on a fleet:
+    {!create} leases a parked, healthy fleet of the same mode and graph
+    from a process-wide pool (safe from any domain) and spawns one only
+    when none is parked; {!close} ends the lease and parks the fleet
+    again. Each lease gets its own simulator, so accounting, traces and
+    run reports are per lease and identical to a freshly spawned
+    fleet's. A fleet whose lease failed, or ended mid-round (a transport
+    fault or a raising outbox closure), is stopped and reaped, never
+    parked; so is a parked fleet found dead at lease time (it is replaced
+    by a fresh spawn). The pool holds at most one fleet per (mode, graph)
+    and four in all, stopping the oldest first; {!shutdown} stops every
+    parked fleet, and an [at_exit] hook stops every fleet still running.
 
     {2 Wire format}
 
@@ -50,12 +69,13 @@ type mode = [ `Unix | `Tcp ]
     (default), or TCP on 127.0.0.1 with ephemeral ports. *)
 
 type t
-(** A live fleet: the node processes, their control channels, and the
-    simulator that predicts and accounts every round. *)
+(** A lease on a fleet (the node processes and their control channels),
+    with the simulator that predicts and accounts every round of this
+    lease. *)
 
 val exec_node_if_requested : unit -> unit
 (** Call first in the [main] of every binary that may create socket
-    transports. In a coordinator process this installs the re-exec hook
+    transports. In a coordinator process this installs the node hook
     and returns; in a process launched as a node (the [NAB_SOCKET_NODE]
     environment variable is set) it runs the node event loop and exits —
     it never returns. *)
@@ -67,21 +87,28 @@ val create :
   ?keep_events:bool ->
   Nab_graph.Digraph.t ->
   t
-(** Spawn one node process per vertex, wire the per-pair data links, and
-    run the handshake to the ready barrier. [timeout] (default 60s) bounds
-    the handshake and every subsequent round. Raises {!Socket_error} on
-    any setup failure (after reaping whatever it had spawned), and when
-    the calling process never ran {!exec_node_if_requested}. *)
+(** Lease a fleet for the graph: a parked one of the same [mode] and graph
+    if its control channels are healthy, otherwise a new one — one node
+    process per vertex, the per-pair data links wired, and the handshake
+    run to the ready barrier. [timeout] (default 60s) bounds the handshake
+    and every subsequent round. Raises {!Socket_error} on any setup
+    failure (after reaping whatever it had spawned), and when the calling
+    process never ran {!exec_node_if_requested}. *)
 
 val close : t -> unit
-(** Stop the fleet: polite Stop frames (collecting {!node_stats}), then
-    [waitpid] with a grace period and SIGKILL for stragglers — no node
-    process survives [close]. Closes every fd and removes the socket
-    directory. Idempotent; also safe after a failure. Fleets abandoned
-    without [close] are killed by an [at_exit] hook. On a closed or failed
-    fleet, [round], [pending_count] and [drain] raise {!Socket_error};
-    the accessors ([timing], [link_bits], [events_of_phase], ...) keep
-    reporting the run. *)
+(** End the lease. On a live lease every node reports its traffic
+    ({!node_stats}) and the fleet is parked for the next {!create} on the
+    same graph; its processes keep running. On a failed lease, or when the
+    release handshake fails, the fleet is stopped: control channels
+    closed, [waitpid] with a grace period and SIGKILL for stragglers, the
+    socket directory removed — no node process of that fleet survives.
+    Idempotent. On a closed or failed lease, [round], [pending_count] and
+    [drain] raise {!Socket_error}; the accessors ([timing], [link_bits],
+    [events_of_phase], ...) keep reporting the run. *)
+
+val shutdown : unit -> unit
+(** Stop and reap every parked fleet. Leased fleets are untouched. Safe to
+    call at any time; the next {!create} spawns afresh. *)
 
 val transport : t -> Transport.t
 (** Pack the fleet behind the backend-neutral boundary. The packed
@@ -89,7 +116,8 @@ val transport : t -> Transport.t
 
 val factory : ?mode:mode -> ?timeout:float -> unit -> Transport.factory
 (** Factory for session drivers: every broadcast instance gets its own
-    fleet over the instance graph (sessions close it per instance). *)
+    lease over the instance graph (sessions close it per instance), so
+    serial instances on one graph reuse one fleet. *)
 
 type stats = {
   frames_sent : int;
@@ -103,18 +131,20 @@ type stats = {
     from the capacity model's {!Transport.link_bits}). *)
 
 val node_stats : t -> (int * stats) list
-(** Per-vertex counters reported in the Stop handshake; ascending vertex
-    order. Empty before {!close}, and best-effort after a failure (nodes
-    that died cannot report). *)
+(** Per-vertex counters of this lease alone, reported in the release
+    handshake at {!close}; ascending vertex order. A fleet's first lease
+    includes its set-up handshake; later leases count only their own
+    rounds. Empty before {!close} and on a failed lease; best-effort
+    when the release handshake itself fails. *)
 
 val pids : t -> int list
-(** The node process ids, in vertex order — for lifecycle tests (orphan
-    checks) and debugging. *)
+(** The node process ids of the leased fleet, in vertex order — for
+    lifecycle tests (orphan checks, reuse) and debugging. *)
 
 val available : ?mode:mode -> unit -> (unit, string) result
 (** Can this process run socket fleets at all? Checks the
     {!exec_node_if_requested} hook and probes the exact primitives
-    {!create} relies on: [fork]/[waitpid] and a bound listener of the
-    selected [mode]. Test and bench tiers skip gracefully on [Error]
-    (e.g. platforms without [fork]) — when this returns [Ok], socket
-    failures are real failures. *)
+    {!create} relies on: spawning this binary as a node process (which
+    exits at once) and reaping it, and a bound listener of the selected
+    [mode]. Test and bench tiers skip gracefully on [Error] — when this
+    returns [Ok], socket failures are real failures. *)
