@@ -5,7 +5,7 @@
    machine-readable BENCH_async.json so every PR has a trajectory to
    regress against.
 
-   Usage:
+   Usage (flags shared by every bench, see harness.ml):
      dune exec bench/async.exe                   # sweep + BENCH_async.json
      dune exec bench/async.exe -- --out F.json   # choose the artifact path
      dune exec bench/async.exe -- --quick        # smaller L and Q
@@ -30,6 +30,10 @@
 open Nab_graph
 open Nab_core
 open Nab_net
+
+(* The library's simulator, named explicitly: a bare [Sim] would make
+   dune link bench/sim.ml, which shares this executables stanza. *)
+module Sim = Nab_net.Sim
 
 let topologies =
   [
@@ -138,7 +142,7 @@ let cell ~quick (name, g) ~dbar severity =
           ])
   | exception e -> Json.Obj (base @ [ ("error", Json.Str (Printexc.to_string e)) ])
 
-let sweep ~quick ~out =
+let sweep ~quick ~(write : Harness.writer) =
   let results =
     List.concat_map
       (fun (name, g) ->
@@ -151,28 +155,9 @@ let sweep ~quick ~out =
         List.map (cell ~quick (name, g) ~dbar) severities)
       topologies
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.Str "nab-bench-async/1");
-        ( "config",
-          Json.Obj
-            [
-              ("quick", Json.Bool quick);
-              ("l_bits", Json.Int (if quick then 256 else 1024));
-              ("q", Json.Int (if quick then 2 else 4));
-              ("fault_seed", Json.Int 1);
-            ] );
-        ("results", Json.List results);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
   List.iter
     (fun row ->
-      let get k p = Option.bind (Json.member k row) p in
+      let get k p = Harness.get k p row in
       match (get "name" Json.get_string, get "severity" Json.get_float) with
       | Some name, Some s -> (
           match get "ratio" Json.get_float with
@@ -187,7 +172,15 @@ let sweep ~quick ~out =
                 (Option.value ~default:"?" (get "error" Json.get_string)))
       | _ -> ())
     results;
-  Printf.printf "wrote %s (%d rows)\n" out (List.length results)
+  write
+    ~config:
+      [
+        ("quick", Json.Bool quick);
+        ("l_bits", Json.Int (if quick then 256 else 1024));
+        ("q", Json.Int (if quick then 2 else 4));
+        ("fault_seed", Json.Int 1);
+      ]
+    ~results:(Json.List results) []
 
 (* ------------------------------- check ------------------------------- *)
 
@@ -195,15 +188,7 @@ let sweep ~quick ~out =
    the synchronous run report byte for byte (decisions, disputes, timings),
    and a faulted run must replay deterministically from its spec. *)
 let run_checks () =
-  let cases = ref 0 in
-  let failures = ref 0 in
-  let check label ok =
-    incr cases;
-    if not ok then begin
-      incr failures;
-      Printf.printf "FAIL %s\n" label
-    end
-  in
+  let check = Harness.check in
   let report_json r = Json.to_string (Report.run_to_json r) in
   List.iter
     (fun (name, g) ->
@@ -238,83 +223,26 @@ let run_checks () =
             ~l:256 ~q:2 ~seed:7))
   in
   check "faulted replay is deterministic" (faulted 5 = faulted 5);
-  check "fault seed changes the run" (faulted 5 <> faulted 6);
-  Printf.printf "async check: %d cases, %d failures\n" !cases !failures;
-  if !failures > 0 then exit 1
+  check "fault seed changes the run" (faulted 5 <> faulted 6)
 
 (* -------------------------- artifact verify -------------------------- *)
 
 (* Presence-only gate, mirroring kernels.exe: every (topology, severity)
    cell of the sweep grid must exist and carry either a ratio or a recorded
    error — no silent shrinkage of the grid. *)
-let verify_artifact path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "verify-artifact: %s: parse error: %s\n" path e;
-      exit 1
-  | Ok json ->
-      let rows =
-        match Option.bind (Json.member "results" json) Json.get_list with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "verify-artifact: %s: no results array\n" path;
-            exit 1
-      in
-      let present name severity =
-        List.exists
-          (fun row ->
-            let get k p = Option.bind (Json.member k row) p in
-            get "name" Json.get_string = Some name
-            && get "severity" Json.get_float = Some severity
-            && (get "ratio" Json.get_float <> None
-               || get "error" Json.get_string <> None))
-          rows
-      in
-      let missing = ref [] in
-      List.iter
-        (fun (name, _) ->
-          List.iter
-            (fun s ->
-              if not (present name s) then
-                missing := Printf.sprintf "%s severity=%g" name s :: !missing)
-            severities)
-        topologies;
-      if !missing <> [] then begin
-        Printf.eprintf "verify-artifact: %s: missing rows:\n" path;
-        List.iter (Printf.eprintf "  %s\n") (List.rev !missing);
-        exit 1
-      end;
-      Printf.printf "verify-artifact: %s: all %d required rows present\n" path
-        (List.length topologies * List.length severities)
+let required_rows =
+  List.concat_map
+    (fun (name, _) ->
+      List.map
+        (fun s ->
+          Harness.row (Printf.sprintf "%s severity=%g" name s) (fun row ->
+              let get k p = Harness.get k p row in
+              get "name" Json.get_string = Some name
+              && get "severity" Json.get_float = Some s
+              && (get "ratio" Json.get_float <> None || get "error" Json.get_string <> None)))
+        severities)
+    topologies
 
 (* ------------------------------- main ------------------------------- *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_async.json"
-    in
-    find args
-  in
-  let verify_path =
-    let rec find = function
-      | "--verify-artifact" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  match verify_path with
-  | Some path -> verify_artifact path
-  | None ->
-      if List.mem "--check" args then run_checks ()
-      else sweep ~quick:(List.mem "--quick" args) ~out
+let () = Harness.run ~name:"async" ~verify:required_rows ~check:run_checks sweep

@@ -1,5 +1,6 @@
 (* Campaign-store benchmark: the cost model of the sharded, resumable
-   result store at soak shape.
+   result store at soak shape. Flags are shared by every bench (see
+   harness.ml):
 
      dune exec bench/campaign.exe --            # full sweep -> BENCH_campaign.json
      dune exec bench/campaign.exe -- --quick    # smaller sampled tier
@@ -78,7 +79,7 @@ let time_temp name f =
 
 let per_sec n s = if s > 0.0 then float_of_int n /. s else infinity
 
-let sweep ~quick ~out =
+let sweep ~quick ~(write : Harness.writer) =
   let trials = if quick then 150 else 400 in
   let scenarios = Nab_exp.Campaigns.soak ~trials ~seed in
   Printf.printf "campaign store bench: %d sampled scenarios (jobs=%d)\n%!" trials
@@ -129,48 +130,38 @@ let sweep ~quick ~out =
        ]
       @ extra)
   in
-  let json =
-    Json.Obj
+  write
+    ~config:
       [
-        ("schema", Json.Str "nab-bench-campaign/1");
-        ( "config",
-          Json.Obj
-            [
-              ("trials", Json.Int trials);
-              ("seed", Json.Int seed);
-              ("jobs", Json.Int (Nab_util.Pool.jobs ()));
-              ("commit_every", Json.Int Runner.default_commit_rows);
-            ] );
-        ( "results",
-          Json.Obj
-            [
-              ("cold", temp_json cold []);
-              ("warm", temp_json warm []);
-              ( "resume_skip",
-                temp_json skip
-                  [
-                    ("skip_fraction", Json.float skip_fraction);
-                    ("speedup_vs_cold", Json.float speedup);
-                  ] );
-              ( "analyze",
-                Json.Obj
-                  [
-                    ("seconds", Json.float analyze_s);
-                    ("rows", Json.Int analyze_rows);
-                    ("rows_per_sec", Json.float (per_sec analyze_rows analyze_s));
-                  ] );
-            ] );
-        ( "asserts",
-          Json.Obj
-            [ ("skip_fraction_ok", Json.Bool skip_ok); ("speedup_ok", Json.Bool speedup_ok) ]
-        );
+        ("trials", Json.Int trials);
+        ("seed", Json.Int seed);
+        ("jobs", Json.Int (Nab_util.Pool.jobs ()));
+        ("commit_every", Json.Int Runner.default_commit_rows);
       ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
+    ~results:
+      (Json.Obj
+         [
+           ("cold", temp_json cold []);
+           ("warm", temp_json warm []);
+           ( "resume_skip",
+             temp_json skip
+               [
+                 ("skip_fraction", Json.float skip_fraction);
+                 ("speedup_vs_cold", Json.float speedup);
+               ] );
+           ( "analyze",
+             Json.Obj
+               [
+                 ("seconds", Json.float analyze_s);
+                 ("rows", Json.Int analyze_rows);
+                 ("rows_per_sec", Json.float (per_sec analyze_rows analyze_s));
+               ] );
+         ])
+    [
+      ( "asserts",
+        Json.Obj [ ("skip_fraction_ok", Json.Bool skip_ok); ("speedup_ok", Json.Bool speedup_ok) ]
+      );
+    ];
   rm_rf scratch_root;
   if not (skip_ok && speedup_ok) then exit 1
 
@@ -182,13 +173,7 @@ let sweep ~quick ~out =
    the parallel analyze emits identical bytes at any job count. *)
 
 let run_checks () =
-  let failures = ref 0 in
-  let check name b =
-    if not b then begin
-      incr failures;
-      Printf.eprintf "FAIL %s\n" name
-    end
-  in
+  let check = Harness.check in
   let trials = 40 in
   let scenarios = Nab_exp.Campaigns.soak ~trials ~seed in
   (* one-shot at jobs=1 *)
@@ -219,86 +204,42 @@ let run_checks () =
         exit 1
   in
   check "analyze byte-identical at jobs 1 vs 4" (analyze_string 1 = analyze_string 4);
-  Printf.printf "campaign store check: %d failures\n" !failures;
-  rm_rf scratch_root;
-  if !failures > 0 then exit 1
+  rm_rf scratch_root
 
 (* --------------------------- verify artifact --------------------------- *)
 
-let verify_artifact path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+(* The cold, warm, resume-skip and analyze blocks must be present, and the
+   recorded resume-skip floors and analyze row count must hold. *)
+let required_rows =
+  let field path conv doc =
+    Option.bind (List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some doc) path) conv
   in
-  match Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "verify-artifact: %s: parse error: %s\n" path e;
-      exit 1
-  | Ok json ->
-      let results =
-        match Json.member "results" json with
-        | Some r -> r
-        | None ->
-            Printf.eprintf "verify-artifact: %s: no results object\n" path;
-            exit 1
-      in
-      let missing = ref [] in
-      let temp name =
-        match Json.member name results with
-        | Some t -> Some t
-        | None ->
-            missing := name :: !missing;
-            None
-      in
-      let cold = temp "cold" and _warm = temp "warm" in
-      let skipt = temp "resume_skip" and analyze = temp "analyze" in
-      let getf t k = Option.bind t (fun t -> Option.bind (Json.member k t) Json.get_float) in
-      let geti t k = Option.bind t (fun t -> Option.bind (Json.member k t) Json.get_int) in
-      if !missing <> [] then begin
-        Printf.eprintf "verify-artifact: %s: missing results: %s\n" path
-          (String.concat ", " (List.rev !missing));
-        exit 1
-      end;
-      let fail fmt = Printf.ksprintf (fun s -> Printf.eprintf "verify-artifact: %s: %s\n" path s; exit 1) fmt in
-      (match getf skipt "skip_fraction" with
-      | Some f when f >= 0.99 -> ()
-      | Some f -> fail "recorded skip_fraction %.3f < 0.99" f
-      | None -> fail "resume_skip.skip_fraction missing");
-      (match getf skipt "speedup_vs_cold" with
-      | Some s when s >= 5.0 -> ()
-      | Some s -> fail "recorded speedup_vs_cold %.2f < 5" s
-      | None -> fail "resume_skip.speedup_vs_cold missing");
-      (match (geti cold "ran", geti analyze "rows") with
-      | Some ran, Some rows when ran > 0 && rows = ran -> ()
-      | Some ran, Some rows -> fail "analyze rows %d != cold ran %d" rows ran
-      | _ -> fail "cold.ran / analyze.rows missing");
-      Printf.printf
-        "verify-artifact: %s: cold/warm/resume_skip/analyze present, floors hold\n" path
+  List.map
+    (fun t -> (t, fun doc -> field [ "results"; t ] Option.some doc <> None))
+    [ "cold"; "warm"; "resume_skip"; "analyze" ]
+  @ [
+      ( "resume_skip.skip_fraction >= 0.99",
+        fun doc ->
+          match field [ "results"; "resume_skip"; "skip_fraction" ] Json.get_float doc with
+          | Some f -> f >= 0.99
+          | None -> false );
+      ( "resume_skip.speedup_vs_cold >= 5",
+        fun doc ->
+          match field [ "results"; "resume_skip"; "speedup_vs_cold" ] Json.get_float doc with
+          | Some s -> s >= 5.0
+          | None -> false );
+      ( "analyze.rows = cold.ran > 0",
+        fun doc ->
+          match
+            ( field [ "results"; "cold"; "ran" ] Json.get_int doc,
+              field [ "results"; "analyze"; "rows" ] Json.get_int doc )
+          with
+          | Some ran, Some rows -> ran > 0 && rows = ran
+          | _ -> false );
+    ]
 
 (* ------------------------------- main ------------------------------- *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_campaign.json"
-    in
-    find args
-  in
-  let verify_path =
-    let rec find = function
-      | "--verify-artifact" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  match verify_path with
-  | Some path -> verify_artifact path
-  | None ->
-      if List.mem "--check" args then run_checks ()
-      else sweep ~quick:(List.mem "--quick" args) ~out
+  Harness.run ~name:"campaign" ~wall_clock:true ~verify:required_rows ~check:run_checks
+    sweep

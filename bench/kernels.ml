@@ -3,7 +3,7 @@
    machine-readable BENCH_kernels.json so every PR has a perf trajectory
    to regress against.
 
-   Usage:
+   Usage (flags shared by every bench, see harness.ml):
      dune exec bench/kernels.exe                   # bench + BENCH_kernels.json
      dune exec bench/kernels.exe -- --out F.json   # choose the artifact path
      dune exec bench/kernels.exe -- --quick        # shorter timing windows
@@ -131,20 +131,6 @@ module Ref_gauss = struct
     Matrix.of_arrays c
 end
 
-(* ------------------------------ timing ------------------------------ *)
-
-let time_per_op ~min_time f =
-  ignore (Sys.opaque_identity (f ()));
-  let rec run iters =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time then dt /. float_of_int iters else run (iters * 4)
-  in
-  run 1
-
 type row = {
   name : string;
   m : int;
@@ -175,8 +161,8 @@ let bench_axpy ~min_time m =
   let x = Array.init axpy_len (fun _ -> Gf2p.random fld st) in
   let y = Array.init axpy_len (fun _ -> Gf2p.random fld st) in
   let a = Gf2p.random_nonzero fld st in
-  let ns = 1e9 *. time_per_op ~min_time (fun () -> Kernel.axpy_row k ~a ~x ~y) in
-  let ref_ns = 1e9 *. time_per_op ~min_time (fun () -> ref_axpy fld ~a ~x ~y) in
+  let ns = 1e9 *. Harness.time_per_op ~min_time (fun () -> Kernel.axpy_row k ~a ~x ~y) in
+  let ref_ns = 1e9 *. Harness.time_per_op ~min_time (fun () -> ref_axpy fld ~a ~x ~y) in
   { name = "axpy"; m; size = axpy_len; ns; ref_ns }
 
 let bench_dot ~min_time m =
@@ -187,18 +173,18 @@ let bench_dot ~min_time m =
   let y = Array.init axpy_len (fun _ -> Gf2p.random fld st) in
   let ns =
     1e9
-    *. time_per_op ~min_time (fun () ->
+    *. Harness.time_per_op ~min_time (fun () ->
            Kernel.dot k ~x ~xoff:0 ~y ~yoff:0 ~len:axpy_len)
   in
-  let ref_ns = 1e9 *. time_per_op ~min_time (fun () -> ref_dot fld ~x ~y) in
+  let ref_ns = 1e9 *. Harness.time_per_op ~min_time (fun () -> ref_dot fld ~x ~y) in
   { name = "dot"; m; size = axpy_len; ns; ref_ns }
 
 let bench_inverse ~min_time m =
   let fld = Gf2p.create m in
   let st = Random.State.make [| 42; m |] in
   let a = random_invertible fld inv_dim st in
-  let ns = 1e9 *. time_per_op ~min_time (fun () -> Gauss.inverse fld a) in
-  let ref_ns = 1e9 *. time_per_op ~min_time (fun () -> Ref_gauss.inverse fld a) in
+  let ns = 1e9 *. Harness.time_per_op ~min_time (fun () -> Gauss.inverse fld a) in
+  let ref_ns = 1e9 *. Harness.time_per_op ~min_time (fun () -> Ref_gauss.inverse fld a) in
   { name = "inverse64"; m; size = inv_dim; ns; ref_ns }
 
 (* One RLNC generation decode: invert the coefficient matrix, multiply the
@@ -216,8 +202,8 @@ let bench_rlnc_decode ~min_time ~m ~gamma ~payload_syms =
     | None -> assert false
     | Some ci -> ignore (Sys.opaque_identity (mul fld ci pmat))
   in
-  let ns = 1e9 *. time_per_op ~min_time (decode Gauss.inverse Matrix.mul) in
-  let ref_ns = 1e9 *. time_per_op ~min_time (decode Ref_gauss.inverse Ref_gauss.mul) in
+  let ns = 1e9 *. Harness.time_per_op ~min_time (decode Gauss.inverse Matrix.mul) in
+  let ref_ns = 1e9 *. Harness.time_per_op ~min_time (decode Ref_gauss.inverse Ref_gauss.mul) in
   { name = "rlnc_decode"; m; size = gamma; ns; ref_ns }
 
 (* ------------------------------ checks ------------------------------ *)
@@ -226,15 +212,7 @@ let bench_rlnc_decode ~min_time ~m ~gamma ~payload_syms =
    against the scalar path, across tabled and raw degrees. Exits nonzero on
    the first mismatch. This (not the timings) is what CI runs. *)
 let run_checks () =
-  let failures = ref 0 in
-  let cases = ref 0 in
-  let check name ok =
-    incr cases;
-    if not ok then begin
-      incr failures;
-      Printf.eprintf "FAIL %s\n" name
-    end
-  in
+  let check = Harness.check in
   let degrees = [ 1; 2; 3; 5; 8; 11; 16; 17; 20; 24; 32; 48; 61 ] in
   List.iter
     (fun m ->
@@ -307,9 +285,7 @@ let run_checks () =
           check (tag ^ " rref") (Matrix.equal got want);
           check (tag ^ " pivots") (got_piv = want_piv))
         [ (40, 72, false); (40, 72, true); (48, 48, false); (33, 100, true) ])
-    [ 8; 32; 61 ];
-  Printf.printf "kernel check: %d cases, %d failures\n" !cases !failures;
-  if !failures > 0 then exit 1
+    [ 8; 32; 61 ]
 
 (* -------------------------- artifact verify -------------------------- *)
 
@@ -318,144 +294,78 @@ let run_checks () =
    and inverse at every m in [degrees], plus the 256x256 wide-field
    generation row. Presence-only (no timing thresholds), so the gate stays
    deterministic across machines. *)
-let verify_artifact path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+let required_rows =
+  let open Harness in
+  let timed ~name row =
+    get "name" Json.get_string row = Some name && get "speedup" Json.get_float row <> None
   in
-  match Nab_obs.Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "verify-artifact: %s: parse error: %s\n" path e;
-      exit 1
-  | Ok json ->
-      let open Nab_obs.Json in
-      let rows =
-        match Option.bind (member "results" json) get_list with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "verify-artifact: %s: no results array\n" path;
-            exit 1
-      in
-      let row_has row key pred =
-        match Option.bind (member key row) pred with Some v -> Some v | None -> None
-      in
-      let present ~name ~m ~size =
-        List.exists
-          (fun row ->
-            row_has row "name" get_string = Some name
-            && (match m with
-               | None -> true
-               | Some m -> row_has row "m" get_int = Some m)
-            && (match size with
-               | None -> true
-               | Some s -> row_has row "size" get_int = Some s)
-            && row_has row "speedup" get_float <> None)
-          rows
-      in
-      let missing = ref [] in
-      let require ~name ~m ~size label =
-        if not (present ~name ~m ~size) then missing := label :: !missing
-      in
-      List.iter
-        (fun m ->
-          List.iter
-            (fun name ->
-              require ~name ~m:(Some m) ~size:None (Printf.sprintf "%s m=%d" name m))
-            [ "axpy"; "dot"; "inverse64" ])
-        degrees;
-      require ~name:"rlnc_decode" ~m:None ~size:(Some 256) "rlnc_decode size=256";
-      if !missing <> [] then begin
-        Printf.eprintf "verify-artifact: %s: missing rows:\n" path;
-        List.iter (Printf.eprintf "  %s\n") (List.rev !missing);
-        exit 1
-      end;
-      Printf.printf "verify-artifact: %s: all %d required rows present\n" path
-        ((3 * List.length degrees) + 1)
+  List.concat_map
+    (fun m ->
+      List.map
+        (fun name ->
+          row (Printf.sprintf "%s m=%d" name m) (fun r ->
+              timed ~name r && get "m" Json.get_int r = Some m))
+        [ "axpy"; "dot"; "inverse64" ])
+    degrees
+  @ [
+      row "rlnc_decode size=256" (fun r ->
+          timed ~name:"rlnc_decode" r && get "size" Json.get_int r = Some 256);
+    ]
 
 (* ------------------------------- main ------------------------------- *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_kernels.json"
-    in
-    find args
-  in
-  let verify_path =
-    let rec find = function
-      | "--verify-artifact" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  match verify_path with
-  | Some path -> verify_artifact path
-  | None ->
-  if List.mem "--check" args then run_checks ()
-  else begin
-    let min_time = if List.mem "--quick" args then 0.02 else 0.2 in
-    Kernel.reset_stats ();
-    let rows =
-      List.concat
+let sweep ~quick ~(write : Harness.writer) =
+  let min_time = if quick then 0.02 else 0.2 in
+  Kernel.reset_stats ();
+  let rows =
+    List.concat
+      [
+        List.map (bench_axpy ~min_time) degrees;
+        List.map (bench_dot ~min_time) degrees;
+        List.map (bench_inverse ~min_time) degrees;
         [
-          List.map (bench_axpy ~min_time) degrees;
-          List.map (bench_dot ~min_time) degrees;
-          List.map (bench_inverse ~min_time) degrees;
-          [
-            bench_rlnc_decode ~min_time ~m:8 ~gamma:32 ~payload_syms:128;
-            bench_rlnc_decode ~min_time ~m:32 ~gamma:256 ~payload_syms:256;
-          ];
-        ]
-    in
-    let stats = Kernel.stats () in
-    Printf.printf "%-14s %4s %6s %14s %14s %9s\n" "benchmark" "m" "size"
-      "kernel ns/op" "scalar ns/op" "speedup";
-    Printf.printf "%s\n" (String.make 66 '-');
-    List.iter
-      (fun r ->
-        Printf.printf "%-14s %4d %6d %14.1f %14.1f %8.2fx\n" r.name r.m r.size
-          r.ns r.ref_ns (speedup r))
-      rows;
-    let json =
-      Nab_obs.Json.(
-        Obj
-          [
-            ("schema", Str "nab-bench-kernels/1");
-            ( "config",
+          bench_rlnc_decode ~min_time ~m:8 ~gamma:32 ~payload_syms:128;
+          bench_rlnc_decode ~min_time ~m:32 ~gamma:256 ~payload_syms:256;
+        ];
+      ]
+  in
+  let stats = Kernel.stats () in
+  Printf.printf "%-14s %4s %6s %14s %14s %9s\n" "benchmark" "m" "size"
+    "kernel ns/op" "scalar ns/op" "speedup";
+  Printf.printf "%s\n" (String.make 66 '-');
+  List.iter
+    (fun r ->
+      Printf.printf "%-14s %4d %6d %14.1f %14.1f %8.2fx\n" r.name r.m r.size
+        r.ns r.ref_ns (speedup r))
+    rows;
+  print_newline ();
+  let open Nab_obs.Json in
+  write
+    ~config:
+      [
+        ("min_time_s", float min_time);
+        ("axpy_len", Int axpy_len);
+        ("inverse_dim", Int inv_dim);
+      ]
+    ~results:
+      (List
+         (List.map
+            (fun r ->
               Obj
                 [
-                  ("min_time_s", float min_time);
-                  ("axpy_len", Int axpy_len);
-                  ("inverse_dim", Int inv_dim);
-                ] );
-            ( "results",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [
-                         ("name", Str r.name);
-                         ("m", Int r.m);
-                         ("size", Int r.size);
-                         ("ns_per_op", float r.ns);
-                         ("ref_ns_per_op", float r.ref_ns);
-                         ("speedup", float (speedup r));
-                       ])
-                   rows) );
-            ( "kernel_stats",
-              Obj [ ("flops", Int stats.Kernel.flops); ("symbols", Int stats.Kernel.symbols) ]
-            );
-          ])
-    in
-    let oc = open_out out in
-    output_string oc (Nab_obs.Json.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nwrote %s\n" out
-  end
+                  ("name", Str r.name);
+                  ("m", Int r.m);
+                  ("size", Int r.size);
+                  ("ns_per_op", float r.ns);
+                  ("ref_ns_per_op", float r.ref_ns);
+                  ("speedup", float (speedup r));
+                ])
+            rows))
+    [
+      ( "kernel_stats",
+        Obj [ ("flops", Int stats.Kernel.flops); ("symbols", Int stats.Kernel.symbols) ] );
+    ]
+
+let () =
+  Harness.run ~name:"kernels" ~wall_clock:true ~verify:required_rows ~check:run_checks
+    sweep

@@ -563,7 +563,6 @@ let micro () =
     [
       Test.make ~name:"gf2p16.mul" (Staged.stage (fun () -> Gf2p.mul f16 a b));
       Test.make ~name:"gf2p16.inv" (Staged.stage (fun () -> Gf2p.inv f16 a));
-      Test.make ~name:"gf256.mul(table)" (Staged.stage (fun () -> Gf256.mul 200 123));
       Test.make ~name:"matrix.rank20" (Staged.stage (fun () -> Nab_matrix.Gauss.rank f16 mat));
       Test.make ~name:"dinic.k8" (Staged.stage (fun () -> Maxflow.max_flow k8 ~src:1 ~dst:8));
       Test.make ~name:"stoer-wagner.n12" (Staged.stage (fun () -> Stoer_wagner.min_cut_value u12));
@@ -578,22 +577,6 @@ let micro () =
         (Staged.stage (fun () ->
              Nab.run ~g:k4 ~config:nab_config ~adversary:Adversary.none
                ~inputs:nab_inputs ~q:1 ()));
-      Test.make ~name:"gomory-hu.n12"
-        (Staged.stage (fun () -> Gomory_hu.build u12));
-      Test.make ~name:"edmonds-karp.k8"
-        (Staged.stage (fun () -> Edmonds_karp.max_flow k8 ~src:1 ~dst:8));
-      (let rs = Rs.create (Gf2p.create 8) ~k:6 ~n:12 in
-       let data = Array.init 6 (fun i -> (i * 41) land 0xff) in
-       let code = Rs.encode rs data in
-       let shares = List.init 6 (fun i -> (2 * i, code.(2 * i))) in
-       Test.make ~name:"reed-solomon.decode(6,12)"
-         (Staged.stage (fun () -> Rs.decode_exn rs shares)));
-      (let t16 = Gf2p_table.create 16 in
-       Test.make ~name:"gf2p16.mul(table-module)"
-         (Staged.stage (fun () -> Gf2p_table.mul t16 a b)));
-      Test.make ~name:"karger.trial.n12"
-        (let st = Random.State.make [| 7 |] in
-         Staged.stage (fun () -> Karger.one_trial u12 st));
       Test.make ~name:"params.stars.k4"
         (Staged.stage (fun () -> Params.stars k4 ~source:1 ~f:1));
     ]

@@ -3,7 +3,7 @@
    a cold vs warm Plan_cache, emitting a machine-readable BENCH_sim.json so
    every PR has a perf trajectory to regress against.
 
-   Usage:
+   Usage (flags shared by every bench, see harness.ml):
      dune exec bench/sim.exe                   # bench + BENCH_sim.json
      dune exec bench/sim.exe -- --out F.json   # choose the artifact path
      dune exec bench/sim.exe -- --quick        # shorter timing windows
@@ -240,20 +240,6 @@ module Ref_sim = struct
   let rounds_run t = t.round_no
 end
 
-(* ------------------------------ timing ------------------------------ *)
-
-let time_per_op ~min_time f =
-  ignore (Sys.opaque_identity (f ()));
-  let rec run iters =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time then dt /. float_of_int iters else run (iters * 4)
-  in
-  run 1
-
 type row = {
   name : string;
   nodes : int;
@@ -304,8 +290,8 @@ let bench_loop ~min_time ~name ?(delays = fun _ -> 0) g =
     Ref_sim.elapsed sim
   in
   let per_round t = 1e9 *. t /. float_of_int episode_rounds in
-  let ns = per_round (time_per_op ~min_time run_new) in
-  let ref_ns = per_round (time_per_op ~min_time run_ref) in
+  let ns = per_round (Harness.time_per_op ~min_time run_new) in
+  let ref_ns = per_round (Harness.time_per_op ~min_time run_ref) in
   {
     name;
     nodes = Digraph.num_vertices g;
@@ -519,138 +505,101 @@ let run_episode (ids, edges, dseed, sends) =
   !ok
 
 let run_checks () =
-  let failures = ref 0 in
-  let cases = ref 0 in
   let st = Random.State.make [| 0x51b3; 7 |] in
   for episode = 1 to 400 do
-    incr cases;
-    if not (run_episode (random_episode st)) then begin
-      incr failures;
-      Printf.eprintf "FAIL episode %d\n" episode
-    end
+    Harness.check
+      (Printf.sprintf "episode %d" episode)
+      (run_episode (random_episode st))
   done;
-  (* plan-cache temperature must not change campaign rows *)
-  incr cases;
   let c = time_campaign ~name:"quick" (Nab_exp.Campaigns.quick ()) in
-  if not c.c_identical then begin
-    incr failures;
-    Printf.eprintf "FAIL cold vs warm campaign rows differ\n"
-  end;
+  (* plan-cache temperature must not change campaign rows *)
+  Harness.check "cold vs warm campaign rows identical" c.c_identical;
   (* warm reruns must hit the capacity witness caches *)
-  incr cases;
-  if not c.c_warm_witness then begin
-    incr failures;
-    Printf.eprintf "FAIL warm campaign missed the capacity witness caches\n"
-  end;
-  Printf.printf "sim check: %d cases, %d failures\n" !cases !failures;
-  if !failures > 0 then exit 1
+  Harness.check "warm campaign hit the capacity witness caches" c.c_warm_witness
 
 (* ------------------------------- main ------------------------------- *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_sim.json"
-    in
-    find args
+let sweep ~quick ~(write : Harness.writer) =
+  let min_time = if quick then 0.02 else 0.2 in
+  let rows =
+    List.map
+      (fun (name, g, delays) -> bench_loop ~min_time ~name ?delays g)
+      (loop_workloads ())
   in
-  if List.mem "--check" args then run_checks ()
-  else begin
-    let min_time = if List.mem "--quick" args then 0.02 else 0.2 in
-    let rows =
-      List.map
-        (fun (name, g, delays) -> bench_loop ~min_time ~name ?delays g)
-        (loop_workloads ())
-    in
-    let quick = List.mem "--quick" args in
-    let campaigns =
-      [
-        time_campaign ~name:"quick" (Nab_exp.Campaigns.quick ());
-        time_campaign ~name:"scaled" (scaled_scenarios ~quick);
-      ]
-    in
-    Printf.printf "%-18s %6s %6s %14s %14s %9s\n" "benchmark" "nodes" "edges"
-      "core ns/round" "ref ns/round" "speedup";
-    Printf.printf "%s\n" (String.make 72 '-');
-    List.iter
-      (fun r ->
-        Printf.printf "%-18s %6d %6d %14.1f %14.1f %8.2fx\n" r.name r.nodes r.edges
-          r.ns r.ref_ns (speedup r))
-      rows;
-    print_newline ();
-    List.iter
-      (fun c ->
-        Printf.printf
-          "%s campaign (%d scenarios, jobs=1): cold %.2fs, warm %.2fs, %.2fx%s\n"
-          c.c_name c.c_scenarios c.c_cold_s c.c_warm_s
-          (if c.c_warm_s > 0.0 then c.c_cold_s /. c.c_warm_s else nan)
-          ((if c.c_identical then "" else " [ROWS DIFFER!]")
-          ^ if c.c_warm_witness then "" else " [WITNESS CACHES COLD!]"))
-      campaigns;
-    if not (List.for_all (fun c -> c.c_identical && c.c_warm_witness) campaigns) then
-      exit 1;
-    let json =
-      Nab_obs.Json.(
-        Obj
-          [
-            ("schema", Str "nab-bench-sim/1");
-            ( "config",
+  let campaigns =
+    [
+      time_campaign ~name:"quick" (Nab_exp.Campaigns.quick ());
+      time_campaign ~name:"scaled" (scaled_scenarios ~quick);
+    ]
+  in
+  Printf.printf "%-18s %6s %6s %14s %14s %9s\n" "benchmark" "nodes" "edges"
+    "core ns/round" "ref ns/round" "speedup";
+  Printf.printf "%s\n" (String.make 72 '-');
+  List.iter
+    (fun r ->
+      Printf.printf "%-18s %6d %6d %14.1f %14.1f %8.2fx\n" r.name r.nodes r.edges
+        r.ns r.ref_ns (speedup r))
+    rows;
+  print_newline ();
+  List.iter
+    (fun c ->
+      Printf.printf
+        "%s campaign (%d scenarios, jobs=1): cold %.2fs, warm %.2fs, %.2fx%s\n"
+        c.c_name c.c_scenarios c.c_cold_s c.c_warm_s
+        (if c.c_warm_s > 0.0 then c.c_cold_s /. c.c_warm_s else nan)
+        ((if c.c_identical then "" else " [ROWS DIFFER!]")
+        ^ if c.c_warm_witness then "" else " [WITNESS CACHES COLD!]"))
+    campaigns;
+  if not (List.for_all (fun c -> c.c_identical && c.c_warm_witness) campaigns) then
+    exit 1;
+  print_newline ();
+  let open Nab_obs.Json in
+  write
+    ~config:[ ("min_time_s", float min_time); ("episode_rounds", Int episode_rounds) ]
+    ~results:
+      (List
+         (List.map
+            (fun r ->
               Obj
                 [
-                  ("min_time_s", float min_time);
-                  ("episode_rounds", Int episode_rounds);
-                ] );
-            ( "results",
-              List
-                (List.map
-                   (fun r ->
-                     Obj
-                       [
-                         ("name", Str r.name);
-                         ("nodes", Int r.nodes);
-                         ("edges", Int r.edges);
-                         ("ns_per_round", float r.ns);
-                         ("ref_ns_per_round", float r.ref_ns);
-                         ("rounds_per_sec", float (1e9 /. r.ns));
-                         ("speedup", float (speedup r));
-                       ])
-                   rows) );
-            ( "campaigns",
-              List
-                (List.map
-                   (fun c ->
-                     Obj
-                       [
-                         ("name", Str c.c_name);
-                         ("scenarios", Int c.c_scenarios);
-                         ("jobs", Int 1);
-                         ("cold_s", float c.c_cold_s);
-                         ("warm_s", float c.c_warm_s);
-                         ("speedup", float (c.c_cold_s /. c.c_warm_s));
-                         ("rows_identical", Bool c.c_identical);
-                         ("warm_witness_hits", Bool c.c_warm_witness);
-                       ])
-                   campaigns) );
-            ( "plan_caches",
-              Obj
-                (List.map
-                   (fun (name, (s : Nab_util.Plan_cache.stats)) ->
-                     ( name,
-                       Obj
-                         [
-                           ("hits", Int s.Nab_util.Plan_cache.hits);
-                           ("misses", Int s.Nab_util.Plan_cache.misses);
-                           ("entries", Int s.Nab_util.Plan_cache.entries);
-                         ] ))
-                   (Nab_util.Plan_cache.global_stats ())) );
-          ])
-    in
-    let oc = open_out out in
-    output_string oc (Nab_obs.Json.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nwrote %s\n" out
-  end
+                  ("name", Str r.name);
+                  ("nodes", Int r.nodes);
+                  ("edges", Int r.edges);
+                  ("ns_per_round", float r.ns);
+                  ("ref_ns_per_round", float r.ref_ns);
+                  ("rounds_per_sec", float (1e9 /. r.ns));
+                  ("speedup", float (speedup r));
+                ])
+            rows))
+    [
+      ( "campaigns",
+        List
+          (List.map
+             (fun c ->
+               Obj
+                 [
+                   ("name", Str c.c_name);
+                   ("scenarios", Int c.c_scenarios);
+                   ("jobs", Int 1);
+                   ("cold_s", float c.c_cold_s);
+                   ("warm_s", float c.c_warm_s);
+                   ("speedup", float (c.c_cold_s /. c.c_warm_s));
+                   ("rows_identical", Bool c.c_identical);
+                   ("warm_witness_hits", Bool c.c_warm_witness);
+                 ])
+             campaigns) );
+      ( "plan_caches",
+        Obj
+          (List.map
+             (fun (name, (s : Nab_util.Plan_cache.stats)) ->
+               ( name,
+                 Obj
+                   [
+                     ("hits", Int s.Nab_util.Plan_cache.hits);
+                     ("misses", Int s.Nab_util.Plan_cache.misses);
+                     ("entries", Int s.Nab_util.Plan_cache.entries);
+                   ] ))
+             (Nab_util.Plan_cache.global_stats ())) );
+    ]
+
+let () = Harness.run ~name:"sim" ~wall_clock:true ~check:run_checks sweep

@@ -4,7 +4,7 @@
    event-loop backend (Async_sim, zero faults) on the identical topology,
    emitting a machine-readable BENCH_socket.json.
 
-   Usage:
+   Usage (flags shared by every bench, see harness.ml):
      dune exec bench/socket.exe                   # sweep + BENCH_socket.json
      dune exec bench/socket.exe -- --out F.json   # choose the artifact path
      dune exec bench/socket.exe -- --quick        # smaller L and Q
@@ -31,6 +31,10 @@
 open Nab_graph
 open Nab_core
 open Nab_net
+
+(* The library's simulator, named explicitly: a bare [Sim] would make
+   dune link bench/sim.ml, which shares this executables stanza. *)
+module Sim = Nab_net.Sim
 
 let topologies =
   [
@@ -111,7 +115,7 @@ let cell ~quick (name, g) backend =
           ])
   | exception e -> Json.Obj (base @ [ ("error", Json.Str (Printexc.to_string e)) ])
 
-let sweep ~quick ~out =
+let sweep ~quick ~(write : Harness.writer) =
   let socket_ok =
     match Socket.available () with
     | Ok () -> None
@@ -138,28 +142,9 @@ let sweep ~quick ~out =
           backends)
       topologies
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.Str "nab-bench-socket/1");
-        ( "config",
-          Json.Obj
-            [
-              ("quick", Json.Bool quick);
-              ("l_bits", Json.Int (if quick then 256 else 1024));
-              ("q", Json.Int (if quick then 2 else 4));
-              ("seed", Json.Int 7);
-            ] );
-        ("results", Json.List results);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
   List.iter
     (fun row ->
-      let get k p = Option.bind (Json.member k row) p in
+      let get k p = Harness.get k p row in
       match (get "name" Json.get_string, get "backend" Json.get_string) with
       | Some name, Some backend -> (
           match (get "wall_s" Json.get_float, get "goodput_bps" Json.get_float) with
@@ -171,7 +156,15 @@ let sweep ~quick ~out =
                 (Option.value ~default:"?" (get "error" Json.get_string)))
       | _ -> ())
     results;
-  Printf.printf "wrote %s (%d rows)\n" out (List.length results)
+  write
+    ~config:
+      [
+        ("quick", Json.Bool quick);
+        ("l_bits", Json.Int (if quick then 256 else 1024));
+        ("q", Json.Int (if quick then 2 else 4));
+        ("seed", Json.Int 7);
+      ]
+    ~results:(Json.List results) []
 
 (* ------------------------------- check ------------------------------- *)
 
@@ -188,15 +181,7 @@ let run_checks () =
          below are real. *)
       Printf.printf "socket check: SKIPPED (%s)\n" reason;
       exit 0);
-  let cases = ref 0 in
-  let failures = ref 0 in
-  let check label ok =
-    incr cases;
-    if not ok then begin
-      incr failures;
-      Printf.printf "FAIL %s\n" label
-    end
-  in
+  let check = Harness.check in
   let report_json r = Json.to_string (Report.run_to_json r) in
   List.iter
     (fun (name, g) ->
@@ -216,9 +201,7 @@ let run_checks () =
      report_json (run_nab ~transport:(Sim.factory ()) ~adv:"none" g ~l:256 ~q:2 ~seed:7)
      = report_json
          (run_nab ~transport:(Socket.factory ~mode:`Tcp ()) ~adv:"none" g ~l:256
-            ~q:2 ~seed:7));
-  Printf.printf "socket check: %d cases, %d failures\n" !cases !failures;
-  if !failures > 0 then exit 1
+            ~q:2 ~seed:7))
 
 (* -------------------------- artifact verify -------------------------- *)
 
@@ -226,51 +209,19 @@ let run_checks () =
    (topology, backend) cell of the sweep grid must exist and carry either
    a goodput or a recorded error — no silent shrinkage of the grid. The
    wall-clock values themselves are machine-dependent and never diffed. *)
-let verify_artifact path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "verify-artifact: %s: parse error: %s\n" path e;
-      exit 1
-  | Ok json ->
-      let rows =
-        match Option.bind (Json.member "results" json) Json.get_list with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "verify-artifact: %s: no results array\n" path;
-            exit 1
-      in
-      let present name backend =
-        List.exists
-          (fun row ->
-            let get k p = Option.bind (Json.member k row) p in
-            get "name" Json.get_string = Some name
-            && get "backend" Json.get_string = Some backend
-            && (get "goodput_bps" Json.get_float <> None
-               || get "error" Json.get_string <> None))
-          rows
-      in
-      let missing = ref [] in
-      List.iter
-        (fun (name, _) ->
-          List.iter
-            (fun b ->
-              if not (present name b) then
-                missing := Printf.sprintf "%s backend=%s" name b :: !missing)
-            backends)
-        topologies;
-      if !missing <> [] then begin
-        Printf.eprintf "verify-artifact: %s: missing rows:\n" path;
-        List.iter (Printf.eprintf "  %s\n") (List.rev !missing);
-        exit 1
-      end;
-      Printf.printf "verify-artifact: %s: all %d required rows present\n" path
-        (List.length topologies * List.length backends)
+let required_rows =
+  List.concat_map
+    (fun (name, _) ->
+      List.map
+        (fun b ->
+          Harness.row (Printf.sprintf "%s backend=%s" name b) (fun row ->
+              let get k p = Harness.get k p row in
+              get "name" Json.get_string = Some name
+              && get "backend" Json.get_string = Some b
+              && (get "goodput_bps" Json.get_float <> None
+                 || get "error" Json.get_string <> None)))
+        backends)
+    topologies
 
 (* ------------------------------- main ------------------------------- *)
 
@@ -279,25 +230,5 @@ let () =
      socket-backend node process, it becomes the node's event loop and
      never returns. *)
   Socket.exec_node_if_requested ();
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_socket.json"
-    in
-    find args
-  in
-  let verify_path =
-    let rec find = function
-      | "--verify-artifact" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  match verify_path with
-  | Some path -> verify_artifact path
-  | None ->
-      if List.mem "--check" args then run_checks ()
-      else sweep ~quick:(List.mem "--quick" args) ~out
+  Harness.run ~name:"socket" ~wall_clock:true ~verify:required_rows ~check:run_checks
+    sweep

@@ -4,7 +4,7 @@
    machine-readable BENCH_stream.json so every PR has a trajectory to
    regress against.
 
-   Usage:
+   Usage (flags shared by every bench, see harness.ml):
      dune exec bench/stream.exe                   # sweep + BENCH_stream.json
      dune exec bench/stream.exe -- --out F.json   # choose the artifact path
      dune exec bench/stream.exe -- --quick        # smaller L and Q grid
@@ -150,7 +150,7 @@ let faulted_cell ~l ~seed (name, g) (adv, w) =
           ])
   | exception e -> Json.Obj (base @ [ ("error", Json.Str (Printexc.to_string e)) ])
 
-let sweep ~quick ~out =
+let sweep ~quick ~(write : Harness.writer) =
   let l = if quick then 128 else 256 in
   let grid = if quick then qs_quick else qs in
   let seed = 7 in
@@ -169,27 +169,7 @@ let sweep ~quick ~out =
   let faulted =
     List.map (faulted_cell ~l ~seed (List.hd topologies)) faulted_cases
   in
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.Str "nab-bench-stream/1");
-        ( "config",
-          Json.Obj
-            [
-              ("quick", Json.Bool quick);
-              ("l_bits", Json.Int l);
-              ("window", Json.Int window);
-              ("seed", Json.Int seed);
-            ] );
-        ("results", Json.List results);
-        ("faulted", Json.List faulted);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  let get row k p = Option.bind (Json.member k row) p in
+  let get row k p = Harness.get k p row in
   List.iter
     (fun row ->
       match (get row "name" Json.get_string, get row "q" Json.get_int) with
@@ -224,7 +204,16 @@ let sweep ~quick ~out =
             | None -> "?")
       | _ -> ())
     faulted;
-  Printf.printf "wrote %s (%d rows)\n" out (List.length results + List.length faulted)
+  write
+    ~config:
+      [
+        ("quick", Json.Bool quick);
+        ("l_bits", Json.Int l);
+        ("window", Json.Int window);
+        ("seed", Json.Int seed);
+      ]
+    ~results:(Json.List results)
+    [ ("faulted", Json.List faulted) ]
 
 (* ------------------------------- check ------------------------------- *)
 
@@ -252,15 +241,7 @@ let decisions_sig (r : Nab.run_report) =
   Buffer.contents b
 
 let run_checks () =
-  let cases = ref 0 in
-  let failures = ref 0 in
-  let check label ok =
-    incr cases;
-    if not ok then begin
-      incr failures;
-      Printf.printf "FAIL %s\n" label
-    end
-  in
+  let check = Harness.check in
   let equiv ?transport ?flag_batch ~adv ~q label g =
     let l = 256 in
     let seed = 7 in
@@ -295,100 +276,35 @@ let run_checks () =
       equiv ~transport:async ~adv ~q:4
         (Printf.sprintf "twin/%s/async" adv)
         (List.assoc "twin" topologies))
-    [ "none"; "ec-liar" ];
-  Printf.printf "stream check: %d cases, %d failures\n" !cases !failures;
-  if !failures > 0 then exit 1
+    [ "none"; "ec-liar" ]
 
 (* -------------------------- artifact verify -------------------------- *)
 
 (* Presence-only gate, mirroring kernels.exe: every (topology, q) cell of
    the full sweep grid and every faulted row must exist and carry either
    its measurements or a recorded error — no silent shrinkage. *)
-let verify_artifact path =
-  let contents =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+let required_rows =
+  let recorded key conv row =
+    Harness.get key conv row <> None || Harness.get "error" Json.get_string row <> None
   in
-  match Json.of_string contents with
-  | Error e ->
-      Printf.eprintf "verify-artifact: %s: parse error: %s\n" path e;
-      exit 1
-  | Ok json ->
-      let rows key =
-        match Option.bind (Json.member key json) Json.get_list with
-        | Some l -> l
-        | None ->
-            Printf.eprintf "verify-artifact: %s: no %s array\n" path key;
-            exit 1
-      in
-      let results = rows "results" in
-      let faulted = rows "faulted" in
-      let get row k p = Option.bind (Json.member k row) p in
-      let measured row =
-        get row "goodput" Json.get_float <> None
-        || get row "error" Json.get_string <> None
-      in
-      let missing = ref [] in
-      List.iter
-        (fun (name, _) ->
-          List.iter
-            (fun q ->
-              if
-                not
-                  (List.exists
-                     (fun row ->
-                       get row "name" Json.get_string = Some name
-                       && get row "q" Json.get_int = Some q
-                       && measured row)
-                     results)
-              then missing := Printf.sprintf "%s q=%d" name q :: !missing)
-            qs)
-        topologies;
-      List.iter
-        (fun (adv, w) ->
-          if
-            not
-              (List.exists
-                 (fun row ->
-                   get row "adversary" Json.get_string = Some adv
-                   && get row "window" Json.get_int = Some w
-                   && (get row "dc_runs" Json.get_int <> None
-                      || get row "error" Json.get_string <> None))
-                 faulted)
-          then missing := Printf.sprintf "faulted %s w=%d" adv w :: !missing)
-        faulted_cases;
-      if !missing <> [] then begin
-        Printf.eprintf "verify-artifact: %s: missing rows:\n" path;
-        List.iter (Printf.eprintf "  %s\n") (List.rev !missing);
-        exit 1
-      end;
-      Printf.printf "verify-artifact: %s: all %d required rows present\n" path
-        ((List.length topologies * List.length qs) + List.length faulted_cases)
+  List.concat_map
+    (fun (name, _) ->
+      List.map
+        (fun q ->
+          Harness.row (Printf.sprintf "%s q=%d" name q) (fun row ->
+              Harness.get "name" Json.get_string row = Some name
+              && Harness.get "q" Json.get_int row = Some q
+              && recorded "goodput" Json.get_float row))
+        qs)
+    topologies
+  @ List.map
+      (fun (adv, w) ->
+        Harness.row ~section:"faulted" (Printf.sprintf "faulted %s w=%d" adv w) (fun row ->
+            Harness.get "adversary" Json.get_string row = Some adv
+            && Harness.get "window" Json.get_int row = Some w
+            && recorded "dc_runs" Json.get_int row))
+      faulted_cases
 
 (* ------------------------------- main ------------------------------- *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let out =
-    let rec find = function
-      | "--out" :: path :: _ -> path
-      | _ :: rest -> find rest
-      | [] -> "BENCH_stream.json"
-    in
-    find args
-  in
-  let verify_path =
-    let rec find = function
-      | "--verify-artifact" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  match verify_path with
-  | Some path -> verify_artifact path
-  | None ->
-      if List.mem "--check" args then run_checks ()
-      else sweep ~quick:(List.mem "--quick" args) ~out
+let () = Harness.run ~name:"stream" ~verify:required_rows ~check:run_checks sweep

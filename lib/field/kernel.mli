@@ -1,10 +1,10 @@
 (** Fused GF(2^m) row kernels.
 
     Every hot loop in the repo — Gaussian elimination, matrix products, RLNC
-    packet insertion, equality-check encoding, Reed–Solomon evaluation —
-    bottoms out in "combine one row of field symbols into another". Going
-    through {!Gf2p.mul} for each symbol pays an [Atomic.get], a variant
-    match and an assertion per multiply. A kernel resolves a field's
+    packet insertion, equality-check encoding — bottoms out in "combine one
+    row of field symbols into another". Going through {!Gf2p.mul} for each
+    symbol pays an [Atomic.get], a variant match and an assertion per
+    multiply. A kernel resolves a field's
     exp/log tables {e once} into a first-class record, then exposes fused
     primitives whose inner loops are pure array arithmetic:
 

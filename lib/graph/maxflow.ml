@@ -190,9 +190,6 @@ let broadcast_at_least g ~src ~need =
   if not (Digraph.mem_vertex g src) then invalid_arg "Maxflow.broadcast_at_least";
   need <= 0 || for_all_targets g ~src ~limit:need (fun v -> v >= need)
 
-let pair_mincut_undirected ug u v =
-  max_flow (Ugraph.to_symmetric_digraph ug) ~src:u ~dst:v
-
 let flow_decompose _g flows ~src ~dst =
   (* Mutable leftover flow per edge. First cancel every directed cycle in the
      positive-flow subgraph, then greedily trace src->dst paths: in an acyclic

@@ -26,10 +26,6 @@ val broadcast_at_least : Digraph.t -> src:int -> need:int -> bool
     each per-vertex flow stops once it reaches [need], and the scan stops at
     the first vertex below it. Always [true] for [need <= 0]. *)
 
-val pair_mincut_undirected : Ugraph.t -> int -> int -> int
-(** MINCUT between two vertices of an undirected graph (via the symmetric
-    digraph reduction). *)
-
 val flow_decompose : Digraph.t -> ((int * int) * int) list -> src:int -> dst:int -> int list list
 (** Decompose an [src]->[dst] flow (as per-edge positive amounts) into unit
     paths: returns [value] many vertex paths from [src] to [dst]. The flow

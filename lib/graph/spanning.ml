@@ -58,66 +58,3 @@ let is_spanning_tree g t =
   &&
   let r0 = find (Vset.choose vs) in
   Vset.for_all (fun v -> find v = r0) vs
-
-let count_disjoint_trees_lower_bound g =
-  if Ugraph.num_vertices g < 2 then 0 else Stoer_wagner.min_cut_value g / 2
-
-let decrement g u v =
-  let c = Ugraph.cap g u v in
-  assert (c > 0);
-  let g = Ugraph.remove_edge g u v in
-  if c = 1 then g else Ugraph.add_edge g u v (c - 1)
-
-(* Grow one spanning tree, preferring the frontier edge whose residual graph
-   keeps the largest global min cut (a lookahead heuristic that succeeds on
-   the well-connected graphs NAB runs on). When this is the last tree to
-   extract ([keep_connected] false), residual disconnection is acceptable. *)
-let grow_tree ~keep_connected g =
-  let all = Ugraph.vertex_set g in
-  let root = Vset.choose all in
-  let rec go g covered tree =
-    if Vset.equal covered all then Some (g, tree)
-    else begin
-      let candidates =
-        Vset.fold
-          (fun u acc ->
-            List.fold_left
-              (fun acc (v, _) -> if Vset.mem v covered then acc else (u, v) :: acc)
-              acc (Ugraph.neighbors g u))
-          covered []
-      in
-      match candidates with
-      | [] -> None
-      | _ ->
-          let scored =
-            List.map
-              (fun (u, v) ->
-                let g' = decrement g u v in
-                let score =
-                  if Ugraph.num_vertices g' < 2 || not (Ugraph.is_connected g') then -1
-                  else Stoer_wagner.min_cut_value g'
-                in
-                ((u, v), g', score))
-              candidates
-          in
-          let (u, v), g', score =
-            List.fold_left
-              (fun ((_, _, bs) as best) ((_, _, s) as cand) -> if s > bs then cand else best)
-              (List.hd scored) (List.tl scored)
-          in
-          if score < 0 && keep_connected then None
-          else go g' (Vset.add v covered) (norm u v :: tree)
-    end
-  in
-  go g (Vset.singleton root) []
-
-let greedy_disjoint_trees g ~k =
-  if k < 0 then invalid_arg "Spanning.greedy_disjoint_trees: negative k";
-  let rec go g remaining acc =
-    if remaining = 0 then Some (List.rev acc)
-    else
-      match grow_tree ~keep_connected:(remaining > 1) g with
-      | None -> None
-      | Some (g', tree) -> go g' (remaining - 1) (List.rev tree :: acc)
-  in
-  go g k []

@@ -1,5 +1,5 @@
-(** Spanning trees of undirected graphs (Figure 2(d) and the spanning-matrix
-    construction of Appendix C pick undirected spanning trees of \bar{H}). *)
+(** Spanning trees of undirected graphs (Figure 2(d) picks an undirected
+    spanning tree of the example network). *)
 
 type tree = (int * int) list
 (** Undirected spanning tree as an edge list with [u < v] per edge. *)
@@ -10,15 +10,3 @@ val bfs_tree : Ugraph.t -> root:int -> tree
 
 val is_spanning_tree : Ugraph.t -> tree -> bool
 (** The edge list is acyclic, spans all vertices, and uses existing edges. *)
-
-val count_disjoint_trees_lower_bound : Ugraph.t -> int
-(** floor(global-min-cut / 2) — the spanning-tree packing number guaranteed
-    by Nash-Williams/Tutte and cited as [16] in the paper; the paper's
-    Equality Check uses rho_k <= U_k / 2 of them. *)
-
-val greedy_disjoint_trees : Ugraph.t -> k:int -> tree list option
-(** Try to extract [k] edge-disjoint (counting capacity multiplicity)
-    spanning trees greedily, preferring edges whose removal keeps residual
-    connectivity high. Returns [None] when the greedy order fails (the bound
-    of [count_disjoint_trees_lower_bound] is existential; greedy succeeds on
-    all graphs used in tests and benchmarks but is not guaranteed). *)

@@ -30,7 +30,6 @@ let of_digraph d =
     (fun g (u, v) -> add_edge g u v (Digraph.cap d u v + Digraph.cap d v u))
     g pairs
 
-let to_symmetric_digraph g = g
 let mem_vertex = Digraph.mem_vertex
 let mem_edge = Digraph.mem_edge
 let cap = Digraph.cap
@@ -44,15 +43,9 @@ let edges g =
 let num_edges g = List.length (edges g)
 let neighbors g v = Digraph.out_edges g v
 let degree g v = List.length (neighbors g v)
-let remove_edge g u v = Digraph.remove_pair g u v
 let remove_vertex = Digraph.remove_vertex
 let induced = Digraph.induced
 let equal = Digraph.equal
-
-let is_connected g =
-  match vertices g with
-  | [] -> true
-  | v0 :: _ -> Vset.equal (Digraph.reachable g v0) (vertex_set g)
 
 let fold_edges f g acc =
   List.fold_left (fun acc (u, v, c) -> f u v c acc) acc (edges g)

@@ -17,11 +17,6 @@ val of_edges : ?vertices:int list -> (int * int * int) list -> t
 val of_digraph : Digraph.t -> t
 (** The paper's undirected version: cap {i,j} = cap (i,j) + cap (j,i). *)
 
-val to_symmetric_digraph : t -> Digraph.t
-(** Each undirected edge {i,j} of capacity c becomes directed edges (i,j) and
-    (j,i), each of capacity c — the standard reduction under which s-t max
-    flow equals undirected max flow. *)
-
 val mem_vertex : t -> int -> bool
 val mem_edge : t -> int -> int -> bool
 val cap : t -> int -> int -> int
@@ -37,10 +32,8 @@ val neighbors : t -> int -> (int * int) list
 (** [(neighbor, cap)] pairs, sorted. *)
 
 val degree : t -> int -> int
-val remove_edge : t -> int -> int -> t
 val remove_vertex : t -> int -> t
 val induced : t -> Vset.t -> t
 val equal : t -> t -> bool
-val is_connected : t -> bool
 val fold_edges : (int -> int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val pp : Format.formatter -> t -> unit

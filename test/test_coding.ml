@@ -468,112 +468,6 @@ let test_theorem1_empirical () =
         (rate <= bound +. (3.0 *. sigma) +. 0.02))
     [ 4; 6; 8 ]
 
-(* ---------- Appendix C constructive machinery ---------- *)
-
-let test_appendix_c_column_index () =
-  let h = Digraph.induced k4 (List.hd omega4) in
-  let idx = Appendix_c.column_index ~h in
-  Alcotest.(check int) "one offset per edge" (Digraph.num_edges h) (List.length idx);
-  (* Offsets are the prefix sums of capacities in edge order. *)
-  let rec check off = function
-    | [] -> ()
-    | ((s, d), o) :: rest ->
-        Alcotest.(check int) (Printf.sprintf "offset of (%d,%d)" s d) off o;
-        check (off + Digraph.cap h s d) rest
-  in
-  check 0 idx
-
-let test_adjacency_matrix_invertible () =
-  (* Appendix C.3: A_q is invertible for every spanning tree (det +-1 = 1 in
-     characteristic 2). Exhaust all spanning trees' arc choices on a
-     triangle subgraph. *)
-  let h = Digraph.induced k4 (List.hd omega4) in
-  let fld = Nab_field.Gf2p.create 8 in
-  let verts = Digraph.vertices h in
-  let pairs =
-    List.concat_map
-      (fun a -> List.filter_map (fun b -> if a < b then Some (a, b) else None) verts)
-      verts
-  in
-  (* All 2-subsets of the 3 undirected pairs that form a spanning tree. *)
-  List.iter
-    (fun (e1, e2) ->
-      if e1 <> e2 then begin
-        let arcs = [ e1; e2 ] in
-        let covered =
-          List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) arcs)
-        in
-        if List.length covered = 3 then begin
-          let a = Appendix_c.adjacency_matrix fld ~h ~tree_arcs:arcs in
-          Alcotest.(check bool)
-            (Printf.sprintf "A_q invertible for %s"
-               (String.concat ","
-                  (List.map (fun (x, y) -> Printf.sprintf "%d-%d" x y) arcs)))
-            true
-            (Nab_matrix.Gauss.is_invertible fld a)
-        end
-      end)
-    (List.concat_map (fun e1 -> List.map (fun e2 -> (e1, e2)) pairs) pairs)
-
-let test_certify_agrees_with_rank () =
-  (* certify = Some true must imply correct_for; on verified-correct coding
-     it should certify every Omega subgraph. *)
-  let c, _ = Coding.generate_correct k4 ~omega:omega4 ~rho:rho4 ~m:8 ~seed:1 () in
-  List.iter
-    (fun hset ->
-      let h = Digraph.induced k4 hset in
-      match Appendix_c.certify c ~h with
-      | Some true -> Alcotest.(check bool) "rank agrees" true (Coding.correct_for c ~h)
-      | Some false ->
-          (* Inconclusive for this column choice, but the rank test must
-             still pass since the coding was verified. *)
-          Alcotest.(check bool) "rank still full" true (Coding.correct_for c ~h)
-      | None -> Alcotest.fail "greedy spanning packing failed on K4 subgraph")
-    omega4
-
-let test_certify_mostly_succeeds () =
-  (* Theorem 1: random matrices make M_H invertible with probability
-     >= 1 - (n-f-1) rho / 2^m; at m = 12 that is >= 99.8%. *)
-  let trials = 100 in
-  let ok = ref 0 in
-  for seed = 1 to trials do
-    let c = Coding.generate k4 ~rho:rho4 ~m:12 ~seed in
-    if
-      List.for_all
-        (fun hset -> Appendix_c.certify c ~h:(Digraph.induced k4 hset) = Some true)
-        omega4
-    then incr ok
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "certification rate %d/%d" !ok trials)
-    true
-    (float_of_int !ok >= 0.95 *. float_of_int trials)
-
-let test_spanning_choices_disjoint () =
-  let h = Digraph.induced k4 (List.hd omega4) in
-  match Appendix_c.choose_spanning_matrices ~h ~rho:rho4 with
-  | None -> Alcotest.fail "no packing found"
-  | Some choices ->
-      Alcotest.(check int) "rho trees" rho4 (List.length choices);
-      let all_cols = List.concat_map (fun c -> c.Appendix_c.columns) choices in
-      Alcotest.(check int) "columns pairwise distinct"
-        (List.length all_cols)
-        (List.length (List.sort_uniq compare all_cols));
-      let total_cols = Digraph.total_capacity h in
-      List.iter
-        (fun col ->
-          Alcotest.(check bool) "column in range" true (col >= 0 && col < total_cols))
-        all_cols;
-      (* Each choice has |h| - 1 arcs, all arcs of h. *)
-      List.iter
-        (fun ch ->
-          Alcotest.(check int) "tree size" 2 (List.length ch.Appendix_c.arcs);
-          List.iter
-            (fun (s, d) ->
-              Alcotest.(check bool) "arc exists" true (Digraph.mem_edge h s d))
-            ch.Appendix_c.arcs)
-        choices
-
 (* ---------- Equality check in isolation ---------- *)
 
 let test_ec_no_mismatch_when_equal () =
@@ -698,16 +592,6 @@ let () =
           test_expanded_matrix_matches_reference;
           Alcotest.test_case "generate_correct retries = reference" `Quick
             test_generate_correct_retries_match;
-        ] );
-      ( "appendix-c",
-        [
-          Alcotest.test_case "column index" `Quick test_appendix_c_column_index;
-          Alcotest.test_case "A_q invertible" `Quick test_adjacency_matrix_invertible;
-          Alcotest.test_case "certify agrees with rank" `Quick
-            test_certify_agrees_with_rank;
-          Alcotest.test_case "certification rate" `Quick test_certify_mostly_succeeds;
-          Alcotest.test_case "spanning choices disjoint" `Quick
-            test_spanning_choices_disjoint;
         ] );
       ( "equality-check",
         [

@@ -102,22 +102,30 @@ let test_jobs_independent () =
   Alcotest.(check string) "jobs=1 and jobs=4 rows are byte-identical" (jsonl one) (jsonl four)
 
 let test_quick_matches_baseline () =
-  let rows = Runner.run_campaign (Campaigns.quick ()) in
   let ic = open_in "../CAMPAIGN_baseline.jsonl" in
   let committed =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  Alcotest.(check string)
-    "quick campaign reproduces the committed CAMPAIGN_baseline.jsonl \
-     (regenerate with: dune exec bin/campaign.exe -- run --quick -o CAMPAIGN_baseline.jsonl)"
-    committed (jsonl rows);
-  match Runner.read_jsonl "../CAMPAIGN_baseline.jsonl" with
-  | Error e -> Alcotest.failf "baseline does not parse: %s" e
-  | Ok base ->
+  let base =
+    match Runner.read_jsonl "../CAMPAIGN_baseline.jsonl" with
+    | Error e -> Alcotest.failf "baseline does not parse: %s" e
+    | Ok base -> base
+  in
+  List.iter
+    (fun jobs ->
+      let rows = Runner.run_campaign ~jobs (Campaigns.quick ()) in
+      Alcotest.(check string)
+        (Printf.sprintf
+           "quick campaign at jobs=%d reproduces the committed CAMPAIGN_baseline.jsonl \
+            (regenerate with: dune exec bin/campaign.exe -- run --quick -o \
+            CAMPAIGN_baseline.jsonl)"
+           jobs)
+        committed (jsonl rows);
       let d = Runner.diff_rows ~baseline:base ~current:rows in
-      Alcotest.(check bool) "diff_rows agrees" true (Runner.diff_is_empty d)
+      Alcotest.(check bool) "diff_rows agrees" true (Runner.diff_is_empty d))
+    [ 1; 4 ]
 
 (* The soak tier, pinned by digest: the rows of
    [campaign run --soak 40 --seed 11] (sync backend). Unlike the quick

@@ -1,4 +1,4 @@
-(* Tests for Numth, Gf2p, Gf256 and Poly. *)
+(* Tests for Numth and Gf2p. *)
 
 open Nab_field
 
@@ -188,176 +188,6 @@ let test_generator_order () =
         (Numth.prime_divisors n))
     [ 2; 3; 4; 8; 12; 16 ]
 
-(* ---------- Gf256 cross-check ---------- *)
-
-let test_gf256_matches_generic () =
-  let f = Gf256.field in
-  for a = 0 to 255 do
-    let b = (a * 37) land 0xff in
-    Alcotest.(check int) "mul" (Gf2p.mul f a b) (Gf256.mul a b);
-    if a > 0 then Alcotest.(check int) "inv" (Gf2p.inv f a) (Gf256.inv a)
-  done
-
-let test_gf256_log_exp () =
-  for a = 1 to 255 do
-    Alcotest.(check int) "exp(log a) = a" a (Gf256.exp (Gf256.log a))
-  done
-
-(* ---------- Field_intf functor ---------- *)
-
-let test_field_intf_functor () =
-  let module F = Field_intf.Make (struct
-    let degree = 8
-  end) in
-  Alcotest.(check int) "degree" 8 (Gf2p.degree F.field);
-  let st = Random.State.make [| 9 |] in
-  for _ = 1 to 200 do
-    let a = F.random st and b = F.random st in
-    Alcotest.(check int) "matches value API" (Gf2p.mul F.field a b) (F.mul a b);
-    if a <> F.zero then
-      Alcotest.(check bool) "inverse" true (F.equal (F.mul a (F.inv a)) F.one)
-  done;
-  Alcotest.(check int) "pow" (Gf2p.pow F.field 3 7) (F.pow 3 7)
-
-(* ---------- Gf2p_table ---------- *)
-
-let test_table_matches_generic () =
-  List.iter
-    (fun m ->
-      let t = Gf2p_table.create m in
-      let f = Gf2p_table.generic t in
-      let st = Random.State.make [| m; 77 |] in
-      for _ = 1 to 500 do
-        let a = Gf2p.random f st and b = Gf2p.random f st in
-        Alcotest.(check int) "mul" (Gf2p.mul f a b) (Gf2p_table.mul t a b);
-        if a > 0 then begin
-          Alcotest.(check int) "inv" (Gf2p.inv f a) (Gf2p_table.inv t a);
-          Alcotest.(check int) "div" (Gf2p.div f b a) (Gf2p_table.div t b a)
-        end;
-        let e = Random.State.int st 1000 in
-        Alcotest.(check int) "pow" (Gf2p.pow f a e) (Gf2p_table.pow t a e)
-      done)
-    [ 2; 4; 8; 12; 16 ]
-
-let test_table_bounds () =
-  Alcotest.check_raises "m=1" (Gf2p.Invalid_degree 1) (fun () ->
-      ignore (Gf2p_table.create 1));
-  Alcotest.check_raises "m=17" (Gf2p.Invalid_degree 17) (fun () ->
-      ignore (Gf2p_table.create 17));
-  Alcotest.check_raises "inv 0" Division_by_zero (fun () ->
-      ignore (Gf2p_table.inv (Gf2p_table.create 8) 0))
-
-(* ---------- Reed-Solomon ---------- *)
-
-let test_rs_roundtrip () =
-  let fld = Gf2p.create 8 in
-  let st = Random.State.make [| 31 |] in
-  for _ = 1 to 100 do
-    let k = 1 + Random.State.int st 6 in
-    let n = k + Random.State.int st 6 in
-    let rs = Rs.create fld ~k ~n in
-    let data = Array.init k (fun _ -> Gf2p.random fld st) in
-    let code = Rs.encode rs data in
-    (* Systematic prefix. *)
-    Alcotest.(check (array int)) "systematic" data (Array.sub code 0 k);
-    (* Any k surviving coordinates decode. *)
-    let coords = Array.init n Fun.id in
-    (* Shuffle and keep k. *)
-    for i = n - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let tmp = coords.(i) in
-      coords.(i) <- coords.(j);
-      coords.(j) <- tmp
-    done;
-    let shares = List.init k (fun i -> (coords.(i), code.(coords.(i)))) in
-    Alcotest.(check (array int)) "erasure decode" data (Rs.decode_exn rs shares)
-  done
-
-let test_rs_insufficient_shares () =
-  let fld = Gf2p.create 8 in
-  let rs = Rs.create fld ~k:3 ~n:6 in
-  let code = Rs.encode rs [| 1; 2; 3 |] in
-  Alcotest.(check bool) "two shares fail" true
-    (Rs.decode rs [ (0, code.(0)); (5, code.(5)) ] = None);
-  (* Duplicate coordinates do not count twice. *)
-  Alcotest.(check bool) "duplicates collapse" true
-    (Rs.decode rs [ (0, code.(0)); (0, code.(0)); (0, code.(0)) ] = None)
-
-let test_rs_validates () =
-  let fld = Gf2p.create 4 in
-  Alcotest.check_raises "n too large for field"
-    (Invalid_argument "Rs.create: need 1 <= k <= n <= |field|") (fun () ->
-      ignore (Rs.create fld ~k:2 ~n:17));
-  let rs = Rs.create fld ~k:2 ~n:4 in
-  Alcotest.check_raises "wrong data length" (Invalid_argument "Rs.encode: wrong data length")
-    (fun () -> ignore (Rs.encode rs [| 1 |]))
-
-(* ---------- Poly ---------- *)
-
-let f8 = Gf2p.create 8
-
-let test_poly_basic () =
-  let p = Poly.of_coeffs f8 [| 1; 2; 3 |] in
-  Alcotest.(check int) "degree" 2 (Poly.degree p);
-  Alcotest.(check int) "degree zero" (-1) (Poly.degree Poly.zero);
-  Alcotest.(check bool) "strip trailing" true
-    (Poly.equal p (Poly.of_coeffs f8 [| 1; 2; 3; 0; 0 |]));
-  Alcotest.(check int) "eval at 0 = constant" 1 (Poly.eval f8 p 0);
-  Alcotest.(check int) "constant eval" 7 (Poly.eval f8 (Poly.constant f8 7) 99)
-
-let poly_gen =
-  QCheck2.Gen.(
-    map
-      (fun l -> Poly.of_coeffs f8 (Array.of_list l))
-      (list_size (int_bound 6) (int_bound 255)))
-
-let test_poly_mul_degree =
-  qtest "poly mul degree adds" (QCheck2.Gen.pair poly_gen poly_gen) (fun (p, q) ->
-      Poly.is_zero p || Poly.is_zero q
-      || Poly.degree (Poly.mul f8 p q) = Poly.degree p + Poly.degree q)
-
-let test_poly_eval_hom =
-  qtest "poly eval is a ring hom"
-    (QCheck2.Gen.triple poly_gen poly_gen (QCheck2.Gen.int_bound 255))
-    (fun (p, q, x) ->
-      Poly.eval f8 (Poly.add f8 p q) x = Gf2p.add f8 (Poly.eval f8 p x) (Poly.eval f8 q x)
-      && Poly.eval f8 (Poly.mul f8 p q) x
-         = Gf2p.mul f8 (Poly.eval f8 p x) (Poly.eval f8 q x))
-
-let test_interpolate_roundtrip () =
-  let st = Random.State.make [| 11 |] in
-  for _ = 1 to 50 do
-    let deg = Random.State.int st 5 in
-    let p = Poly.random f8 ~degree:deg st in
-    let pts = List.init (deg + 1) (fun i -> (i, Poly.eval f8 p i)) in
-    let q = Poly.interpolate f8 pts in
-    Alcotest.(check bool) "interpolation recovers" true (Poly.equal p q)
-  done
-
-let test_interpolate_rejects_dups () =
-  Alcotest.check_raises "duplicate points"
-    (Invalid_argument "Poly.interpolate: duplicate points") (fun () ->
-      ignore (Poly.interpolate f8 [ (1, 2); (1, 3) ]))
-
-(* Empirical Schwartz-Zippel (the tool behind the paper's Lemma 2): a nonzero
-   degree-d polynomial has at most d roots, so a random point is a root with
-   probability <= d / |F|. *)
-let test_schwartz_zippel () =
-  let st = Random.State.make [| 21 |] in
-  let trials = 2000 and deg = 4 in
-  let hits = ref 0 in
-  for _ = 1 to trials do
-    let p = Poly.random f8 ~degree:deg st in
-    let x = Gf2p.random f8 st in
-    if Poly.eval f8 p x = 0 then incr hits
-  done;
-  let bound = float_of_int deg /. 256.0 in
-  let rate = float_of_int !hits /. float_of_int trials in
-  Alcotest.(check bool)
-    (Printf.sprintf "root rate %.4f <= 2x bound %.4f" rate (2.0 *. bound))
-    true
-    (rate <= 2.0 *. bound)
-
 let () =
   Alcotest.run "field"
     [
@@ -383,32 +213,4 @@ let () =
           Alcotest.test_case "generator order" `Quick test_generator_order;
         ]
         @ field_axiom_tests );
-      ( "gf256",
-        [
-          Alcotest.test_case "matches generic field" `Quick test_gf256_matches_generic;
-          Alcotest.test_case "log exp roundtrip" `Quick test_gf256_log_exp;
-        ] );
-      ( "field-intf",
-        [ Alcotest.test_case "functor view" `Quick test_field_intf_functor ] );
-      ( "gf2p-table",
-        [
-          Alcotest.test_case "matches generic" `Quick test_table_matches_generic;
-          Alcotest.test_case "bounds" `Quick test_table_bounds;
-        ] );
-      ( "reed-solomon",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_rs_roundtrip;
-          Alcotest.test_case "insufficient shares" `Quick test_rs_insufficient_shares;
-          Alcotest.test_case "validation" `Quick test_rs_validates;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "basics" `Quick test_poly_basic;
-          test_poly_mul_degree;
-          test_poly_eval_hom;
-          Alcotest.test_case "interpolate roundtrip" `Quick test_interpolate_roundtrip;
-          Alcotest.test_case "interpolate rejects dups" `Quick
-            test_interpolate_rejects_dups;
-          Alcotest.test_case "schwartz-zippel" `Quick test_schwartz_zippel;
-        ] );
     ]

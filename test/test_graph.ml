@@ -1,5 +1,7 @@
 (* Tests for the graph substrate: Digraph, Ugraph, Maxflow, Stoer_wagner,
-   Connectivity, Arborescence, Spanning, Gen. *)
+   Connectivity, Arborescence, Spanning, Gen. Two independent algorithms
+   live here as test-local oracles: Edmonds-Karp cross-checks Maxflow
+   (Dinic), and Karger's contraction cross-checks Stoer_wagner. *)
 
 open Nab_graph
 
@@ -16,6 +18,104 @@ let graph_gen =
   QCheck2.Gen.(
     pair (int_range 3 7) (int_range 0 10_000) >>= fun (n, seed) ->
     return (Gen.random_connected ~n ~p:0.7 ~min_cap:1 ~max_cap:4 ~seed))
+
+(* ---------- test-local oracles ---------- *)
+
+(* The undirected s-t min cut, via the symmetric digraph whose two
+   directions each carry the undirected capacity. *)
+let pair_mincut_undirected u a b =
+  let arcs = Ugraph.fold_edges (fun x y c acc -> (x, y, c) :: (y, x, c) :: acc) u [] in
+  Maxflow.max_flow (Digraph.of_edges ~vertices:(Ugraph.vertices u) arcs) ~src:a ~dst:b
+
+(* Edmonds-Karp: BFS shortest augmenting paths on a hashtable residual
+   network, an implementation independent of Maxflow's Dinic. *)
+let edmonds_karp g ~src ~dst =
+  let res = Hashtbl.create 64 in
+  let cap a b = Option.value ~default:0 (Hashtbl.find_opt res (a, b)) in
+  Digraph.fold_edges (fun s d c () -> Hashtbl.replace res (s, d) (cap s d + c)) g ();
+  let neighbors v =
+    List.sort_uniq compare
+      (List.map fst (Digraph.out_edges g v) @ List.map fst (Digraph.in_edges g v))
+  in
+  let rec augment total =
+    let pred = Hashtbl.create 16 in
+    let q = Queue.create () in
+    Queue.add src q;
+    Hashtbl.replace pred src src;
+    while (not (Hashtbl.mem pred dst)) && not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      List.iter
+        (fun w ->
+          if (not (Hashtbl.mem pred w)) && cap v w > 0 then begin
+            Hashtbl.replace pred w v;
+            Queue.add w q
+          end)
+        (neighbors v)
+    done;
+    if not (Hashtbl.mem pred dst) then total
+    else begin
+      let rec path v acc = if v = src then acc else path (Hashtbl.find pred v) (v :: acc) in
+      let hops = List.map (fun v -> (Hashtbl.find pred v, v)) (path dst []) in
+      let b = List.fold_left (fun b (p, v) -> min b (cap p v)) max_int hops in
+      List.iter
+        (fun (p, v) ->
+          Hashtbl.replace res (p, v) (cap p v - b);
+          Hashtbl.replace res (v, p) (cap v p + b))
+        hops;
+      augment (total + b)
+    end
+  in
+  augment 0
+
+(* Karger: contract capacity-weighted random edges until two groups remain;
+   the crossing capacity is always >= the global min cut, and equals it
+   with probability >= 2/n(n-1) per trial. *)
+let karger_trial u st =
+  let parent = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace parent v v) (Ugraph.vertices u);
+  let rec find v =
+    let p = Hashtbl.find parent v in
+    if p = v then v
+    else begin
+      let r = find p in
+      Hashtbl.replace parent v r;
+      r
+    end
+  in
+  let edges = Array.of_list (Ugraph.edges u) in
+  let total_cap = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 edges in
+  let groups = ref (Ugraph.num_vertices u) in
+  while !groups > 2 do
+    let target = Random.State.int st total_cap in
+    let rec pick i acc =
+      let _, _, c = edges.(i) in
+      if acc + c > target then edges.(i) else pick (i + 1) (acc + c)
+    in
+    let a, b, _ = pick 0 0 in
+    if find a <> find b then begin
+      Hashtbl.replace parent (find a) (find b);
+      decr groups
+    end
+  done;
+  let rep = find (List.hd (Ugraph.vertices u)) in
+  let side = Vset.of_list (List.filter (fun v -> find v = rep) (Ugraph.vertices u)) in
+  let value =
+    Ugraph.fold_edges
+      (fun a b c acc -> if Vset.mem a side <> Vset.mem b side then acc + c else acc)
+      u 0
+  in
+  (value, side)
+
+(* Best of ceil(n^2 ln n) trials: the min cut with high probability. *)
+let karger_min_cut u ~seed =
+  let n = float_of_int (Ugraph.num_vertices u) in
+  let trials = max 1 (int_of_float (ceil (n *. n *. log n))) in
+  let st = Random.State.make [| seed; 0xCA26E2 |] in
+  List.fold_left
+    (fun best _ ->
+      let (v, _) as cut = karger_trial u st in
+      if v < fst best then cut else best)
+    (max_int, Vset.empty) (List.init trials Fun.id)
 
 (* ---------- Digraph basics ---------- *)
 
@@ -165,9 +265,7 @@ let test_stoer_wagner_duplicate_edges () =
   Alcotest.(check int) "duplicates accumulate" 5 v_dup;
   Alcotest.(check int) "matches simple-graph Stoer-Wagner" v_dup
     (Stoer_wagner.min_cut_value summed);
-  let v_karger, _ =
-    Karger.min_cut summed ~trials:(Karger.recommended_trials summed) ~seed:13
-  in
+  let v_karger, _ = karger_min_cut summed ~seed:13 in
   Alcotest.(check int) "matches Karger on the summed graph" v_dup v_karger;
   let crossing =
     List.fold_left
@@ -189,7 +287,7 @@ let test_stoer_wagner_duplicate_edges_random =
       in
       let v_split, _ = Stoer_wagner.min_cut_edges ~vertices:(Ugraph.vertices u) split in
       let sw = Stoer_wagner.min_cut_value u in
-      let v_karger, _ = Karger.min_cut u ~trials:(Karger.recommended_trials u) ~seed:7 in
+      let v_karger, _ = karger_min_cut u ~seed:7 in
       v_split = sw && v_split = v_karger)
 
 let test_stoer_wagner_vs_pairwise =
@@ -200,7 +298,7 @@ let test_stoer_wagner_vs_pairwise =
       let pairwise =
         List.fold_left
           (fun acc v ->
-            if v = v0 then acc else min acc (Maxflow.pair_mincut_undirected u v0 v))
+            if v = v0 then acc else min acc (pair_mincut_undirected u v0 v))
           max_int (List.tl verts)
       in
       (* The global min cut separates v0 from someone, so the min over pairs
@@ -405,65 +503,6 @@ let test_bfs_tree () =
   Alcotest.(check bool) "spanning" true (Spanning.is_spanning_tree u t);
   Alcotest.(check int) "n-1 edges" 4 (List.length t)
 
-let test_tree_packing_bound () =
-  let u = Ugraph.of_digraph (Gen.complete ~n:4 ~cap:2) in
-  (* K4 with undirected cap 4 per edge: global min cut 12, bound 6. *)
-  let bound = Spanning.count_disjoint_trees_lower_bound u in
-  Alcotest.(check int) "bound" 6 bound;
-  match Spanning.greedy_disjoint_trees u ~k:bound with
-  | None -> Alcotest.fail "greedy failed at the guaranteed bound"
-  | Some trees ->
-      Alcotest.(check int) "count" bound (List.length trees);
-      List.iter
-        (fun t -> Alcotest.(check bool) "each spans" true (Spanning.is_spanning_tree u t))
-        trees
-
-let test_greedy_trees_respect_capacity =
-  qtest ~count:30 "greedy trees use each edge within capacity" graph_gen (fun g ->
-      let u = Ugraph.of_digraph g in
-      let k = Spanning.count_disjoint_trees_lower_bound u in
-      k = 0
-      ||
-      match Spanning.greedy_disjoint_trees u ~k with
-      | None -> true (* greedy is best-effort; the bound is existential *)
-      | Some trees ->
-          let usage = Hashtbl.create 16 in
-          List.iter
-            (List.iter (fun (a, b) ->
-                 let key = (min a b, max a b) in
-                 Hashtbl.replace usage key
-                   (1 + try Hashtbl.find usage key with Not_found -> 0)))
-            trees;
-          Hashtbl.fold (fun (a, b) used acc -> acc && used <= Ugraph.cap u a b) usage true)
-
-(* ---------- Gomory-Hu ---------- *)
-
-let test_gomory_hu_matches_pairwise =
-  qtest ~count:50 "Gomory-Hu min cuts = pairwise max flow" graph_gen (fun g ->
-      let u = Ugraph.of_digraph g in
-      let gh = Gomory_hu.build u in
-      let verts = Ugraph.vertices u in
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun b ->
-              a >= b || Gomory_hu.min_cut gh a b = Maxflow.pair_mincut_undirected u a b)
-            verts)
-        verts)
-
-let test_gomory_hu_global =
-  qtest ~count:50 "Gomory-Hu global = Stoer-Wagner" graph_gen (fun g ->
-      let u = Ugraph.of_digraph g in
-      Gomory_hu.global_min_cut (Gomory_hu.build u) = Stoer_wagner.min_cut_value u)
-
-let test_gomory_hu_shape () =
-  let u = Ugraph.of_digraph (Gen.complete ~n:5 ~cap:1) in
-  let gh = Gomory_hu.build u in
-  Alcotest.(check int) "n-1 tree edges" 4 (List.length (Gomory_hu.tree_edges gh));
-  Alcotest.check_raises "same vertex"
-    (Invalid_argument "Gomory_hu.min_cut: identical vertices") (fun () ->
-      ignore (Gomory_hu.min_cut gh 1 1))
-
 (* ---------- Edmonds-Karp cross-check ---------- *)
 
 let test_edmonds_karp_matches_dinic =
@@ -474,7 +513,7 @@ let test_edmonds_karp_matches_dinic =
           List.for_all
             (fun d ->
               s = d
-              || Edmonds_karp.max_flow g ~src:s ~dst:d = Maxflow.max_flow g ~src:s ~dst:d)
+              || edmonds_karp g ~src:s ~dst:d = Maxflow.max_flow g ~src:s ~dst:d)
             verts)
         verts)
 
@@ -485,12 +524,12 @@ let test_karger_upper_bound =
       let u = Ugraph.of_digraph g in
       let sw = Stoer_wagner.min_cut_value u in
       let st = Random.State.make [| 77 |] in
-      List.for_all (fun _ -> fst (Karger.one_trial u st) >= sw) (List.init 10 Fun.id))
+      List.for_all (fun _ -> fst (karger_trial u st) >= sw) (List.init 10 Fun.id))
 
 let test_karger_finds_min_whp =
   qtest ~count:20 "enough Karger trials find the min cut" graph_gen (fun g ->
       let u = Ugraph.of_digraph g in
-      let v, side = Karger.min_cut u ~trials:(Karger.recommended_trials u) ~seed:5 in
+      let v, side = karger_min_cut u ~seed:5 in
       let crossing =
         Ugraph.fold_edges
           (fun a b c acc -> if Vset.mem a side <> Vset.mem b side then acc + c else acc)
@@ -661,14 +700,6 @@ let () =
       ( "spanning",
         [
           Alcotest.test_case "bfs tree" `Quick test_bfs_tree;
-          Alcotest.test_case "packing bound on K4" `Quick test_tree_packing_bound;
-          test_greedy_trees_respect_capacity;
-        ] );
-      ( "gomory-hu",
-        [
-          test_gomory_hu_matches_pairwise;
-          test_gomory_hu_global;
-          Alcotest.test_case "tree shape" `Quick test_gomory_hu_shape;
         ] );
       ("edmonds-karp", [ test_edmonds_karp_matches_dinic ]);
       ( "karger",

@@ -453,59 +453,6 @@ let test_gauss_blocked_256 () =
       Alcotest.(check (list int)) (name ^ " pivot columns") p2 p1)
     [ ("full-rank 256x256", full); ("rank-deficient 256x256", deficient) ]
 
-(* ---------- Rs / Poly through the kernel ---------- *)
-
-let test_rs_roundtrip =
-  qtest ~count:60 "Rs encode is systematic and decodes from any k shares"
-    QCheck2.Gen.(
-      oneofl [ 4; 8; 11 ] >>= fun m ->
-      int_range 1 6 >>= fun k ->
-      int_range 0 6 >>= fun extra ->
-      make_primitive
-        ~gen:(fun st ->
-          let fld = Gf2p.create m in
-          let n = min (Gf2p.order fld) (k + extra) in
-          let k = min k n in
-          (m, k, n, Array.init k (fun _ -> elt_gen fld st), Random.State.int st 1000))
-        ~shrink:(fun _ -> Seq.empty))
-    (fun (m, k, n, data, salt) ->
-      let fld = Gf2p.create m in
-      let rs = Rs.create fld ~k ~n in
-      let code = Rs.encode rs data in
-      Array.sub code 0 k = data
-      &&
-      (* decode from a salted choice of k coordinates *)
-      let st = Random.State.make [| salt |] in
-      let idx = Array.init n (fun i -> i) in
-      for i = n - 1 downto 1 do
-        let j = Random.State.int st (i + 1) in
-        let t = idx.(i) in
-        idx.(i) <- idx.(j);
-        idx.(j) <- t
-      done;
-      let shares = List.init k (fun i -> (idx.(i), code.(idx.(i)))) in
-      Rs.decode rs shares = Some data)
-
-let test_poly_eval =
-  qtest ~count:100 "Poly.eval = naive power sum"
-    QCheck2.Gen.(
-      degree_gen >>= fun m ->
-      int_range 0 8 >>= fun deg ->
-      make_primitive
-        ~gen:(fun st ->
-          let fld = Gf2p.create m in
-          (m, Array.init (deg + 1) (fun _ -> elt_gen fld st), elt_gen fld st))
-        ~shrink:(fun _ -> Seq.empty))
-    (fun (m, coeffs, v) ->
-      let fld = Gf2p.create m in
-      let p = Poly.of_coeffs fld coeffs in
-      let naive =
-        Array.to_list coeffs
-        |> List.mapi (fun i c -> Gf2p.mul fld c (Gf2p.pow fld v i))
-        |> List.fold_left (Gf2p.add fld) 0
-      in
-      Poly.eval fld p v = naive)
-
 (* ---------- RLNC regression: committed-seed decisions unchanged ---------- *)
 
 (* Fingerprints recorded from the pre-kernel implementation (rounds /
@@ -612,7 +559,7 @@ let () =
           test_is_invertible;
           Alcotest.test_case "blocked 256x256 identity" `Quick test_gauss_blocked_256;
         ] );
-      ("consumers", [ test_rs_roundtrip; test_poly_eval; test_matrix_mul ]);
+      ("consumers", [ test_matrix_mul ]);
       ( "rlnc",
         [ Alcotest.test_case "committed-seed decisions unchanged" `Quick test_rlnc_regression ] );
     ]

@@ -239,12 +239,16 @@ let test_artifacts_jobs_independent () =
   Alcotest.(check string) "json report jobs=1 vs 4" j1 j4
 
 let test_trace_matches_golden () =
-  let trace, _, _ = at_jobs 2 golden_artifacts in
   let ic = open_in_bin "golden_trace.jsonl" in
   let n = in_channel_length ic in
   let golden = really_input_string ic n in
   close_in ic;
-  Alcotest.(check string) "trace = committed golden" golden trace
+  List.iter
+    (fun j ->
+      let trace, _, _ = at_jobs j golden_artifacts in
+      Alcotest.(check string) (Printf.sprintf "trace = committed golden at jobs=%d" j) golden
+        trace)
+    [ 1; 4 ]
 
 let test_trace_schema () =
   (* Every line an object with ordered keys, seq gapless, spans balanced —
