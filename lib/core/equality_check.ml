@@ -7,9 +7,13 @@ type adversary = me:int -> dst:int -> int array -> int array
 
 let honest ~me:_ ~dst:_ y = y
 
-let expected_send coding ~edge ~x =
-  let sym_bits = Nab_field.Gf2p.degree (Coding.field coding) in
-  Wire.Coded { sym_bits; data = Coding.encode coding ~edge x }
+let send coding ~faulty ~adversary ~me ~dst x =
+  let y = Coding.encode coding ~edge:(me, dst) x in
+  let y = if Vset.mem me faulty then adversary ~me ~dst y else y in
+  Wire.Coded { sym_bits = Nab_field.Gf2p.degree (Coding.field coding); data = y }
+
+let expected_send coding ~edge:(me, dst) ~x =
+  send coding ~faulty:Vset.empty ~adversary:honest ~me ~dst x
 
 let payload_symbols ~sym_bits = function
   | Some (Wire.Coded { sym_bits = sb; data }) when sb = sym_bits -> Some data
@@ -28,8 +32,6 @@ let run ~net ?graph ~phase ~coding ~values ~faulty ?(adversary = honest) () =
   let g = match graph with Some g -> g | None -> Transport.graph net in
   let verts = Digraph.vertices g in
   let obs = Transport.obs net in
-  (* Hoisted once: every outgoing packet of every node shares the field. *)
-  let sym_bits = Nab_field.Gf2p.degree (Coding.field coding) in
   if Nab_obs.enabled obs then
     Nab_obs.span_begin obs ~scope:"proto" ~t:(Transport.timing net).Transport.wall
       ~attrs:
@@ -42,9 +44,9 @@ let run ~net ?graph ~phase ~coding ~values ~faulty ?(adversary = honest) () =
   let outbox v =
     List.map
       (fun (dst, _) ->
-        let y = Coding.encode coding ~edge:(v, dst) (values v) in
-        let y = if Vset.mem v faulty then adversary ~me:v ~dst y else y in
-        (dst, Packet.direct ~proto ~origin:v ~dst (Wire.Coded { sym_bits; data = y })))
+        ( dst,
+          Packet.direct ~proto ~origin:v ~dst
+            (send coding ~faulty ~adversary ~me:v ~dst (values v)) ))
       (Digraph.out_edges g v)
   in
   let inbox = Transport.round net ~phase outbox in

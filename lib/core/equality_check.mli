@@ -34,6 +34,13 @@ val run :
     two fault-free nodes hold different values, some fault-free node flags
     MISMATCH. *)
 
+val send :
+  Coding.t -> faulty:Vset.t -> adversary:adversary -> me:int -> dst:int -> int array ->
+  Wire.payload
+(** What [me] sends [dst] given its symbol vector: the edge's coded
+    symbols, passed through [adversary] when [me] is faulty. {!run} and the
+    streaming driver's transcript both call it. *)
+
 val expected_send : Coding.t -> edge:int * int -> x:int array -> Wire.payload
 (** The payload an honest node must send on an edge — shared with dispute
     control's DC3 recomputation. *)

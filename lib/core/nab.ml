@@ -128,8 +128,6 @@ let plan ~config ~total_n ~disputes gk =
     ~key:(plan_key ~config ~total_n ~disputes gk)
     (fun () -> make_plan ~config ~total_n ~disputes gk)
 
-let truncate_to bits bv = Bitvec.slice bv ~pos:0 ~len:bits
-
 type session = {
   ses_g : Digraph.t;
   ses_config : config;
@@ -187,11 +185,10 @@ let session_total_n ses = ses.ses_total_n
 let session_physical_graph ses = ses.ses_g
 let session_next_k ses = ses.ses_next_k
 
-(* ---- The resumable-session primitives -------------------------------
-   [session_broadcast] below is one serial composition of these; a
-   multiplexing driver (Nab_stream) interleaves many instances between
-   them while the session record keeps the cross-instance state: G_k,
-   accumulated disputes, per-graph plans, the dispute-control budget. *)
+(* ---- The resumable session record ---------------------------------
+   The cross-instance state both drivers share: G_k, accumulated
+   disputes, per-graph plans, the dispute-control budget. A multiplexing
+   driver (Nab_stream) interleaves many instances over it. *)
 
 let session_excluded ses = ses.ses_total_n - Digraph.num_vertices ses.ses_gk
 let session_f_eff ses = max 0 (ses.ses_config.f - session_excluded ses)
@@ -212,52 +209,6 @@ let session_plan_for ses ~source =
 let session_value_bits ses plan =
   padded_bits ~l:ses.ses_config.l_bits ~rho:plan.plan_rho ~m:ses.ses_config.m
 
-let session_actx ses ~k ~source ~value_bits plan =
-  {
-    Adversary.instance = k;
-    gk = ses.ses_gk;
-    trees = plan.plan_trees;
-    coding = plan.plan_coding;
-    source;
-    f = ses.ses_config.f;
-    value_bits;
-    rng = Random.State.make [| ses.ses_config.seed; k; 0xadf |];
-  }
-
-let session_flag_backend ses =
-  match ses.ses_config.flag_backend with
-  | `Phase_king when Digraph.num_vertices ses.ses_gk > 4 * session_f_eff ses ->
-      `Phase_king
-  | `Phase_king ->
-      Logs.warn (fun m ->
-          m "phase-king needs n > 4f (n=%d, f=%d); falling back to EIG"
-            (Digraph.num_vertices ses.ses_gk) (session_f_eff ses));
-      `Eig
-  | `Eig -> `Eig
-
-let session_dc_begin ses = ses.ses_dc_count <- ses.ses_dc_count + 1
-
-let session_dc_commit ses ~k ~t (vantage_verdict : Dispute.verdict) =
-  let new_disputes =
-    List.filter
-      (fun d -> not (List.mem d ses.ses_disputes))
-      vantage_verdict.Dispute.new_disputes
-  in
-  ses.ses_disputes <- List.sort compare (new_disputes @ ses.ses_disputes);
-  Nab_obs.add ses.ses_obs "nab.dc_runs" 1;
-  Nab_obs.add ses.ses_obs "nab.disputes" (List.length new_disputes);
-  if Nab_obs.enabled ses.ses_obs then
-    Nab_obs.point ses.ses_obs ~scope:"nab" ~t
-      ~attrs:
-        [
-          ("k", Nab_obs.I k);
-          ("new_disputes", Nab_obs.I (List.length new_disputes));
-          ( "provably_faulty",
-            Nab_obs.I (Vset.cardinal vantage_verdict.Dispute.provably_faulty) );
-        ]
-      "dispute-control";
-  new_disputes
-
 let session_dc_apply ses =
   ses.ses_gk <-
     Params.apply_disputes ses.ses_gk ~total_n:ses.ses_total_n ~f:ses.ses_config.f
@@ -267,6 +218,137 @@ let session_push_report ses report =
   ses.ses_next_k <- report.k + 1;
   ses.ses_instances <- report :: ses.ses_instances;
   Nab_obs.add ses.ses_obs "nab.instances" 1
+
+(* ---- One instance's decision steps ------------------------------------
+   Both drivers take an instance through the functions below. They differ
+   only in where "what v received" comes from: the serial driver reads
+   its transport's inbox round by round, the stream reads the transcript
+   it computed at admission. *)
+
+type instance = {
+  ins_k : int;
+  ins_source : int;
+  ins_gk : Digraph.t;
+  ins_plan : graph_plan;
+  ins_value_bits : int;
+  ins_value : Bitvec.t;
+  ins_actx : Adversary.ctx;
+  ins_phase1 : Phase1.adversary;
+  ins_ec : Equality_check.adversary;
+  ins_reduced : bool;
+}
+
+let session_instance ses ~k ~source input =
+  let { l_bits; f; seed; _ } = ses.ses_config in
+  let input = Bitvec.pad_to input l_bits in
+  if Bitvec.length input <> l_bits then invalid_arg "Nab: input longer than L";
+  if not (Digraph.mem_vertex ses.ses_gk source) then None
+  else begin
+    let plan = session_plan_for ses ~source in
+    let value_bits = session_value_bits ses plan in
+    let actx =
+      {
+        Adversary.instance = k;
+        gk = ses.ses_gk;
+        trees = plan.plan_trees;
+        coding = plan.plan_coding;
+        source;
+        f;
+        value_bits;
+        rng = Random.State.make [| seed; k; 0xadf |];
+      }
+    in
+    Some
+      {
+        ins_k = k;
+        ins_source = source;
+        ins_gk = ses.ses_gk;
+        ins_plan = plan;
+        ins_value_bits = value_bits;
+        ins_value = Bitvec.pad_to input value_bits;
+        ins_actx = actx;
+        ins_phase1 = ses.ses_adversary.Adversary.phase1 actx;
+        ins_ec = ses.ses_adversary.Adversary.ec actx;
+        ins_reduced = session_reduced ses;
+      }
+  end
+
+(* Agreed quantities are read from the lowest-id fault-free vantage point
+   (agreement makes every honest vantage identical; the test suite checks
+   this). *)
+let vantage ses ins =
+  List.find (fun v -> not (Vset.mem v ses.ses_faulty)) (Digraph.vertices ins.ins_gk)
+
+let agree_flags ses ins ~net ~routing ~phase ~inputs ~default =
+  let adversary = ses.ses_adversary and actx = ins.ins_actx in
+  let nodes = Digraph.vertices ins.ins_gk in
+  let f = session_f_eff ses and faulty = ses.ses_faulty in
+  let backend =
+    match ses.ses_config.flag_backend with
+    | `Phase_king when Digraph.num_vertices ses.ses_gk > 4 * f -> `Phase_king
+    | `Phase_king ->
+        Logs.warn (fun m ->
+            m "phase-king needs n > 4f (n=%d, f=%d); falling back to EIG"
+              (Digraph.num_vertices ses.ses_gk) f);
+        `Eig
+    | `Eig -> `Eig
+  in
+  let decisions =
+    match backend with
+    | `Eig ->
+        Eig.broadcast_all ~net ~nodes ~phase ~routing ~f ~inputs ~default ~faulty
+          ~adversary:(adversary.Adversary.flag_eig actx)
+          ~reliable_hooks:(adversary.Adversary.reliable actx) ()
+    | `Phase_king ->
+        Phase_king.broadcast_all ~net ~nodes ~phase ~routing ~f ~inputs ~default ~faulty
+          ~reliable_hooks:(adversary.Adversary.reliable actx) ()
+  in
+  let vantage = vantage ses ins in
+  fun src -> Hashtbl.find_opt decisions (src, vantage)
+
+let dispute_control ses ins ~net ~routing ~flags ?claims_of () =
+  ses.ses_dc_count <- ses.ses_dc_count + 1;
+  let adversary = ses.ses_adversary and actx = ins.ins_actx in
+  let ctx =
+    {
+      Dispute.gk = ins.ins_gk;
+      total_n = ses.ses_total_n;
+      f = session_f_eff ses;
+      source = ins.ins_source;
+      trees = ins.ins_plan.plan_trees;
+      coding = ins.ins_plan.plan_coding;
+      value_bits = ins.ins_value_bits;
+      flags;
+    }
+  in
+  let verdicts =
+    Dispute.run ~net ~routing ~ctx ~faulty:ses.ses_faulty ~true_input:ins.ins_value
+      ~claims_adv:(adversary.Adversary.dc_claims actx)
+      ?claims_of
+      ?input_adv:(adversary.Adversary.dc_input actx)
+      ~eig_adv:(adversary.Adversary.dc_eig actx) ()
+  in
+  let vantage_verdict = List.assoc (vantage ses ins) verdicts in
+  let new_disputes =
+    List.filter
+      (fun d -> not (List.mem d ses.ses_disputes))
+      vantage_verdict.Dispute.new_disputes
+  in
+  ses.ses_disputes <- List.sort compare (new_disputes @ ses.ses_disputes);
+  let obs = ses.ses_obs in
+  Nab_obs.add obs "nab.dc_runs" 1;
+  Nab_obs.add obs "nab.disputes" (List.length new_disputes);
+  if Nab_obs.enabled obs then
+    Nab_obs.point obs ~scope:"nab" ~t:(Transport.timing net).Transport.wall
+      ~attrs:
+        [
+          ("k", Nab_obs.I ins.ins_k);
+          ("new_disputes", Nab_obs.I (List.length new_disputes));
+          ( "provably_faulty",
+            Nab_obs.I (Vset.cardinal vantage_verdict.Dispute.provably_faulty) );
+        ]
+      "dispute-control";
+  (verdicts, new_disputes)
 
 (* Per-instance roll-up into the instrumentation context: cumulative bits
    per link and rounds/bits per phase, from the instance's simulator. *)
@@ -283,11 +365,48 @@ let flush_sim_obs obs net =
       (Transport.timing net).Sim.phases
   end
 
+let instance_report ses ~k ?ins ?dc ?(decisions = []) ?net ?(latency = 0.0) () =
+  let l_bits = ses.ses_config.l_bits in
+  let wall_time, pipelined_time, phase_stats, utilization =
+    match net with
+    | Some net ->
+        flush_sim_obs ses.ses_obs net;
+        let tm = Transport.timing net in
+        (tm.Sim.wall, tm.Sim.pipelined, tm.Sim.phases, Transport.utilization net)
+    | None -> (latency, 0.0, [], [])
+  in
+  let value_bits, gamma_k, rho_k, coding_attempts, reduced_to_phase1, decisions =
+    match ins with
+    | None ->
+        (* The source is provably faulty: agree on the default value. *)
+        ( l_bits, 0, 0, 0, false,
+          List.map (fun v -> (v, Bitvec.create l_bits)) (Digraph.vertices ses.ses_gk) )
+    | Some ins ->
+        ( ins.ins_value_bits,
+          ins.ins_plan.plan_gamma,
+          ins.ins_plan.plan_rho,
+          ins.ins_plan.plan_coding_attempts,
+          ins.ins_reduced,
+          List.map (fun (v, bv) -> (v, Bitvec.slice bv ~pos:0 ~len:l_bits)) decisions )
+  in
+  {
+    k;
+    value_bits;
+    gamma_k;
+    rho_k;
+    decisions;
+    mismatch = dc <> None;
+    dc_run = dc <> None;
+    reduced_to_phase1;
+    coding_attempts;
+    wall_time;
+    pipelined_time;
+    phase_stats;
+    utilization;
+    new_disputes = Option.value dc ~default:[];
+  }
+
 let session_broadcast ses input0 =
-  let { f; source; l_bits; m; seed = _; flag_backend = _ } = ses.ses_config in
-  let adversary = ses.ses_adversary in
-  let faulty = ses.ses_faulty in
-  let total_n = ses.ses_total_n in
   let obs = ses.ses_obs in
   let k = ses.ses_next_k in
   (* Field-kernel work issued while this instance runs (coding-matrix
@@ -299,35 +418,12 @@ let session_broadcast ses input0 =
     if Nab_obs.enabled obs then Some (Nab_field.Kernel.stats ()) else None
   in
   Nab_obs.span_begin obs ~scope:"nab" ~attrs:[ ("k", Nab_obs.I k) ] "instance";
-    let input = Bitvec.pad_to input0 l_bits in
-    if Bitvec.length input <> l_bits then invalid_arg "Nab: input longer than L";
-    let report =
-      if not (Digraph.mem_vertex ses.ses_gk source) then begin
-        (* The source is provably faulty: agree on the default value. *)
-        {
-          k;
-          value_bits = l_bits;
-          gamma_k = 0;
-          rho_k = 0;
-          decisions = List.map (fun v -> (v, Bitvec.create l_bits)) (Digraph.vertices ses.ses_gk);
-          mismatch = false;
-          dc_run = false;
-          reduced_to_phase1 = false;
-          coding_attempts = 0;
-          wall_time = 0.0;
-          pipelined_time = 0.0;
-          phase_stats = [];
-          utilization = [];
-          new_disputes = [];
-        }
-      end
-      else begin
-        let plan = session_plan_for ses ~source in
-        let f_eff = session_f_eff ses in
-        let reduced = session_reduced ses in
-        let value_bits = session_value_bits ses plan in
-        let value = Bitvec.pad_to input value_bits in
-        let actx = session_actx ses ~k ~source ~value_bits plan in
+  let report =
+    match session_instance ses ~k ~source:ses.ses_config.source input0 with
+    | None -> instance_report ses ~k ()
+    | Some ins ->
+        let source = ins.ins_source and faulty = ses.ses_faulty in
+        let plan = ins.ins_plan in
         (* The simulator carries the full physical network: Appendix D runs
            Broadcast_Default over the 2f+1-connectivity of the ORIGINAL
            graph G (disputed links still physically exist; reliability comes
@@ -342,153 +438,48 @@ let session_broadcast ses input0 =
         Fun.protect ~finally:(fun () -> Transport.close net) @@ fun () ->
         (* ---- Phase 1: unreliable broadcast over the tree packing ---- *)
         let received =
-          Phase1.run ~net ~phase:"phase1" ~trees:plan.plan_trees ~source ~value ~faulty
-            ~adversary:(adversary.Adversary.phase1 actx) ()
+          Phase1.run ~net ~phase:"phase1" ~trees:plan.plan_trees ~source
+            ~value:ins.ins_value ~faulty ~adversary:ins.ins_phase1 ()
         in
         (* The NAB data plane hands over with nothing still in flight
            whatever the backend (Phase1.run drains otherwise). *)
         assert (Transport.pending_count net = 0);
-        let sizes = Phase1.slice_sizes ~value_bits ~trees:plan.plan_gamma in
+        let sizes = Phase1.slice_sizes ~value_bits:ins.ins_value_bits ~trees:plan.plan_gamma in
         let assembled v =
-          if v = source then value else Phase1.assemble ~slice_sizes:sizes (received v)
+          if v = source then ins.ins_value
+          else Phase1.assemble ~slice_sizes:sizes (received v)
         in
-        if reduced then begin
-          (* All faulty nodes are excluded: Phase 1 alone is reliable. *)
-          flush_sim_obs obs net;
-          let tm = Transport.timing net in
-          {
-            k;
-            value_bits;
-            gamma_k = plan.plan_gamma;
-            rho_k = plan.plan_rho;
-            decisions =
-              List.map
-                (fun v -> (v, truncate_to l_bits (assembled v)))
-                (Digraph.vertices ses.ses_gk);
-            mismatch = false;
-            dc_run = false;
-            reduced_to_phase1 = true;
-            coding_attempts = plan.plan_coding_attempts;
-            wall_time = tm.Sim.wall;
-            pipelined_time = tm.Sim.pipelined;
-            phase_stats = tm.Sim.phases;
-            utilization = Transport.utilization net;
-            new_disputes = [];
-          }
-        end
+        let verts = Digraph.vertices ins.ins_gk in
+        let report ?dc decisions = instance_report ses ~k ~ins ?dc ~decisions ~net () in
+        (* All faulty nodes are excluded: Phase 1 alone is reliable. *)
+        if ins.ins_reduced then report (List.map (fun v -> (v, assembled v)) verts)
         else begin
           (* ---- Phase 2, step 2.1: equality check ---- *)
-          let x_of v = Bitvec.to_symbols (assembled v) ~sym_bits:m in
+          let x_of v = Bitvec.to_symbols (assembled v) ~sym_bits:ses.ses_config.m in
           let own_flags =
-            Equality_check.run ~net ~graph:ses.ses_gk ~phase:"equality-check"
-              ~coding:plan.plan_coding ~values:x_of ~faulty
-              ~adversary:(adversary.Adversary.ec actx) ()
+            Equality_check.run ~net ~graph:ins.ins_gk ~phase:"equality-check"
+              ~coding:plan.plan_coding ~values:x_of ~faulty ~adversary:ins.ins_ec ()
           in
           (* ---- Phase 2, step 2.2: broadcast the 1-bit flags ---- *)
-          let routing = Routing.build ses.ses_g ~f in
-          let flag_inputs =
-            List.map (fun (v, b) -> (v, Wire.Flag b)) own_flags
+          let routing = Routing.build ses.ses_g ~f:ses.ses_config.f in
+          let agreed =
+            agree_flags ses ins ~net ~routing ~phase:"flags"
+              ~inputs:(List.map (fun (v, b) -> (v, Wire.Flag b)) own_flags)
+              ~default:(Wire.Flag false)
           in
-          let backend = session_flag_backend ses in
-          let participants = Digraph.vertices ses.ses_gk in
-          let flag_decisions =
-            match backend with
-            | `Eig ->
-                Eig.broadcast_all ~net ~nodes:participants ~phase:"flags" ~routing
-                  ~f:f_eff ~inputs:flag_inputs ~default:(Wire.Flag false) ~faulty
-                  ~adversary:(adversary.Adversary.flag_eig actx)
-                  ~reliable_hooks:(adversary.Adversary.reliable actx) ()
-            | `Phase_king ->
-                Phase_king.broadcast_all ~net ~nodes:participants ~phase:"flags"
-                  ~routing ~f:f_eff ~inputs:flag_inputs ~default:(Wire.Flag false)
-                  ~faulty ~reliable_hooks:(adversary.Adversary.reliable actx) ()
+          let flags =
+            List.map
+              (fun v -> (v, match agreed v with Some (Wire.Flag b) -> b | Some _ | None -> false))
+              verts
           in
-          (* Read the agreed flags from the lowest-id fault-free vantage
-             point (agreement makes every honest vantage identical; the test
-             suite checks this). *)
-          let honest_nodes =
-            List.filter (fun v -> not (Vset.mem v faulty)) (Digraph.vertices ses.ses_gk)
-          in
-          let vantage = List.hd honest_nodes in
-          let agreed_flag src =
-            match Hashtbl.find_opt flag_decisions (src, vantage) with
-            | Some (Wire.Flag b) -> b
-            | Some _ | None -> false
-          in
-          let flags = List.map (fun v -> (v, agreed_flag v)) (Digraph.vertices ses.ses_gk) in
-          let mismatch = List.exists snd flags in
-          if not mismatch then begin
-            flush_sim_obs obs net;
-            let tm = Transport.timing net in
-            {
-              k;
-              value_bits;
-              gamma_k = plan.plan_gamma;
-              rho_k = plan.plan_rho;
-              decisions =
-                List.map
-                  (fun v -> (v, truncate_to l_bits (assembled v)))
-                  (Digraph.vertices ses.ses_gk);
-              mismatch = false;
-              dc_run = false;
-              reduced_to_phase1 = false;
-              coding_attempts = plan.plan_coding_attempts;
-              wall_time = tm.Sim.wall;
-              pipelined_time = tm.Sim.pipelined;
-              phase_stats = tm.Sim.phases;
-              utilization = Transport.utilization net;
-              new_disputes = [];
-            }
-          end
+          if not (List.exists snd flags) then
+            report (List.map (fun v -> (v, assembled v)) verts)
           else begin
             (* ---- Phase 3: dispute control ---- *)
-            session_dc_begin ses;
-            let ctx =
-              {
-                Dispute.gk = ses.ses_gk;
-                total_n;
-                f = f_eff;
-                source;
-                trees = plan.plan_trees;
-                coding = plan.plan_coding;
-                value_bits;
-                flags;
-              }
-            in
-            let verdicts =
-              Dispute.run ~net ~routing ~ctx ~faulty ~true_input:value
-                ~claims_adv:(adversary.Adversary.dc_claims actx)
-                ?input_adv:(adversary.Adversary.dc_input actx)
-                ~eig_adv:(adversary.Adversary.dc_eig actx) ()
-            in
-            let vantage_verdict = List.assoc vantage verdicts in
-            let new_disputes =
-              session_dc_commit ses ~k ~t:(Transport.timing net).Sim.wall
-                vantage_verdict
-            in
-            flush_sim_obs obs net;
-            let tm = Transport.timing net in
-            let report =
-              {
-                k;
-                value_bits;
-                gamma_k = plan.plan_gamma;
-                rho_k = plan.plan_rho;
-                decisions =
-                  List.map
-                    (fun (v, verdict) ->
-                      (v, truncate_to l_bits verdict.Dispute.output))
-                    verdicts;
-                mismatch = true;
-                dc_run = true;
-                reduced_to_phase1 = false;
-                coding_attempts = plan.plan_coding_attempts;
-                wall_time = tm.Sim.wall;
-                pipelined_time = tm.Sim.pipelined;
-                phase_stats = tm.Sim.phases;
-                utilization = Transport.utilization net;
-                new_disputes;
-              }
+            let verdicts, new_disputes = dispute_control ses ins ~net ~routing ~flags () in
+            let r =
+              report ~dc:new_disputes
+                (List.map (fun (v, verdict) -> (v, verdict.Dispute.output)) verdicts)
             in
             (* The synchronous fabric is always quiet here; an async
                backend under latency faults may still have stragglers in
@@ -501,11 +492,10 @@ let session_broadcast ses input0 =
               ()
             end;
             session_dc_apply ses;
-            report
+            r
           end
         end
-      end
-    in
+  in
   session_push_report ses report;
   (match kernel_stats0 with
   | Some s0 ->

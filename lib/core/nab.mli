@@ -173,17 +173,20 @@ val session_physical_graph : session -> Digraph.t
 val session_next_k : session -> int
 (** The 1-based id the next broadcast instance will carry. *)
 
-(** {2 Resumable-session primitives}
+(** {2 Driver steps}
 
-    {!session_broadcast} is one serial composition of the helpers below;
-    they are exposed so a multiplexing driver ({!Nab_stream}) can
-    interleave many in-flight instances between them while this record
-    keeps the cross-instance state — the session invariants are:
+    {!session_broadcast} and {!Nab_stream} take every decision of an
+    instance through the functions below, and through {!Phase1.step} and
+    {!Equality_check.send} under the hooks an {!instance} carries. The two
+    drivers differ only in where "what v received" comes from: the serial
+    driver reads its transport's inbox round by round, the stream reads
+    the transcript it computed at admission. The session record keeps the
+    cross-instance state; its invariants are:
 
     - {!session_graph} is always [Params.apply_disputes] of the original
       graph under {!session_disputes} (G_k evolution, DC4);
     - {!session_disputes} only grows, is sorted and duplicate-free, and
-      every growth step goes through {!session_dc_commit} (so
+      every growth step goes through {!dispute_control} (so
       {!session_dc_count} counts exactly the Phase-3 executions — the
       budget the f(f+1) theorem bounds);
     - plans served by {!session_plan_for} are cached per (G_k, source)
@@ -204,40 +207,79 @@ val session_plan_for : session -> source:int -> graph_plan
 val session_value_bits : session -> graph_plan -> int
 (** {!padded_bits} of the session's L under the plan's rho. *)
 
-val session_excluded : session -> int
-(** Vertices excluded so far: |V| - |V_k|. *)
-
-val session_f_eff : session -> int
-(** max 0 (f - excluded): the residual fault budget instances run with. *)
-
-val session_reduced : session -> bool
-(** The paper's >= f-exclusions special case: Phase 1 alone is reliable
-    and Phases 2/3 are skipped. *)
-
-val session_actx : session -> k:int -> source:int -> value_bits:int -> graph_plan -> Adversary.ctx
-(** The adversary context instance [k] runs under — exactly the one
-    {!session_broadcast} builds (same per-instance RNG seeding), so an
-    external driver replays identical adversary behaviour. *)
-
-val session_flag_backend : session -> [ `Eig | `Phase_king ]
-(** The step-2.2 backend for the current G_k (honours the configured
-    choice, falling back to EIG when n_k <= 4 f_eff). *)
-
-val session_dc_begin : session -> unit
-(** Count a Phase-3 execution (before it runs, like the serial driver). *)
-
-val session_dc_commit : session -> k:int -> t:float -> Dispute.verdict -> Params.dispute list
-(** Merge a dispute-control verdict (taken at a fault-free vantage) into
-    the session at simulated time [t]: returns the disputes that are new
-    to the session, accumulates them, and emits the [nab.dc_runs] /
-    [nab.disputes] counters and the ["dispute-control"] point event. *)
-
 val session_dc_apply : session -> unit
 (** Recompute G_(k+1) from the accumulated disputes (DC4). *)
 
 val session_push_report : session -> instance_report -> unit
 (** Append a finished instance: advances {!session_next_k} past the
     report's [k] and emits the [nab.instances] counter. *)
+
+type instance = private {
+  ins_k : int;
+  ins_source : int;
+  ins_gk : Digraph.t;  (** G_k when the instance started *)
+  ins_plan : graph_plan;
+  ins_value_bits : int;  (** padded L' *)
+  ins_value : Bitvec.t;  (** the source's input, padded to L' *)
+  ins_actx : Adversary.ctx;  (** identically seeded under either driver *)
+  ins_phase1 : Phase1.adversary;  (** the Phase-1 hook of this instance *)
+  ins_ec : Equality_check.adversary;  (** the equality-check hook *)
+  ins_reduced : bool;  (** >= f exclusions: Phase 1 alone is reliable *)
+}
+(** One instance's fixed inputs on the current G_k. *)
+
+val session_instance : session -> k:int -> source:int -> Bitvec.t -> instance option
+(** Start instance [k] from [source] with the given input (zero-padded
+    to L; longer inputs raise [Invalid_argument]) on the current G_k.
+    [None] when [source] has been excluded from G_k: every node then
+    agrees on the default value. *)
+
+val agree_flags :
+  session ->
+  instance ->
+  net:Transport.t ->
+  routing:Nab_classic.Routing.t ->
+  phase:string ->
+  inputs:(int * Wire.payload) list ->
+  default:Wire.payload ->
+  int -> Wire.payload option
+(** Step 2.2: Broadcast_Default each node's flag payload among the nodes
+    of G_k — by EIG, or by Phase-King when configured and n_k > 4 f_eff —
+    under the instance's hooks. Returns what the lowest-id fault-free node
+    decided for each sender; the caller decodes [Flag] or [Batch]. *)
+
+val dispute_control :
+  session ->
+  instance ->
+  net:Transport.t ->
+  routing:Nab_classic.Routing.t ->
+  flags:(int * bool) list ->
+  ?claims_of:(int -> Wire.claim list) ->
+  unit ->
+  (int * Dispute.verdict) list * Params.dispute list
+(** Phase 3 under the agreed [flags]: counts the run, executes
+    {!Dispute.run} ([claims_of] as there), merges the fault-free vantage's
+    verdict into the session's disputes, and emits the [nab.dc_runs] /
+    [nab.disputes] counters and the ["dispute-control"] point event.
+    Returns every node's verdict and the disputes new to the session. The
+    caller applies them ({!session_dc_apply}) once its transport is quiet. *)
+
+val instance_report :
+  session ->
+  k:int ->
+  ?ins:instance ->
+  ?dc:Params.dispute list ->
+  ?decisions:(int * Bitvec.t) list ->
+  ?net:Transport.t ->
+  ?latency:float ->
+  unit ->
+  instance_report
+(** The report of instance [k]. Without [ins] the source was excluded and
+    every node of G_k decides the all-zero default. [dc] (the new
+    disputes) marks an instance whose flags mismatched and that ran
+    dispute control. [decisions] are truncated to L. Timing comes from
+    [net] (whose per-link and per-phase totals are first rolled into the
+    session's counters) or else is [latency] alone. *)
 
 val session_report : session -> run_report
 (** Aggregate everything broadcast so far. *)

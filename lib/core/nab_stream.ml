@@ -10,36 +10,31 @@ open Nab_classic
 let p1_proto ~k ~epoch ~tree = Printf.sprintf "sp1:%d:%d:%d" k epoch tree
 let ec_proto ~k ~epoch = Printf.sprintf "sec:%d:%d" k epoch
 
-type parsed = P1 of int * int * int | Ec of int * int
-
+(* [Some (k, epoch, Some tree)] for a Phase-1 slice, [Some (k, epoch, None)]
+   for equality-check symbols. *)
 let parse_proto p =
   match String.split_on_char ':' p with
   | [ "sp1"; k; e; t ] -> (
       match (int_of_string_opt k, int_of_string_opt e, int_of_string_opt t) with
-      | Some k, Some e, Some t -> Some (P1 (k, e, t))
+      | Some k, Some e, Some t -> Some (k, e, Some t)
       | _ -> None)
   | [ "sec"; k; e ] -> (
       match (int_of_string_opt k, int_of_string_opt e) with
-      | Some k, Some e -> Some (Ec (k, e))
+      | Some k, Some e -> Some (k, e, None)
       | _ -> None)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Per-instance transcript: the full protocol content of one broadcast
-   instance on G_k — every Phase-1/EC send (adversary hooks consulted in
-   exactly the serial driver's order, on an identically-seeded context),
-   each node's assembled value and MISMATCH flag, and the per-node claim
-   transcripts dispute control broadcasts. Computing it eagerly at
-   admission decouples the decision plane (serial-identical by
-   construction) from the data plane (when the bits actually move). *)
+   instance on G_k — every Phase-1/EC send (computed by the serial
+   driver's own forward and send rules, in its round order), each node's
+   assembled value and MISMATCH flag, and the per-node claim transcripts
+   dispute control broadcasts. Computing it eagerly at admission
+   decouples the decision plane from the data plane (when the bits
+   actually move). *)
 
 type transcript = {
-  t_plan : Nab.graph_plan;
-  t_gk : Digraph.t;
-  t_actx : Adversary.ctx;
-  t_value_bits : int;
-  t_value : Bitvec.t; (* padded to t_value_bits *)
-  t_reduced : bool;
+  t_ins : Nab.instance;
   t_sends : (int * int * int, Wire.payload) Hashtbl.t; (* (tree, u, v) *)
   t_ec_sends : (int * int, Wire.payload) Hashtbl.t; (* (u, v) per G_k edge *)
   t_assembled : (int, Bitvec.t) Hashtbl.t;
@@ -151,156 +146,112 @@ let wall t = (Transport.timing t.net).Transport.wall
 
 let compute_transcript t ~k ~source input =
   let ses = t.ses in
-  let gk = Nab.session_graph ses in
-  let cfg = Nab.session_config ses in
-  let input = Bitvec.pad_to input cfg.Nab.l_bits in
-  if Bitvec.length input <> cfg.Nab.l_bits then
-    invalid_arg "Nab_stream: input longer than L";
-  if not (Digraph.mem_vertex gk source) then None
-  else begin
-    let plan = Nab.session_plan_for ses ~source in
-    let value_bits = Nab.session_value_bits ses plan in
-    let value = Bitvec.pad_to input value_bits in
-    let actx = Nab.session_actx ses ~k ~source ~value_bits plan in
-    let adversary = Nab.session_adversary ses in
-    let faulty = Nab.session_faulty ses in
-    let verts = Digraph.vertices gk in
-    let trees = Array.of_list plan.Nab.plan_trees in
-    let gamma = Array.length trees in
-    let sizes = Phase1.slice_sizes ~value_bits ~trees:gamma in
-    let slices = Array.of_list (Bitvec.split_balanced value ~parts:gamma) in
-    let depth_of =
-      Array.map (fun tr -> Arborescence.vertices_by_depth tr ~root:source) trees
+  Nab.session_instance ses ~k ~source input
+  |> Option.map @@ fun ins ->
+  let faulty = Nab.session_faulty ses in
+  let gk = ins.Nab.ins_gk in
+  let verts = Digraph.vertices gk in
+  let value = ins.Nab.ins_value in
+  let plan = ins.Nab.ins_plan in
+  let sched =
+    Phase1.schedule ~trees:plan.Nab.plan_trees ~source
+      ~value_bits:ins.Nab.ins_value_bits
+  in
+  let sizes = sched.Phase1.sizes in
+  let gamma = Array.length sizes in
+  let slices = Array.of_list (Bitvec.split_balanced value ~parts:gamma) in
+  let received = Hashtbl.create 64 in
+  Array.iteri
+    (fun tr slice -> Hashtbl.replace received (tr, source) (Phase1.slice_payload slice))
+    slices;
+  let sends = Hashtbl.create 64 in
+  let claims_rev = Hashtbl.create 16 in
+  let push_claim v c =
+    let prev = try Hashtbl.find claims_rev v with Not_found -> [] in
+    Hashtbl.replace claims_rev v (c :: prev)
+  in
+  let claim_pair ~proto ~src ~dst body =
+    let claim dir =
+      { Wire.c_phase = proto; c_round = 0; c_src = src; c_dst = dst; c_dir = dir; c_body = body }
     in
-    let max_depth =
-      Array.fold_left
-        (fun acc by_depth -> List.fold_left (fun acc (_, d) -> max acc d) acc by_depth)
-        0 depth_of
-    in
-    (* Phase 1 replay, in the serial driver's exact call order (rounds by
-       depth, vertices in graph order, trees innermost) so stateful
-       adversary hooks draw from the per-instance RNG identically. *)
-    let received = Hashtbl.create 64 in
-    Array.iteri
-      (fun tr _ -> Hashtbl.replace received (tr, source) (Phase1.slice_payload slices.(tr)))
-      trees;
-    let sends = Hashtbl.create 64 in
-    let claims_rev = Hashtbl.create 16 in
-    let push_claim v c =
-      let prev = try Hashtbl.find claims_rev v with Not_found -> [] in
-      Hashtbl.replace claims_rev v (c :: prev)
-    in
-    let claim_pair ~proto ~src ~dst body =
-      let claim dir =
-        { Wire.c_phase = proto; c_round = 0; c_src = src; c_dst = dst; c_dir = dir; c_body = body }
-      in
-      push_claim src (claim Wire.Sent);
-      push_claim dst (claim Wire.Received)
-    in
-    for round = 1 to max_depth do
-      List.iter
-        (fun v ->
-          for tr = 0 to gamma - 1 do
-            let at_depth =
-              List.exists (fun (w, d) -> w = v && d = round - 1) depth_of.(tr)
-            in
-            if at_depth then begin
-              let payload =
-                Phase1.expected_forward ~slice_bits:sizes.(tr)
-                  ~received:(Hashtbl.find_opt received (tr, v))
-              in
-              List.iter
-                (fun dst ->
-                  let sent =
-                    if Vset.mem v faulty then
-                      adversary.Adversary.phase1 actx ~me:v ~tree:tr ~dst payload
-                    else Some payload
-                  in
-                  match sent with
-                  | Some p ->
-                      Hashtbl.replace sends (tr, v, dst) p;
-                      Hashtbl.replace received (tr, dst) p;
-                      claim_pair ~proto:(Phase1.tree_proto tr) ~src:v ~dst p
-                  | None -> ())
-                (Arborescence.children trees.(tr) v)
-            end
-          done)
-        verts
-    done;
-    let assembled = Hashtbl.create 16 in
+    push_claim src (claim Wire.Sent);
+    push_claim dst (claim Wire.Received)
+  in
+  (* Phase 1 in the serial driver's rounds and vertex order, so stateful
+     hooks draw from the per-instance RNG identically. *)
+  for round = 1 to sched.Phase1.max_depth do
     List.iter
       (fun v ->
-        let bv =
-          if v = source then value
-          else
-            Phase1.assemble ~slice_sizes:sizes
-              (Array.init gamma (fun tr -> Hashtbl.find_opt received (tr, v)))
-        in
-        Hashtbl.replace assembled v bv)
-      verts;
-    let reduced = Nab.session_reduced ses in
-    let ec_sends = Hashtbl.create 64 in
-    let flags =
-      if reduced then []
-      else begin
-        let m = cfg.Nab.m in
-        let coding = plan.Nab.plan_coding in
-        let sym_bits = Nab_field.Gf2p.degree (Coding.field coding) in
-        let x_tbl = Hashtbl.create 16 in
-        let x_of v =
-          match Hashtbl.find_opt x_tbl v with
-          | Some x -> x
-          | None ->
-              let x = Bitvec.to_symbols (Hashtbl.find assembled v) ~sym_bits:m in
-              Hashtbl.replace x_tbl v x;
-              x
-        in
-        (* Equality-check replay, again in serial outbox order. *)
-        List.iter
-          (fun v ->
-            List.iter
-              (fun (dst, _) ->
-                let y = Coding.encode coding ~edge:(v, dst) (x_of v) in
-                let y =
-                  if Vset.mem v faulty then adversary.Adversary.ec actx ~me:v ~dst y
-                  else y
-                in
-                let payload = Wire.Coded { sym_bits; data = y } in
-                Hashtbl.replace ec_sends (v, dst) payload;
-                claim_pair ~proto:Equality_check.proto ~src:v ~dst payload)
-              (Digraph.out_edges gk v))
-          verts;
-        List.map
-          (fun v ->
-            ( v,
-              Equality_check.expected_flag coding ~graph:gk ~me:v ~x:(x_of v)
-                ~received:(fun ~src -> Hashtbl.find_opt ec_sends (src, v)) ))
-          verts
-      end
-    in
-    let claims = Hashtbl.create 16 in
-    Hashtbl.iter (fun v cs -> Hashtbl.replace claims v (List.rev cs)) claims_rev;
-    Some
-      {
-        t_plan = plan;
-        t_gk = gk;
-        t_actx = actx;
-        t_value_bits = value_bits;
-        t_value = value;
-        t_reduced = reduced;
-        t_sends = sends;
-        t_ec_sends = ec_sends;
-        t_assembled = assembled;
-        t_flags = flags;
-        t_claims = claims;
-      }
-  end
+        Phase1.step sched ~faulty ~adversary:ins.Nab.ins_phase1 ~round ~me:v
+          ~received:(fun tr -> Hashtbl.find_opt received (tr, v))
+          ~emit:(fun tr dst p ->
+            Hashtbl.replace sends (tr, v, dst) p;
+            Hashtbl.replace received (tr, dst) p;
+            claim_pair ~proto:(Phase1.tree_proto tr) ~src:v ~dst p))
+      verts
+  done;
+  let assembled = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      let bv =
+        if v = source then value
+        else
+          Phase1.assemble ~slice_sizes:sizes
+            (Array.init gamma (fun tr -> Hashtbl.find_opt received (tr, v)))
+      in
+      Hashtbl.replace assembled v bv)
+    verts;
+  let ec_sends = Hashtbl.create 64 in
+  let flags =
+    if ins.Nab.ins_reduced then []
+    else begin
+      let m = (Nab.session_config ses).Nab.m in
+      let coding = plan.Nab.plan_coding in
+      let x_tbl = Hashtbl.create 16 in
+      let x_of v =
+        match Hashtbl.find_opt x_tbl v with
+        | Some x -> x
+        | None ->
+            let x = Bitvec.to_symbols (Hashtbl.find assembled v) ~sym_bits:m in
+            Hashtbl.replace x_tbl v x;
+            x
+      in
+      (* The equality check, again in serial outbox order. *)
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (dst, _) ->
+              let payload =
+                Equality_check.send coding ~faulty ~adversary:ins.Nab.ins_ec ~me:v ~dst (x_of v)
+              in
+              Hashtbl.replace ec_sends (v, dst) payload;
+              claim_pair ~proto:Equality_check.proto ~src:v ~dst payload)
+            (Digraph.out_edges gk v))
+        verts;
+      List.map
+        (fun v ->
+          ( v,
+            Equality_check.expected_flag coding ~graph:gk ~me:v ~x:(x_of v)
+              ~received:(fun ~src -> Hashtbl.find_opt ec_sends (src, v)) ))
+        verts
+    end
+  in
+  let claims = Hashtbl.create 16 in
+  Hashtbl.iter (fun v cs -> Hashtbl.replace claims v (List.rev cs)) claims_rev;
+  {
+    t_ins = ins;
+    t_sends = sends;
+    t_ec_sends = ec_sends;
+    t_assembled = assembled;
+    t_flags = flags;
+    t_claims = claims;
+  }
 
 (* ---------------- data plane ---------------- *)
 
 let enqueue_ec t inst (tc : transcript) v =
-  if not tc.t_reduced then begin
-    let outs = Digraph.out_edges tc.t_gk v in
+  if not tc.t_ins.Nab.ins_reduced then begin
+    let outs = Digraph.out_edges tc.t_ins.Nab.ins_gk v in
     List.iter
       (fun (dst, _) ->
         let payload = Hashtbl.find tc.t_ec_sends (v, dst) in
@@ -326,7 +277,7 @@ let rec settle_edge t inst tc ~tree v =
   cascade_sends t inst tc ~tree v
 
 and cascade_sends t inst tc ~tree v =
-  let tr = List.nth tc.t_plan.Nab.plan_trees tree in
+  let tr = List.nth tc.t_ins.Nab.ins_plan.Nab.plan_trees tree in
   List.iter
     (fun w ->
       match Hashtbl.find_opt tc.t_sends (tree, v, w) with
@@ -338,14 +289,18 @@ and cascade_sends t inst tc ~tree v =
       | None -> settle_edge t inst tc ~tree w)
     (Arborescence.children tr v)
 
+let check_done inst tc =
+  if inst.i_unsettled = 0 && inst.i_ec_outstanding = 0 then
+    inst.i_status <- Data_done tc
+
 let launch t inst tc =
   inst.i_epoch <- t.epoch;
   inst.i_admit_wall <- wall t;
   inst.i_status <- Streaming tc;
   Hashtbl.reset inst.i_node_wait;
   inst.i_ec_outstanding <- 0;
-  let verts = Digraph.vertices tc.t_gk in
-  let gamma = List.length tc.t_plan.Nab.plan_trees in
+  let verts = Digraph.vertices tc.t_ins.Nab.ins_gk in
+  let gamma = List.length tc.t_ins.Nab.ins_plan.Nab.plan_trees in
   let n_k = List.length verts in
   (* Every non-root vertex owes one parent-edge settlement per tree. *)
   inst.i_unsettled <- gamma * (n_k - 1);
@@ -355,13 +310,8 @@ let launch t inst tc =
     verts;
   enqueue_ec t inst tc inst.i_source;
   List.iteri (fun tree _ -> cascade_sends t inst tc ~tree inst.i_source)
-    tc.t_plan.Nab.plan_trees;
-  if inst.i_unsettled = 0 && inst.i_ec_outstanding = 0 then
-    inst.i_status <- Data_done tc
-
-let check_done inst tc =
-  if inst.i_unsettled = 0 && inst.i_ec_outstanding = 0 then
-    inst.i_status <- Data_done tc
+    tc.t_ins.Nab.ins_plan.Nab.plan_trees;
+  check_done inst tc
 
 let absorb t inbox =
   List.iter
@@ -369,24 +319,14 @@ let absorb t inbox =
       List.iter
         (fun (_, (pkt : Packet.t)) ->
           match parse_proto pkt.Packet.proto with
-          | Some (P1 (k, e, tree)) -> (
+          | Some (k, e, tree) -> (
               match Hashtbl.find_opt t.inflight k with
-              | Some inst when inst.i_epoch = e -> (
-                  match inst.i_status with
-                  | Streaming tc ->
-                      settle_edge t inst tc ~tree v;
-                      check_done inst tc
-                  | Data_done _ | Absent -> ())
-              | _ -> () (* stale epoch or finished instance *))
-          | Some (Ec (k, e)) -> (
-              match Hashtbl.find_opt t.inflight k with
-              | Some inst when inst.i_epoch = e -> (
-                  match inst.i_status with
-                  | Streaming tc ->
-                      inst.i_ec_outstanding <- inst.i_ec_outstanding - 1;
-                      check_done inst tc
-                  | Data_done _ | Absent -> ())
-              | _ -> ())
+              | Some ({ i_status = Streaming tc; _ } as inst) when inst.i_epoch = e ->
+                  (match tree with
+                  | Some tree -> settle_edge t inst tc ~tree v
+                  | None -> inst.i_ec_outstanding <- inst.i_ec_outstanding - 1);
+                  check_done inst tc
+              | _ -> () (* stale epoch, finished or no longer streaming *))
           | None -> () (* control traffic or foreign phases: not ours *))
         (inbox v))
     (Digraph.vertices (Nab.session_physical_graph t.ses))
@@ -399,58 +339,19 @@ let quiesce t =
 
 (* ---------------- finalization, flags, dispute control ---------------- *)
 
-let truncate_to bits bv = Bitvec.slice bv ~pos:0 ~len:bits
-
 let finalize t inst (report : Nab.instance_report) =
   Nab.session_push_report t.ses report;
   t.results <- report :: t.results;
   Hashtbl.remove t.inflight inst.i_k;
   t.next_fin <- inst.i_k + 1
 
-let absent_report t inst : Nab.instance_report =
-  let l_bits = (Nab.session_config t.ses).Nab.l_bits in
-  {
-    k = inst.i_k;
-    value_bits = l_bits;
-    gamma_k = 0;
-    rho_k = 0;
-    decisions =
-      List.map
-        (fun v -> (v, Bitvec.create l_bits))
-        (Digraph.vertices (Nab.session_graph t.ses));
-    mismatch = false;
-    dc_run = false;
-    reduced_to_phase1 = false;
-    coding_attempts = 0;
-    wall_time = 0.0;
-    pipelined_time = 0.0;
-    phase_stats = [];
-    utilization = [];
-    new_disputes = [];
-  }
-
-let base_report t inst tc ~decisions ~mismatch ~dc_run ~new_disputes :
-    Nab.instance_report =
-  let l_bits = (Nab.session_config t.ses).Nab.l_bits in
-  {
-    k = inst.i_k;
-    value_bits = tc.t_value_bits;
-    gamma_k = tc.t_plan.Nab.plan_gamma;
-    rho_k = tc.t_plan.Nab.plan_rho;
-    decisions = List.map (fun (v, bv) -> (v, truncate_to l_bits bv)) decisions;
-    mismatch;
-    dc_run;
-    reduced_to_phase1 = tc.t_reduced;
-    coding_attempts = tc.t_plan.Nab.plan_coding_attempts;
-    wall_time = wall t -. inst.i_admit_wall;
-    pipelined_time = 0.0;
-    phase_stats = [];
-    utilization = [];
-    new_disputes;
-  }
+(* An instance's latency on the shared fabric stands in for its wall time. *)
+let report_of t inst tc ?dc decisions =
+  Nab.instance_report t.ses ~k:inst.i_k ~ins:tc.t_ins ?dc ~decisions
+    ~latency:(wall t -. inst.i_admit_wall) ()
 
 let assembled_decisions tc =
-  List.map (fun v -> (v, Hashtbl.find tc.t_assembled v)) (Digraph.vertices tc.t_gk)
+  List.map (fun v -> (v, Hashtbl.find tc.t_assembled v)) (Digraph.vertices tc.t_ins.Nab.ins_gk)
 
 (* Roll back every admitted-but-unfinalized instance: their transcripts
    were computed on a G_k that dispute control just evolved away from.
@@ -480,53 +381,26 @@ let ready_batch t =
     if n >= t.flag_batch then List.rev acc
     else
       match Hashtbl.find_opt t.inflight k with
-      | Some ({ i_status = Data_done tc; _ } as inst) when not tc.t_reduced ->
+      | Some ({ i_status = Data_done tc; _ } as inst) when not tc.t_ins.Nab.ins_reduced ->
           collect (k + 1) (n + 1) ((inst, tc) :: acc)
       | _ -> List.rev acc
   in
   match Hashtbl.find_opt t.inflight t.next_fin with
   | Some ({ i_status = Absent; _ } as inst) -> `Absent inst
-  | Some ({ i_status = Data_done tc; _ } as inst) when tc.t_reduced -> `Reduced (inst, tc)
+  | Some ({ i_status = Data_done tc; _ } as inst) when tc.t_ins.Nab.ins_reduced ->
+      `Reduced (inst, tc)
   | Some { i_status = Data_done _; _ } -> `Flags (collect t.next_fin 0 [])
   | _ -> `Wait
 
 let dispute_control t inst tc flags =
   let ses = t.ses in
-  let adversary = Nab.session_adversary ses in
-  let faulty = Nab.session_faulty ses in
-  let actx = tc.t_actx in
-  Nab.session_dc_begin ses;
-  let ctx =
-    {
-      Dispute.gk = tc.t_gk;
-      total_n = Nab.session_total_n ses;
-      f = Nab.session_f_eff ses;
-      source = inst.i_source;
-      trees = tc.t_plan.Nab.plan_trees;
-      coding = tc.t_plan.Nab.plan_coding;
-      value_bits = tc.t_value_bits;
-      flags;
-    }
-  in
   let claims_of v = try Hashtbl.find tc.t_claims v with Not_found -> [] in
-  let verdicts =
-    Dispute.run ~net:t.net ~routing:t.routing ~ctx ~faulty ~true_input:tc.t_value
-      ~claims_adv:(adversary.Adversary.dc_claims actx)
-      ~claims_of
-      ?input_adv:(adversary.Adversary.dc_input actx)
-      ~eig_adv:(adversary.Adversary.dc_eig actx) ()
-  in
-  let honest_nodes =
-    List.filter (fun v -> not (Vset.mem v faulty)) (Digraph.vertices tc.t_gk)
-  in
-  let vantage = List.hd honest_nodes in
-  let vantage_verdict = List.assoc vantage verdicts in
-  let new_disputes = Nab.session_dc_commit ses ~k:inst.i_k ~t:(wall t) vantage_verdict in
-  let decisions =
-    List.map (fun (v, verdict) -> (v, verdict.Dispute.output)) verdicts
+  let verdicts, new_disputes =
+    Nab.dispute_control ses tc.t_ins ~net:t.net ~routing:t.routing ~flags ~claims_of ()
   in
   let report =
-    base_report t inst tc ~decisions ~mismatch:true ~dc_run:true ~new_disputes
+    report_of t inst tc ~dc:new_disputes
+      (List.map (fun (v, verdict) -> (v, verdict.Dispute.output)) verdicts)
   in
   quiesce t;
   Nab.session_dc_apply ses;
@@ -546,12 +420,8 @@ let run_flag_stage t batch =
   quiesce t;
   t.flag_batches <- t.flag_batches + 1;
   Nab_obs.add (Nab.session_obs ses) "stream.flag_batches" 1;
-  let adversary = Nab.session_adversary ses in
-  let faulty = Nab.session_faulty ses in
   let _, tc0 = List.hd batch in
-  let gk = tc0.t_gk in
-  let participants = Digraph.vertices gk in
-  let f_eff = Nab.session_f_eff ses in
+  let participants = Digraph.vertices tc0.t_ins.Nab.ins_gk in
   let b = List.length batch in
   let flag_of tc v = match List.assoc_opt v tc.t_flags with Some f -> f | None -> false in
   let inputs =
@@ -565,23 +435,13 @@ let run_flag_stage t batch =
     if b = 1 then Wire.Flag false
     else Wire.Batch (List.map (fun _ -> Wire.Flag false) batch)
   in
-  let actx0 = tc0.t_actx in
-  let decisions =
-    match Nab.session_flag_backend ses with
-    | `Eig ->
-        Eig.broadcast_all ~net:t.net ~nodes:participants ~phase:"stream-flags"
-          ~routing:t.routing ~f:f_eff ~inputs ~default ~faulty
-          ~adversary:(adversary.Adversary.flag_eig actx0)
-          ~reliable_hooks:(adversary.Adversary.reliable actx0) ()
-    | `Phase_king ->
-        Phase_king.broadcast_all ~net:t.net ~nodes:participants ~phase:"stream-flags"
-          ~routing:t.routing ~f:f_eff ~inputs ~default ~faulty
-          ~reliable_hooks:(adversary.Adversary.reliable actx0) ()
+  (* The batch runs under its first instance's hooks. *)
+  let agreed =
+    Nab.agree_flags ses tc0.t_ins ~net:t.net ~routing:t.routing ~phase:"stream-flags"
+      ~inputs ~default
   in
-  let honest_nodes = List.filter (fun v -> not (Vset.mem v faulty)) participants in
-  let vantage = List.hd honest_nodes in
   let agreed_flag i src =
-    match Hashtbl.find_opt decisions (src, vantage) with
+    match agreed src with
     | Some (Wire.Flag flag) when b = 1 -> flag
     | Some (Wire.Batch l) when b > 1 -> (
         match List.nth_opt l i with Some (Wire.Flag flag) -> flag | _ -> false)
@@ -594,13 +454,8 @@ let run_flag_stage t batch =
     | (inst, tc) :: rest ->
         if Hashtbl.mem t.inflight inst.i_k && inst.i_k = t.next_fin then begin
           let flags = List.map (fun v -> (v, agreed_flag i v)) participants in
-          let mismatch = List.exists snd flags in
-          if not mismatch then begin
-            let report =
-              base_report t inst tc ~decisions:(assembled_decisions tc)
-                ~mismatch:false ~dc_run:false ~new_disputes:[]
-            in
-            finalize t inst report;
+          if not (List.exists snd flags) then begin
+            finalize t inst (report_of t inst tc (assembled_decisions tc));
             go (i + 1) rest
           end
           else begin
@@ -618,14 +473,10 @@ let rec process_ready t =
   match ready_batch t with
   | `Wait -> ()
   | `Absent inst ->
-      finalize t inst (absent_report t inst);
+      finalize t inst (Nab.instance_report t.ses ~k:inst.i_k ());
       process_ready t
   | `Reduced (inst, tc) ->
-      let report =
-        base_report t inst tc ~decisions:(assembled_decisions tc) ~mismatch:false
-          ~dc_run:false ~new_disputes:[]
-      in
-      finalize t inst report;
+      finalize t inst (report_of t inst tc (assembled_decisions tc));
       process_ready t
   | `Flags batch ->
       (* Accumulate: with staggered admission roughly one instance

@@ -15,13 +15,15 @@
 
     At admission each instance's full protocol transcript — every Phase-1
     and equality-check send, the assembled values, MISMATCH flags and
-    dispute-control claim lists — is computed eagerly on the current G_k,
-    consulting the adversary's hooks in exactly the serial driver's call
-    order on an identically-seeded {!Nab.session_actx}. The data plane
-    then only decides {e when} those bits move: a node's sends on a tree
-    are released by the delivery of its parent-edge slice (suppressed
-    sends settle instantly), so causality matches the serial rounds while
-    unrelated links carry other instances' traffic.
+    dispute-control claim lists — is computed eagerly on the current G_k
+    by the serial driver's own steps ({!Phase1.step},
+    {!Equality_check.send}) under the hooks of the same {!Nab.instance},
+    and flags and dispute control run through {!Nab.agree_flags} and
+    {!Nab.dispute_control}. The data plane then only decides {e when}
+    those bits move: a node's sends on a tree are released by the
+    delivery of its parent-edge slice (suppressed sends settle instantly),
+    so causality matches the serial rounds while unrelated links carry
+    other instances' traffic.
 
     Consequently, for adversaries whose hooks are deterministic functions
     of their arguments and the per-instance RNG (every built-in

@@ -49,21 +49,50 @@ let span net ~phase ~trees ~bits which f =
     r
   end
 
+type schedule = {
+  trees : Arborescence.tree array;
+  depth_of : (int * int) list array;
+  sizes : int array;
+  max_depth : int;
+}
+
+let schedule ~trees ~source ~value_bits =
+  let trees = Array.of_list trees in
+  let depth_of = Array.map (fun t -> Arborescence.vertices_by_depth t ~root:source) trees in
+  {
+    trees;
+    depth_of;
+    sizes = slice_sizes ~value_bits ~trees:(Array.length trees);
+    max_depth =
+      Array.fold_left
+        (fun acc by_depth -> List.fold_left (fun acc (_, d) -> max acc d) acc by_depth)
+        0 depth_of;
+  }
+
+let step s ~faulty ~adversary ~round ~me ~received ~emit =
+  for t = 0 to Array.length s.trees - 1 do
+    let at_depth = List.exists (fun (w, d) -> w = me && d = round - 1) s.depth_of.(t) in
+    if at_depth then begin
+      let payload = expected_forward ~slice_bits:s.sizes.(t) ~received:(received t) in
+      List.iter
+        (fun dst ->
+          if not (Vset.mem me faulty) then emit t dst payload
+          else
+            match adversary ~me ~tree:t ~dst payload with
+            | Some p -> emit t dst p
+            | None -> ())
+        (Arborescence.children s.trees.(t) me)
+    end
+  done
+
 let run ~net ~phase ~trees ~source ~value ~faulty ?(adversary = honest) () =
   let g = Transport.graph net in
   let verts = Digraph.vertices g in
   let n_trees = List.length trees in
   if n_trees = 0 then invalid_arg "Phase1.run: no trees";
   span net ~phase ~trees:n_trees ~bits:(Bitvec.length value) "phase1" @@ fun () ->
-  let sizes = slice_sizes ~value_bits:(Bitvec.length value) ~trees:n_trees in
+  let s = schedule ~trees ~source ~value_bits:(Bitvec.length value) in
   let slices = Array.of_list (Bitvec.split_balanced value ~parts:n_trees) in
-  let trees = Array.of_list trees in
-  let depth_of = Array.map (fun t -> Arborescence.vertices_by_depth t ~root:source) trees in
-  let max_depth =
-    Array.fold_left
-      (fun acc by_depth -> List.fold_left (fun acc (_, d) -> max acc d) acc by_depth)
-      0 depth_of
-  in
   (* received.(tree) : node -> payload option *)
   let received = Array.init n_trees (fun _ -> Hashtbl.create 8) in
   Array.iteri
@@ -79,121 +108,26 @@ let run ~net ~phase ~trees ~source ~value ~faulty ?(adversary = honest) () =
               (fun t tbl ->
                 if
                   pkt.proto = tree_proto t
-                  && Arborescence.parent trees.(t) v = Some sender
+                  && Arborescence.parent s.trees.(t) v = Some sender
                   && not (Hashtbl.mem tbl v)
                 then Hashtbl.replace tbl v pkt.payload)
               (Array.to_list received))
           (inbox v))
       verts
   in
-  for round = 1 to max_depth do
+  for round = 1 to s.max_depth do
     let outbox v =
-      List.concat
-        (List.init n_trees (fun t ->
-             let at_depth =
-               List.exists (fun (w, d) -> w = v && d = round - 1) depth_of.(t)
-             in
-             if not at_depth then []
-             else begin
-               let kids = Arborescence.children trees.(t) v in
-               let payload =
-                 expected_forward ~slice_bits:sizes.(t)
-                   ~received:(Hashtbl.find_opt received.(t) v)
-               in
-               List.filter_map
-                 (fun dst ->
-                   let sent =
-                     if Vset.mem v faulty then adversary ~me:v ~tree:t ~dst payload
-                     else Some payload
-                   in
-                   Option.map
-                     (fun p ->
-                       (dst, Packet.direct ~proto:(tree_proto t) ~origin:v ~dst p))
-                     sent)
-                 kids
-             end))
+      let sends = ref [] in
+      step s ~faulty ~adversary ~round ~me:v
+        ~received:(fun t -> Hashtbl.find_opt received.(t) v)
+        ~emit:(fun t dst p ->
+          sends := (dst, Packet.direct ~proto:(tree_proto t) ~origin:v ~dst p) :: !sends);
+      List.rev !sends
     in
     absorb (Transport.round net ~phase outbox)
   done;
   (* On a delayed network the schedule can end with slices still in flight
      (a hop whose propagation delay reaches past round [max_depth]); drain
      the fabric so final-hop deliveries are not silently dropped. *)
-  if Transport.pending_count net > 0 then absorb (Transport.drain net ~phase);
-  fun v -> Array.map (fun tbl -> Hashtbl.find_opt tbl v) received
-
-let run_flood ~net ~phase ~trees ~source ~value ~faulty ?(adversary = honest)
-    ?max_rounds () =
-  let g = Transport.graph net in
-  let verts = Digraph.vertices g in
-  let n_trees = List.length trees in
-  if n_trees = 0 then invalid_arg "Phase1.run_flood: no trees";
-  span net ~phase ~trees:n_trees ~bits:(Bitvec.length value) "phase1-flood"
-  @@ fun () ->
-  let sizes = slice_sizes ~value_bits:(Bitvec.length value) ~trees:n_trees in
-  let slices = Array.of_list (Bitvec.split_balanced value ~parts:n_trees) in
-  let trees = Array.of_list trees in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> (4 * List.length verts) + 8
-  in
-  let received = Array.init n_trees (fun _ -> Hashtbl.create 8) in
-  Array.iteri (fun t tbl -> Hashtbl.replace tbl source (slice_payload slices.(t))) received;
-  (* Per tree, the set of nodes that still owe their children a forward. *)
-  let owes = Array.init n_trees (fun _ -> Hashtbl.create 8) in
-  Array.iter (fun tbl -> Hashtbl.replace tbl source ()) owes;
-  let complete () =
-    List.for_all
-      (fun v -> Array.for_all (fun tbl -> Hashtbl.mem tbl v) received)
-      verts
-  in
-  let absorb inbox =
-    List.iter
-      (fun v ->
-        List.iter
-          (fun (sender, (pkt : Packet.t)) ->
-            Array.iteri
-              (fun t tbl ->
-                if
-                  pkt.Packet.proto = tree_proto t
-                  && Arborescence.parent trees.(t) v = Some sender
-                  && not (Hashtbl.mem tbl v)
-                then begin
-                  Hashtbl.replace tbl v pkt.Packet.payload;
-                  if Arborescence.children trees.(t) v <> [] then
-                    Hashtbl.replace owes.(t) v ()
-                end)
-              received)
-          (inbox v))
-      verts
-  in
-  let round = ref 0 in
-  while (not (complete ())) && !round < max_rounds do
-    incr round;
-    let outbox v =
-      List.concat
-        (List.init n_trees (fun t ->
-             if not (Hashtbl.mem owes.(t) v) then []
-             else begin
-               Hashtbl.remove owes.(t) v;
-               let payload =
-                 expected_forward ~slice_bits:sizes.(t)
-                   ~received:(Hashtbl.find_opt received.(t) v)
-               in
-               List.filter_map
-                 (fun dst ->
-                   let sent =
-                     if Vset.mem v faulty then adversary ~me:v ~tree:t ~dst payload
-                     else Some payload
-                   in
-                   Option.map
-                     (fun p -> (dst, Packet.direct ~proto:(tree_proto t) ~origin:v ~dst p))
-                     sent)
-                 (Arborescence.children trees.(t) v)
-             end))
-    in
-    absorb (Transport.round net ~phase outbox)
-  done;
-  (* The flood keeps turning the engine while incomplete, so in-flight
-     messages normally arrive inside the loop; only a [max_rounds] exit can
-     leave some stranded. Drain so they at least reach [received]. *)
   if Transport.pending_count net > 0 then absorb (Transport.drain net ~phase);
   fun v -> Array.map (fun tbl -> Hashtbl.find_opt tbl v) received

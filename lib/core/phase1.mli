@@ -15,6 +15,33 @@ type adversary = me:int -> tree:int -> dst:int -> Wire.payload -> Wire.payload o
 
 val honest : adversary
 
+type schedule = private {
+  trees : Arborescence.tree array;
+  depth_of : (int * int) list array;  (** per tree: (vertex, depth) *)
+  sizes : int array;  (** per tree: slice width in bits *)
+  max_depth : int;  (** rounds Phase 1 takes *)
+}
+(** The value-independent shape of one Phase-1 execution, computed once
+    per instance. *)
+
+val schedule : trees:Arborescence.tree list -> source:int -> value_bits:int -> schedule
+
+val step :
+  schedule ->
+  faulty:Vset.t ->
+  adversary:adversary ->
+  round:int ->
+  me:int ->
+  received:(int -> Wire.payload option) ->
+  emit:(int -> int -> Wire.payload -> unit) ->
+  unit
+(** The forward rule: [emit tree dst payload] for each send of node [me]
+    in [round] (1-based), given what [me] holds per tree ([received t]).
+    Trees are walked in order, children in tree order; a faulty [me]'s
+    sends pass through [adversary] (dropped on [None]). Both {!run} and
+    the streaming driver's transcript call it, so the adversary hook sees
+    the same calls in the same order under either driver. *)
+
 val run :
   net:Transport.t ->
   phase:string ->
@@ -29,24 +56,6 @@ val run :
     has [Bitvec.balanced_sizes] bits, so gamma need not divide L). Returns a
     function from node to the payload received per tree ([None] = nothing
     arrived). The source's own entries are its true slices. *)
-
-val run_flood :
-  net:Transport.t ->
-  phase:string ->
-  trees:Arborescence.tree list ->
-  source:int ->
-  value:Bitvec.t ->
-  faulty:Vset.t ->
-  ?adversary:adversary ->
-  ?max_rounds:int ->
-  unit ->
-  int -> Wire.payload option array
-(** Event-driven variant of {!run}: a node forwards a tree's slice in the
-    round after it arrives, whatever round that is, so it tolerates
-    per-link propagation delays (the relaxation the paper's footnote 1
-    mentions). Behaviourally identical to {!run} on zero-delay networks.
-    Runs until every node holds every slice or [max_rounds] elapse
-    (default 4n + 8). *)
 
 val slice_sizes : value_bits:int -> trees:int -> int array
 (** The per-tree slice widths used by {!run}. *)

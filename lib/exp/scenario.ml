@@ -459,7 +459,7 @@ let fault_spec_of_json j : (Nab_net.Async_sim.fault_spec, string) result =
                 Ok ({ Nab_net.Async_sim.cut; from_t; until_t } :: acc))
               ps (Ok []))
   in
-  Ok
+  Nab_net.Async_sim.validate_spec
     {
       Nab_net.Async_sim.latency;
       jitter;

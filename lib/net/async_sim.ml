@@ -25,6 +25,40 @@ let no_faults =
 
 let fg x = Printf.sprintf "%g" x
 
+let latency_to_string = function
+  | Zero -> "zero"
+  | Const x -> Printf.sprintf "const:%s" (fg x)
+  | Uniform (lo, hi) -> Printf.sprintf "uniform:%s:%s" (fg lo) (fg hi)
+  | Exp m -> Printf.sprintf "exp:%s" (fg m)
+
+let latency_in_range = function
+  | Zero -> true
+  | Const x -> x >= 0.0
+  | Uniform (lo, hi) -> 0.0 <= lo && lo <= hi
+  | Exp mean -> mean > 0.0
+
+(* Every range check on a spec, whichever way it was built (flags,
+   scenario JSON, code). Written so that NaN fails each test. *)
+let validate_spec s =
+  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let early_crash = List.find_opt (fun (_, t) -> not (t >= 0.0)) s.crash in
+  let reversed = List.find_opt (fun p -> not (p.from_t <= p.until_t)) s.partitions in
+  if not (latency_in_range s.latency) then
+    bad "latency %s out of range (want const >= 0, uniform 0 <= LO <= HI, exp mean > 0)"
+      (latency_to_string s.latency)
+  else if not (s.jitter >= 0.0) then bad "jitter must be >= 0 (got %s)" (fg s.jitter)
+  else if not (0.0 <= s.reorder && s.reorder <= 1.0) then
+    bad "reorder probability must be within 0..1 (got %s)" (fg s.reorder)
+  else if not (s.reorder_delay >= 0.0) then
+    bad "reorder delay must be >= 0 (got %s)" (fg s.reorder_delay)
+  else
+    match (early_crash, reversed) with
+    | Some (v, t), _ -> bad "crash time of node %d must be >= 0 (got %s)" v (fg t)
+    | None, Some p ->
+        bad "partition window from %s until %s ends before it starts" (fg p.from_t)
+          (fg p.until_t)
+    | None, None -> Ok s
+
 (* The event queue: arrival time + a per-run sequence number (ties broken
    in send order, which at zero faults reproduces the synchronous delivery
    order exactly). *)
@@ -48,6 +82,9 @@ type t = {
 }
 
 let create ?obs ?keep_events ?(spec = no_faults) g =
+  (match validate_spec spec with
+  | Ok _ -> ()
+  | Error e -> invalid_arg ("Async_sim.create: " ^ e));
   let l = Ledger.create ?obs ?keep_events ~who:"Async_sim.round" g ~bits:Packet.bits in
   let crash_t = Array.make (max 1 (Ledger.nv l)) None in
   List.iter
@@ -231,29 +268,23 @@ let factory ?(spec = no_faults) () : Transport.factory =
 
 (* ------------------------ spec parsing / labels ----------------------- *)
 
-let latency_to_string = function
-  | Zero -> "zero"
-  | Const x -> Printf.sprintf "const:%s" (fg x)
-  | Uniform (lo, hi) -> Printf.sprintf "uniform:%s:%s" (fg lo) (fg hi)
-  | Exp m -> Printf.sprintf "exp:%s" (fg m)
-
 let latency_of_string s =
-  let bad () = Error (Printf.sprintf "bad latency spec %S (want zero | const:T | uniform:LO:HI | exp:MEAN)" s) in
-  match String.split_on_char ':' (String.trim s) with
-  | [ "zero" ] -> Ok Zero
-  | [ "const"; x ] -> (
-      match float_of_string_opt x with
-      | Some x when x >= 0.0 -> Ok (Const x)
-      | _ -> bad ())
-  | [ "uniform"; lo; hi ] -> (
-      match (float_of_string_opt lo, float_of_string_opt hi) with
-      | Some lo, Some hi when 0.0 <= lo && lo <= hi -> Ok (Uniform (lo, hi))
-      | _ -> bad ())
-  | [ "exp"; m ] -> (
-      match float_of_string_opt m with
-      | Some m when m > 0.0 -> Ok (Exp m)
-      | _ -> bad ())
-  | _ -> bad ()
+  let parsed =
+    match String.split_on_char ':' (String.trim s) with
+    | [ "zero" ] -> Some Zero
+    | [ "const"; x ] -> Option.map (fun x -> Const x) (float_of_string_opt x)
+    | [ "uniform"; lo; hi ] -> (
+        match (float_of_string_opt lo, float_of_string_opt hi) with
+        | Some lo, Some hi -> Some (Uniform (lo, hi))
+        | _ -> None)
+    | [ "exp"; m ] -> Option.map (fun m -> Exp m) (float_of_string_opt m)
+    | _ -> None
+  in
+  match parsed with
+  | Some l when latency_in_range l -> Ok l
+  | Some _ | None ->
+      Error
+        (Printf.sprintf "bad latency spec %S (want zero | const:T | uniform:LO:HI | exp:MEAN)" s)
 
 let crash_to_string crash =
   String.concat ","
@@ -270,7 +301,7 @@ let crash_of_string s =
           match String.split_on_char '@' (String.trim item) with
           | [ v; time ] -> (
               match (int_of_string_opt v, float_of_string_opt time) with
-              | Some v, Some time when time >= 0.0 -> go ((v, time) :: acc) rest
+              | Some v, Some time -> go ((v, time) :: acc) rest
               | _ -> Error (Printf.sprintf "bad crash item %S (want NODE@T)" item))
           | _ -> Error (Printf.sprintf "bad crash item %S (want NODE@T)" item))
     in
@@ -280,31 +311,24 @@ let spec_of_flags ~latency ~jitter ~reorder ~crash ~seed =
   let ( let* ) = Result.bind in
   let* latency = latency_of_string latency in
   let* reorder, reorder_delay =
-    if String.trim reorder = "" then Ok (0.0, 0.0)
-    else
-      let prob s =
-        match float_of_string_opt s with
-        | Some p when 0.0 <= p && p <= 1.0 -> Ok p
-        | _ -> Error (Printf.sprintf "bad reorder probability %S (want 0..1)" s)
-      in
-      let delay s =
-        match float_of_string_opt s with
-        | Some d when d >= 0.0 -> Ok d
-        | _ -> Error (Printf.sprintf "bad reorder delay %S" s)
-      in
-      match String.split_on_char ':' (String.trim reorder) with
-      | [ p ] ->
-          let* p = prob p in
-          Ok (p, 0.0)
-      | [ p; d ] ->
-          let* p = prob p in
-          let* d = delay d in
-          Ok (p, d)
-      | _ -> Error (Printf.sprintf "bad reorder spec %S (want P or P:D)" reorder)
+    let num s =
+      match float_of_string_opt s with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "bad reorder spec %S (want P or P:D)" reorder)
+    in
+    match String.split_on_char ':' (String.trim reorder) with
+    | [ "" ] -> Ok (0.0, 0.0)
+    | [ p ] ->
+        let* p = num p in
+        Ok (p, 0.0)
+    | [ p; d ] ->
+        let* p = num p in
+        let* d = num d in
+        Ok (p, d)
+    | _ -> Error (Printf.sprintf "bad reorder spec %S (want P or P:D)" reorder)
   in
   let* crash = crash_of_string crash in
-  if jitter < 0.0 then Error "jitter must be >= 0"
-  else Ok { latency; jitter; reorder; reorder_delay; crash; partitions = []; seed }
+  validate_spec { latency; jitter; reorder; reorder_delay; crash; partitions = []; seed }
 
 let spec_label spec =
   let parts = ref [] in

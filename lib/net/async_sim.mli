@@ -60,6 +60,14 @@ val no_faults : fault_spec
 (** [Zero] latency, no jitter/reorder/crash/partition, seed 0 — the
     configuration under which the backend matches {!Sim} decisions. *)
 
+val validate_spec : fault_spec -> (fault_spec, string) result
+(** [Ok spec] when every field is in range, else [Error] naming the first
+    field that is not: latency bounds (const >= 0, uniform
+    0 <= lo <= hi, exp mean > 0), jitter >= 0, reorder within 0..1,
+    reorder_delay >= 0, crash times >= 0, and each partition window with
+    [from_t <= until_t]. The one range check every spec passes, whether
+    it comes from {!spec_of_flags}, scenario JSON or {!create}. *)
+
 type t
 
 val create :
@@ -71,8 +79,9 @@ val create :
 (** A fresh event-loop backend over the graph, carrying {!Packet.t}
     messages sized by {!Packet.bits}. [spec] defaults to {!no_faults};
     [obs]/[keep_events] as in {!Sim.create}. Raises [Invalid_argument]
-    naming the entry when [spec] crashes a node that is not a vertex of
-    the graph or cuts a pair that is not a link of it. *)
+    when {!validate_spec} rejects [spec], and naming the entry when
+    [spec] crashes a node that is not a vertex of the graph or cuts a
+    pair that is not a link of it. *)
 
 val transport : t -> Transport.t
 (** Pack for the protocol layers; shares state with the handle. *)
@@ -114,7 +123,7 @@ val spec_of_flags :
     [campaign run]: [latency] as in {!latency_of_string}, [reorder] as
     ["P"] or ["P:D"] (probability, optional bump magnitude), [crash] as in
     {!crash_of_string}. No partitions — those exist only in scenario
-    JSON. *)
+    JSON. The result is checked by {!validate_spec}. *)
 
 val spec_label : fault_spec -> string
 (** Compact deterministic rendering of the whole spec (fault fields in

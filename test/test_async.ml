@@ -130,6 +130,60 @@ let test_out_of_graph_faults () =
     (fun () -> create (cut [ (3, 7) ]));
   create { (cut [ (1, 2); (4, 3) ]) with crash = [ (4, 0.0) ] }
 
+(* ---- fault specs must be in range, on every entry path ---- *)
+
+let test_out_of_range_faults () =
+  let g = Nab_graph.Gen.complete ~n:4 ~cap:2 in
+  let window from_t until_t = { Async_sim.cut = [ (1, 2) ]; from_t; until_t } in
+  let base = { Async_sim.no_faults with latency = Async_sim.Const 1.0 } in
+  let bad =
+    [
+      ("const latency < 0", { base with latency = Async_sim.Const (-1.0) });
+      ("uniform lo > hi", { base with latency = Async_sim.Uniform (2.0, 1.0) });
+      ("uniform lo < 0", { base with latency = Async_sim.Uniform (-1.0, 1.0) });
+      ("exp mean = 0", { base with latency = Async_sim.Exp 0.0 });
+      ("jitter < 0", { base with jitter = -1.0 });
+      ("reorder > 1", { base with reorder = 5.0 });
+      ("reorder < 0", { base with reorder = -0.5 });
+      ("reorder_delay < 0", { base with reorder = 0.5; reorder_delay = -2.0 });
+      ("crash time < 0", { base with crash = [ (2, -1.0) ] });
+      ("partition until < from", { base with partitions = [ window 5.0 1.0 ] });
+    ]
+  in
+  let as_scenario spec =
+    Json.to_string
+      (Scenario.to_json
+         (Scenario.make ~backend:(Scenario.Async spec) (Scenario.Complete { n = 4; cap = 2 })
+            ()))
+  in
+  List.iter
+    (fun (name, spec) ->
+      (match Scenario.of_string (as_scenario spec) with
+      | Ok _ -> Alcotest.failf "%s: scenario JSON accepted" name
+      | Error _ -> ());
+      match Async_sim.create ~spec g with
+      | _ -> Alcotest.failf "%s: Async_sim.create accepted" name
+      | exception Invalid_argument _ -> ())
+    bad;
+  (* The bounds themselves are in range. *)
+  let edge =
+    {
+      base with
+      latency = Async_sim.Uniform (0.0, 0.0);
+      reorder = 1.0;
+      crash = [ (2, 0.0) ];
+      partitions = [ window 3.0 3.0 ];
+    }
+  in
+  (match Scenario.of_string (as_scenario edge) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "boundary spec rejected: %s" e);
+  ignore (Async_sim.create ~spec:edge g : Async_sim.t);
+  Alcotest.(check bool) "flags share the check" true
+    (Result.is_error
+       (Async_sim.spec_of_flags ~latency:"zero" ~jitter:0.0 ~reorder:"5" ~crash:""
+          ~seed:0))
+
 let () =
   Alcotest.run "async"
     [
@@ -147,5 +201,7 @@ let () =
         [
           Alcotest.test_case "out-of-graph faults are rejected" `Quick
             test_out_of_graph_faults;
+          Alcotest.test_case "out-of-range faults are rejected" `Quick
+            test_out_of_range_faults;
         ] );
     ]

@@ -122,63 +122,6 @@ let test_phase1_timing_matches_paper () =
   in
   Alcotest.(check (float 1e-9)) "bottleneck = L/gamma" 16.0 ((Sim.timing sim).Sim.pipelined)
 
-let test_phase1_flood_matches_scheduled () =
-  (* On a zero-delay network the flood variant delivers exactly what the
-     scheduled variant does. *)
-  List.iter
-    (fun (g, name) ->
-      let gamma = Params.gamma_k g ~source:1 in
-      let trees = Arborescence.pack g ~root:1 ~k:gamma in
-      let l = 16 * gamma in
-      let value = Bitvec.random l (Random.State.make [| 8 |]) in
-      let sizes = Phase1.slice_sizes ~value_bits:l ~trees:gamma in
-      let sim = Sim.create g ~bits:Packet.bits in
-      let received =
-        Phase1.run_flood ~net:(Sim.transport sim) ~phase:"p1" ~trees ~source:1 ~value ~faulty:Vset.empty ()
-      in
-      List.iter
-        (fun v ->
-          if v <> 1 then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: node %d" name v)
-              true
-              (Bitvec.equal value (Phase1.assemble ~slice_sizes:sizes (received v))))
-        (Digraph.vertices g))
-    [ (k4, "K4"); (Gen.figure2, "fig2"); (dumbbell, "dumbbell") ]
-
-let test_phase1_flood_with_delays () =
-  (* Propagation delays (paper footnote 1): the flood variant still delivers
-     the exact value; completion just takes delay-many extra rounds. *)
-  let g = dumbbell in
-  let gamma = Params.gamma_k g ~source:1 in
-  let trees = Arborescence.pack g ~root:1 ~k:gamma in
-  let l = 12 * gamma in
-  let value = Bitvec.random l (Random.State.make [| 9 |]) in
-  let sizes = Phase1.slice_sizes ~value_bits:l ~trees:gamma in
-  (* Bridges are slow: 3 rounds of propagation; clique links 1 round. *)
-  let delays (src, dst) = if abs (src - dst) >= 3 then 3 else 1 in
-  let baseline_rounds =
-    let sim = Sim.create g ~bits:Packet.bits in
-    let (_ : int -> Wire.payload option array) =
-      Phase1.run_flood ~net:(Sim.transport sim) ~phase:"p1" ~trees ~source:1 ~value ~faulty:Vset.empty ()
-    in
-    Sim.rounds_run sim
-  in
-  let sim = Sim.create ~delays g ~bits:Packet.bits in
-  let received =
-    Phase1.run_flood ~net:(Sim.transport sim) ~phase:"p1" ~trees ~source:1 ~value ~faulty:Vset.empty ()
-  in
-  List.iter
-    (fun v ->
-      if v <> 1 then
-        Alcotest.(check bool)
-          (Printf.sprintf "delayed: node %d" v)
-          true
-          (Bitvec.equal value (Phase1.assemble ~slice_sizes:sizes (received v))))
-    (Digraph.vertices g);
-  Alcotest.(check bool) "delays cost extra rounds" true
-    (Sim.rounds_run sim > baseline_rounds)
-
 let test_phase1_run_drains_delayed_final_hop () =
   (* A 2-round delay on the final hop of the line 1 -> 2 -> 3: the slice
      node 2 forwards in round 2 is still in flight when the scheduled
@@ -876,10 +819,6 @@ let () =
           Alcotest.test_case "fault-free delivery" `Quick test_phase1_fault_free;
           Alcotest.test_case "corruption is local" `Quick test_phase1_corruption_is_local;
           Alcotest.test_case "timing matches paper" `Quick test_phase1_timing_matches_paper;
-          Alcotest.test_case "flood matches scheduled" `Quick
-            test_phase1_flood_matches_scheduled;
-          Alcotest.test_case "flood with propagation delays" `Quick
-            test_phase1_flood_with_delays;
           Alcotest.test_case "scheduled run drains delayed final hop" `Quick
             test_phase1_run_drains_delayed_final_hop;
         ] );

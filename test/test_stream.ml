@@ -40,10 +40,12 @@ let check_instance ~label (a : Nab.instance_report) (b : Nab.instance_report) =
       Alcotest.(check (pair int int)) (pre ^ " dispute pair") (x, y) (x', y'))
     a.Nab.new_disputes b.Nab.new_disputes
 
-let check_equiv ?(transport = Sim.default_factory) ?window ?flag_batch ~g ~config
-    ~adversary ~q ~label () =
+let check_equiv ?(transport = Sim.default_factory) ?window ?flag_batch ?(agree = false) ~g
+    ~config ~adversary ~q ~label () =
   let inputs = input_fn ~l:config.Nab.l_bits ~seed:(17 + q) in
   let serial = Nab.run ~transport ~g ~config ~adversary ~inputs ~q () in
+  if agree then
+    Alcotest.(check bool) (label ^ " serial agreement") true (Nab.fault_free_agree serial);
   let stream =
     Nab_stream.run ~transport ?window ?flag_batch ~g ~config ~adversary ~inputs ~q ()
   in
@@ -120,6 +122,32 @@ let test_stream_window_geometry () =
         ~label:(Printf.sprintf "w%d" window)
         ())
     [ (1, None); (2, Some 1); (3, Some 2); (16, None) ]
+
+let test_stream_matches_serial_phase_king () =
+  (* Step 2.2 on Phase-King: n > 4f on both graphs, so neither driver
+     falls back to EIG. *)
+  List.iter
+    (fun (g, gname, f) ->
+      let config = Nab.config ~f ~l_bits:128 ~m:8 ~flag_backend:`Phase_king () in
+      List.iter
+        (fun (name, adversary) ->
+          List.iter
+            (fun (window, flag_batch) ->
+              let label =
+                Printf.sprintf "%s/%s/pk/w%s/b%s" name gname
+                  (Option.fold ~none:"-" ~some:string_of_int window)
+                  (Option.fold ~none:"-" ~some:string_of_int flag_batch)
+              in
+              check_equiv ~g ~config ~adversary ~q:6 ?window ?flag_batch ~agree:true ~label
+                ())
+            [ (None, None); (Some 4, None); (Some 8, Some 4); (Some 8, Some 1) ])
+        [
+          ("none", Adversary.none);
+          ("ec-liar", Adversary.ec_liar);
+          ("stealthy", Adversary.stealthy);
+          ("phase1-corrupt", Adversary.phase1_corrupt);
+        ])
+    [ (Gen.complete ~n:6 ~cap:1, "K6", 1); (Gen.complete ~n:9 ~cap:1, "K9", 2) ]
 
 let test_stream_f2_exclusion () =
   (* f = 2 on K7: stealthy triggers repeated dispute control, eventually
@@ -201,6 +229,8 @@ let () =
           Alcotest.test_case "window/batch geometry" `Quick
             test_stream_window_geometry;
           Alcotest.test_case "f=2 exclusions" `Quick test_stream_f2_exclusion;
+          Alcotest.test_case "phase-king flags" `Quick
+            test_stream_matches_serial_phase_king;
         ] );
       ( "stream",
         [
