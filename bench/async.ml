@@ -48,28 +48,6 @@ let severities = [ 0.0; 0.25; 0.5; 1.0; 2.0 ]
 
 (* ------------------------------ running ------------------------------ *)
 
-let adversary name =
-  match Adversary.find name with
-  | Some a -> a
-  | None -> invalid_arg ("unknown adversary " ^ name)
-
-(* nab_cli's input derivation, so runs here replay its seeds exactly. *)
-let inputs_for ~l ~seed =
-  let rng = Random.State.make [| seed; 0x1ca11 |] in
-  let tbl = Hashtbl.create 8 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
-
-let run_nab ~transport ~adv g ~l ~q ~seed =
-  let config = Nab.config ~f:1 ~l_bits:l ~seed () in
-  Nab.run ~transport ~g ~config ~adversary:(adversary adv)
-    ~inputs:(inputs_for ~l ~seed) ~q ()
-
 (* Mean synchronous round duration of a fault-free NAB run: the unit the
    latency severities are expressed in. *)
 let mean_round_time (r : Nab.run_report) =
@@ -88,7 +66,9 @@ let run_oblivious ~spec g ~l ~seed =
   let net = Async_sim.transport handle in
   let routing = Nab_classic.Routing.build g ~f:1 in
   let sym_bits = if l mod 8 = 0 then 8 else 1 in
-  let data = Bitvec.to_symbols (Bitvec.pad_to (inputs_for ~l ~seed 1) l) ~sym_bits in
+  let data =
+    Bitvec.to_symbols (Bitvec.pad_to (Harness.inputs_for ~l ~seed 1) l) ~sym_bits
+  in
   let decisions =
     Nab_classic.Oblivious.broadcast ~net ~routing ~f:1 ~source:1 ~value_bits:l ~data
       ~faulty:Vset.empty ()
@@ -123,7 +103,9 @@ let cell ~quick (name, g) ~dbar severity =
     ]
   in
   match
-    let r = run_nab ~transport:(Async_sim.factory ~spec ()) ~adv:"none" g ~l ~q ~seed in
+    let r =
+      Harness.run_nab ~transport:(Async_sim.factory ~spec ()) ~adv:"none" g ~l ~q ~seed
+    in
     let obl, obl_agree, obl_drops = run_oblivious ~spec g ~l ~seed in
     (r, obl, obl_agree, obl_drops)
   with
@@ -148,7 +130,9 @@ let sweep ~quick ~(write : Harness.writer) =
       (fun (name, g) ->
         let l = if quick then 256 else 1024 in
         let q = if quick then 2 else 4 in
-        let sync = run_nab ~transport:(Sim.factory ()) ~adv:"none" g ~l ~q ~seed:7 in
+        let sync =
+          Harness.run_nab ~transport:(Sim.factory ()) ~adv:"none" g ~l ~q ~seed:7
+        in
         let dbar = mean_round_time sync in
         Printf.printf "%s: sync wall %.1f, mean round %.3f\n%!" name sync.Nab.total_wall
           dbar;
@@ -194,7 +178,7 @@ let run_checks () =
     (fun (name, g) ->
       List.iter
         (fun adv ->
-          let run transport = run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
+          let run transport = Harness.run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
           check
             (Printf.sprintf "%s/%s async-zero == sync" name adv)
             (report_json (run (Sim.factory ()))
@@ -216,7 +200,7 @@ let run_checks () =
     let spec = { spec with Async_sim.seed } in
     Json.to_string
       (Report.run_to_json
-         (run_nab
+         (Harness.run_nab
             ~transport:(Async_sim.factory ~spec ())
             ~adv:"none"
             (Gen.twin_cliques ~half:3 ~spoke_cap:8 ~intra_cap:8 ~cross_cap:1)

@@ -1,6 +1,7 @@
 (* The shared harness of the six artifact benches (kernels, sim, async,
    stream, socket, campaign): one command line, one timing loop, one
-   artifact envelope and one required-rows gate.
+   artifact envelope and one required-rows gate, plus the adversary and
+   input derivation of the protocol runs they replay.
 
    Every bench takes the same flags:
 
@@ -23,6 +24,22 @@
    simulated-time artifacts are byte-reproducible and carry none. *)
 
 module Json = Nab_obs.Json
+
+(* ------------------------------- runs ------------------------------- *)
+
+let adversary name =
+  match Nab_core.Adversary.find name with
+  | Some a -> a
+  | None -> invalid_arg ("unknown adversary " ^ name)
+
+(* nab_cli's input derivation, so runs here replay its seeds exactly. *)
+let inputs_for ~l ~seed = Nab_exp.Scenario.input_stream ~l_bits:l ~seed
+
+(* A serial f = 1 session of [q] instances over [transport]. *)
+let run_nab ~transport ~adv g ~l ~q ~seed =
+  let config = Nab_core.Nab.config ~f:1 ~l_bits:l ~seed () in
+  Nab_core.Nab.run ~transport ~g ~config ~adversary:(adversary adv)
+    ~inputs:(inputs_for ~l ~seed) ~q ()
 
 (* ------------------------------ timing ------------------------------ *)
 

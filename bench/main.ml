@@ -33,16 +33,7 @@ let section id title =
 
 let hr n = Printf.printf "%s\n" (String.make n '-')
 
-let inputs_for ~l ~seed =
-  let rng = Random.State.make [| seed |] in
-  let tbl = Hashtbl.create 16 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
+let inputs_for ~l ~seed = Bitvec.random_stream l (Random.State.make [| seed |])
 
 (* --trace/--metrics/--json artifact plumbing (wired up in main below).
    Only the sequential protocol runs report here: E11 executes its runs

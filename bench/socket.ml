@@ -47,28 +47,6 @@ let backends = [ "socket"; "async" ]
 
 (* ------------------------------ running ------------------------------ *)
 
-let adversary name =
-  match Adversary.find name with
-  | Some a -> a
-  | None -> invalid_arg ("unknown adversary " ^ name)
-
-(* nab_cli's input derivation, so runs here replay its seeds exactly. *)
-let inputs_for ~l ~seed =
-  let rng = Random.State.make [| seed; 0x1ca11 |] in
-  let tbl = Hashtbl.create 8 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
-
-let run_nab ~transport ~adv g ~l ~q ~seed =
-  let config = Nab.config ~f:1 ~l_bits:l ~seed () in
-  Nab.run ~transport ~g ~config ~adversary:(adversary adv)
-    ~inputs:(inputs_for ~l ~seed) ~q ()
-
 (* ------------------------------- sweep ------------------------------- *)
 
 module Json = Nab_obs.Json
@@ -99,7 +77,7 @@ let cell ~quick (name, g) backend =
   in
   match
     let t0 = Unix.gettimeofday () in
-    let r = run_nab ~transport ~adv:"none" g ~l ~q ~seed in
+    let r = Harness.run_nab ~transport ~adv:"none" g ~l ~q ~seed in
     let dt = Unix.gettimeofday () -. t0 in
     (r, dt)
   with
@@ -187,7 +165,7 @@ let run_checks () =
     (fun (name, g) ->
       List.iter
         (fun adv ->
-          let run transport = run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
+          let run transport = Harness.run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
           check
             (Printf.sprintf "%s/%s socket == sync" name adv)
             (report_json (run (Sim.factory ()))
@@ -198,10 +176,8 @@ let run_checks () =
      connect/TCP_NODELAY paths; one case keeps it honest. *)
   check "complete/none socket-tcp == sync"
     (let g = Gen.complete ~n:4 ~cap:2 in
-     report_json (run_nab ~transport:(Sim.factory ()) ~adv:"none" g ~l:256 ~q:2 ~seed:7)
-     = report_json
-         (run_nab ~transport:(Socket.factory ~mode:`Tcp ()) ~adv:"none" g ~l:256
-            ~q:2 ~seed:7))
+     let run transport = Harness.run_nab ~transport ~adv:"none" g ~l:256 ~q:2 ~seed:7 in
+     report_json (run (Sim.factory ())) = report_json (run (Socket.factory ~mode:`Tcp ())))
 
 (* -------------------------- artifact verify -------------------------- *)
 

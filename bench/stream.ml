@@ -55,34 +55,17 @@ let window = 64
 
 (* ------------------------------ running ------------------------------ *)
 
-let adversary name =
-  match Adversary.find name with
-  | Some a -> a
-  | None -> invalid_arg ("unknown adversary " ^ name)
-
-(* nab_cli's input derivation, so runs here replay its seeds exactly. *)
-let inputs_for ~l ~seed =
-  let rng = Random.State.make [| seed; 0x1ca11 |] in
-  let tbl = Hashtbl.create 8 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
-
 let config_for ~l ~seed = Nab.config ~f:1 ~l_bits:l ~seed ()
 
 let run_stream ?transport ?(window = window) ~adv g ~l ~q ~seed () =
   let config = config_for ~l ~seed in
-  Nab_stream.run ?transport ~window ~g ~config ~adversary:(adversary adv)
-    ~inputs:(inputs_for ~l ~seed) ~q ()
+  Nab_stream.run ?transport ~window ~g ~config ~adversary:(Harness.adversary adv)
+    ~inputs:(Harness.inputs_for ~l ~seed) ~q ()
 
 let run_serial ?transport ~adv g ~l ~q ~seed () =
   let config = config_for ~l ~seed in
-  Nab.run ?transport ~g ~config ~adversary:(adversary adv)
-    ~inputs:(inputs_for ~l ~seed) ~q ()
+  Nab.run ?transport ~g ~config ~adversary:(Harness.adversary adv)
+    ~inputs:(Harness.inputs_for ~l ~seed) ~q ()
 
 (* ------------------------------- sweep ------------------------------- *)
 
@@ -246,11 +229,13 @@ let run_checks () =
     let l = 256 in
     let seed = 7 in
     let config = config_for ~l ~seed in
-    let inputs = inputs_for ~l ~seed in
-    let s = Nab.run ?transport ~g ~config ~adversary:(adversary adv) ~inputs ~q () in
+    let inputs = Harness.inputs_for ~l ~seed in
+    let s =
+      Nab.run ?transport ~g ~config ~adversary:(Harness.adversary adv) ~inputs ~q ()
+    in
     let r =
       Nab_stream.run ?transport ~window ?flag_batch ~g ~config
-        ~adversary:(adversary adv) ~inputs ~q ()
+        ~adversary:(Harness.adversary adv) ~inputs ~q ()
     in
     check
       (label ^ " decisions == serial")

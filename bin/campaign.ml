@@ -5,27 +5,15 @@
 open Cmdliner
 open Nab_exp
 
-let jobs_arg =
-  let doc =
-    "Worker domains for scenario execution and the analytical sweeps. \
-     Overrides NAB_JOBS; 0 keeps the default. Results are byte-identical \
-     at any job count."
-  in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
-
-let jobs_term =
-  Term.(const (fun jobs -> if jobs > 0 then Nab_util.Pool.set_jobs jobs) $ jobs_arg)
-
-let with_jobs term = Term.(const (fun () r -> r) $ jobs_term $ term)
+let ( let* ) = Result.bind
 
 let plan_cache_cap_arg =
   let doc =
-    "Bound every plan/witness cache to $(docv) entries (LRU eviction). \
-     Unbounded by default; set this for open-ended soaks so planning \
-     memory stays flat. Eviction only changes when a plan recomputes, \
-     never a result."
+    "Bound every plan/witness cache to $(docv) entries (LRU eviction; 0 = \
+     unbounded), so planning memory stays flat over an open-ended soak. \
+     Eviction only changes when a plan recomputes, never a result."
   in
-  Arg.(value & opt int 0 & info [ "plan-cache-cap" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 512 & info [ "plan-cache-cap" ] ~docv:"N" ~doc)
 
 let apply_plan_cache_cap cap =
   if cap > 0 then Nab_util.Plan_cache.set_cap_all (Some cap)
@@ -51,113 +39,54 @@ let scenarios_arg =
     & info [ "scenarios" ] ~docv:"FILE"
         ~doc:"Run the scenarios of a JSON file (one Scenario.to_json object per line).")
 
-(* ---- network backend (shared by run/list) ----
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | content -> Ok content
+  | exception Sys_error e -> Error e
 
-   The flags mirror nab_cli's: selecting --backend async maps every chosen
-   scenario through Scenario.with_backend, so async runs get content-derived
-   ids ("+async-<spec>") exactly like sync ones. *)
+let read_scenarios path =
+  let* content = read_file path in
+  List.fold_left
+    (fun acc (lineno, line) ->
+      let* acc = acc in
+      if line = "" then Ok acc
+      else
+        match Scenario.of_string line with
+        | Ok s -> Ok (s :: acc)
+        | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
+    (Ok [])
+    (List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' content))
+  |> Result.map List.rev
 
-let net_backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("sync", `Sync); ("async", `Async); ("socket", `Socket) ]) `Sync
-    & info [ "backend" ] ~docv:"NET"
-        ~doc:
-          "Network backend for every scenario: sync (default), async \
-           (event-driven, with injectable faults) or socket (one OS process \
-           per node over real Unix-domain sockets).")
-
-let latency_arg =
-  Arg.(
-    value & opt string "zero"
-    & info [ "latency" ] ~docv:"SPEC"
-        ~doc:"Async per-message latency: zero, const:T, uniform:LO:HI or exp:MEAN.")
-
-let jitter_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "jitter" ] ~docv:"J" ~doc:"Async extra uniform [0,J) delay per message.")
-
-let reorder_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "reorder" ] ~docv:"P[:D]"
-        ~doc:
-          "Async reordering: bump each message with probability P by D time \
-           units (D omitted = one round's transmission time).")
-
-let crash_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "crash" ] ~docv:"N@T,.."
-        ~doc:"Async crash faults: node N sends/receives nothing from time T.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:"Seed for the async fault randomness (replay key).")
-
-let backend_of_flags backend latency jitter reorder crash fault_seed =
-  let reject_faults () =
-    if latency <> "zero" || jitter <> 0.0 || reorder <> "" || crash <> ""
-       || fault_seed <> 0
-    then
-      failwith
-        "fault flags (--latency/--jitter/--reorder/--crash/--fault-seed) \
-         require --backend async"
+(* --backend async (or socket) maps every chosen scenario through
+   Scenario.with_backend, so those runs get content-derived ids
+   ("+async-<spec>", "+socket") exactly like sync ones. A bad scenario
+   file is a usage error (exit 124), like a bad flag. *)
+let select _quick soak seed scenarios_file backend =
+  let lift =
+    match backend with
+    | Scenario.Sync -> Fun.id
+    | b -> List.map (Scenario.with_backend b)
   in
-  match backend with
-  | `Sync ->
-      reject_faults ();
-      Scenario.Sync
-  | `Socket ->
-      reject_faults ();
-      Scenario.Socket
-  | `Async -> (
-      match
-        Nab_net.Async_sim.spec_of_flags ~latency ~jitter ~reorder ~crash
-          ~seed:fault_seed
-      with
-      | Ok spec -> Scenario.Async spec
-      | Error e -> failwith e)
+  Result.map
+    (fun scenarios -> (backend, lift scenarios))
+    (match (scenarios_file, soak) with
+    | Some path, _ -> read_scenarios path
+    | None, Some trials -> Ok (Campaigns.soak ~trials ~seed)
+    | None, None -> Ok (Campaigns.quick ()))
 
-let backend_term =
+let selection_term =
   Term.(
-    const backend_of_flags $ net_backend_arg $ latency_arg $ jitter_arg
-    $ reorder_arg $ crash_arg $ fault_seed_arg)
-
-let apply_backend backend scenarios =
-  match backend with
-  | Scenario.Sync -> scenarios
-  | b -> List.map (Scenario.with_backend b) scenarios
-
-let select quick soak seed scenarios_file =
-  match scenarios_file with
-  | Some path ->
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go lineno acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | "" -> go (lineno + 1) acc
-            | line -> (
-                match Scenario.of_string line with
-                | Ok s -> go (lineno + 1) (s :: acc)
-                | Error e -> failwith (Printf.sprintf "%s:%d: %s" path lineno e))
-          in
-          go 1 [])
-  | None -> (
-      ignore quick;
-      match soak with
-      | Some trials -> Campaigns.soak ~trials ~seed
-      | None -> Campaigns.quick ())
+    term_result'
+      (const select $ quick_arg $ soak_arg $ seed_arg $ scenarios_arg
+     $ Cli_flags.backend_term))
 
 (* ---- run ---- *)
 
-let print_failure oc (row : Runner.row) =
+(* [results] is where the failing row can be read back: a store
+   directory, a result file or a scenario file; [None] when the rows went
+   to stdout. *)
+let print_failure oc ~results (row : Runner.row) =
   let s = row.Runner.scenario in
   (match row.Runner.outcome with
   | Runner.Error e -> Printf.fprintf oc "ERROR %s: %s\n" s.Scenario.id e
@@ -168,13 +97,38 @@ let print_failure oc (row : Runner.row) =
             Printf.fprintf oc "FAIL %s [%s]: %s\n" s.Scenario.id c.Checker.name
               c.Checker.detail)
         row.Runner.checks);
-  Printf.fprintf oc "  repro: dune exec bin/campaign.exe -- shrink RESULTS.jsonl --id '%s'\n"
-    s.Scenario.id;
+  let shrink path =
+    Printf.sprintf "dune exec bin/campaign.exe -- shrink %s --id '%s'" path s.Scenario.id
+  in
+  (match results with
+  | Some path -> Printf.fprintf oc "  repro: %s\n" (shrink path)
+  | None ->
+      Printf.fprintf oc "  repro: save the JSONL rows printed on stdout as F.jsonl, then %s\n"
+        (shrink "F.jsonl"));
   match Shrink.cli_command s ~graph_file:"network.graph" with
   | Some cmd ->
       Printf.fprintf oc
         "  rerun (from a shrink repro dir, which contains network.graph): %s\n" cmd
   | None -> ()
+
+(* Progress on stderr: every failure, and passes at most once a second,
+   each line with the rate so far and the time left at that rate. *)
+let progress ~total =
+  let t0 = Unix.gettimeofday () and last = ref neg_infinity in
+  fun i (row : Runner.row) ->
+    let now = Unix.gettimeofday () in
+    let ran = i + 1 in
+    if row.Runner.outcome <> Runner.Pass || now -. !last >= 1.0 || ran = total then begin
+      last := now;
+      let rate = float_of_int ran /. Float.max (now -. t0) 1e-3 in
+      Printf.eprintf "[%d/%d] %s %s (%.1f scenarios/s, ETA %.0fs)\n%!" ran total
+        (match row.Runner.outcome with
+        | Runner.Pass -> "ok  "
+        | Runner.Violation -> "FAIL"
+        | Runner.Error _ -> "ERR ")
+        row.Runner.scenario.Scenario.id rate
+        (float_of_int (total - ran) /. rate)
+    end
 
 let run_cmd =
   let out_arg =
@@ -244,8 +198,8 @@ let run_cmd =
       & info [ "commit-every" ] ~docv:"ROWS"
           ~doc:"With --store: commit (fsync + manifest) every $(docv) rows.")
   in
-  let run quick soak seed scenarios_file backend out baseline shrink_dir cache_stats
-      store_dir salt limit commit_every plan_cache_cap =
+  let run (backend, scenarios) out baseline shrink_dir cache_stats store_dir salt limit
+      commit_every plan_cache_cap =
     apply_plan_cache_cap plan_cache_cap;
     (match backend with
     | Scenario.Socket -> (
@@ -260,17 +214,8 @@ let run_cmd =
               reason;
             exit 0)
     | _ -> ());
-    let scenarios = apply_backend backend (select quick soak seed scenarios_file) in
     Printf.eprintf "campaign: %d scenarios (%d jobs)\n%!" (List.length scenarios)
       (Nab_util.Pool.jobs ());
-    let progress total i row =
-      Printf.eprintf "[%d/%s] %s %s\n%!" (i + 1) total
-        (match row.Runner.outcome with
-        | Runner.Pass -> "ok  "
-        | Runner.Violation -> "FAIL"
-        | Runner.Error _ -> "ERR ")
-        row.Runner.scenario.Scenario.id
-    in
     (* Cache amortization footer: scenarios sharing a topology should plan
        it once, so a sinking hit rate here is a perf regression even while
        every oracle still passes. *)
@@ -318,8 +263,8 @@ let run_cmd =
           output_char oc '\n';
           close_out oc
     in
-    let shrink_bad bad =
-      List.iter (print_failure stderr) bad;
+    let shrink_bad ~results bad =
+      List.iter (print_failure stderr ~results) bad;
       match shrink_dir with
       | Some dir ->
           List.iter
@@ -337,20 +282,27 @@ let run_cmd =
       | None -> ()
     in
     match store_dir with
+    | Some _ when baseline <> None ->
+        (* Baselining a store is the analyze artifact's job. *)
+        Error
+          "--baseline cannot be combined with --store (gate on 'campaign analyze' \
+           output instead)"
     | Some dir ->
         (* Store-backed (resumable) mode: rows land in the sharded store,
-           not a flat file; baselining a store is the analyze artifact's
-           job. *)
-        if baseline <> None then
-          failwith "--baseline cannot be combined with --store (gate on 'campaign analyze' output instead)";
+           not a flat file. *)
         let store = Store.open_ ~dir ~salt () in
         Printf.eprintf "store: %s (%d rows present, salt %s)\n%!" dir
           (Store.row_count store) salt;
+        let total =
+          let pending = List.length (Runner.pending ~store scenarios) in
+          match limit with Some l -> min (max 0 l) pending | None -> pending
+        in
+        let progress = progress ~total in
         let bad = ref [] in
         let summary =
           Runner.run_campaign_store ?limit ~commit_rows:commit_every ~store
             ~on_row:(fun i row ->
-              progress "?" i row;
+              progress i row;
               if row.Runner.outcome <> Runner.Pass then bad := row :: !bad)
             scenarios
         in
@@ -358,18 +310,17 @@ let run_cmd =
         Store.close store;
         cache_footer ();
         let bad = List.rev !bad in
-        shrink_bad bad;
+        shrink_bad ~results:(Some dir) bad;
         Printf.eprintf
           "campaign: %d requested, %d skipped (already stored), %d ran, %d violations/errors%s\n%!"
           summary.Runner.requested summary.Runner.skipped summary.Runner.ran
           summary.Runner.run_violations
           (if summary.Runner.complete then ", store sealed"
            else " — incomplete (--limit), rerun to resume");
-        if summary.Runner.run_violations > 0 then 1 else 0
+        Ok (if summary.Runner.run_violations > 0 then 1 else 0)
     | None ->
-        let total = string_of_int (List.length scenarios) in
         let rows =
-          Runner.run_campaign ~on_row:(fun i row -> progress total i row) scenarios
+          Runner.run_campaign ~on_row:(progress ~total:(List.length scenarios)) scenarios
         in
         (if out = "-" then Runner.write_jsonl stdout rows
          else
@@ -377,7 +328,7 @@ let run_cmd =
            Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Runner.write_jsonl oc rows));
         cache_footer ();
         let bad = Runner.violations rows in
-        shrink_bad bad;
+        shrink_bad ~results:(if out = "-" then None else Some out) bad;
         let base_ok =
           match baseline with
           | None -> true
@@ -402,14 +353,15 @@ let run_cmd =
         in
         Printf.eprintf "campaign: %d scenarios, %d violations/errors\n%!" (List.length rows)
           (List.length bad);
-        if bad = [] && base_ok then 0 else 1
+        Ok (if bad = [] && base_ok then 0 else 1)
   in
   let term =
-    with_jobs
+    Cli_flags.with_jobs
       Term.(
-        const run $ quick_arg $ soak_arg $ seed_arg $ scenarios_arg $ backend_term
-        $ out_arg $ baseline_arg $ shrink_arg $ cache_stats_arg $ store_arg $ salt_arg
-        $ limit_arg $ commit_every_arg $ plan_cache_cap_arg)
+        term_result'
+          (const run $ selection_term $ out_arg $ baseline_arg $ shrink_arg
+         $ cache_stats_arg $ store_arg $ salt_arg $ limit_arg $ commit_every_arg
+         $ plan_cache_cap_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a campaign, stream JSONL results, gate on oracle violations.")
@@ -429,7 +381,7 @@ let list_cmd =
              adversaries, partitioned fault specs) and only \
              $(b,campaign replay) can reproduce it.")
   in
-  let list quick soak seed scenarios_file backend commands =
+  let list (_, scenarios) commands =
     List.iter
       (fun (s : Scenario.t) ->
         if commands then
@@ -438,15 +390,28 @@ let list_cmd =
             | Some cmd -> cmd
             | None -> "-")
         else print_endline s.Scenario.id)
-      (apply_backend backend (select quick soak seed scenarios_file));
+      scenarios;
     0
   in
-  let term =
-    Term.(
-      const list $ quick_arg $ soak_arg $ seed_arg $ scenarios_arg $ backend_term
-      $ commands_arg)
-  in
+  let term = Term.(const list $ selection_term $ commands_arg) in
   Cmd.v (Cmd.info "list" ~doc:"Print the scenario ids of a campaign.") term
+
+(* ---- result files and stores (shared by diff/analyze/shrink) ---- *)
+
+let is_store path = Sys.file_exists path && Sys.is_directory path
+
+(* The rows of a store directory or a result file, one at a time. *)
+let fold_rows path ~init ~f =
+  if is_store path then
+    match
+      Store.fold ~dir:path ~init ~f:(fun acc line ->
+          match Result.bind (Nab_obs.Json.of_string line) Runner.row_of_json with
+          | Ok row -> f acc row
+          | Error e -> raise (Store.Error (path ^ ": " ^ e)))
+    with
+    | acc -> Ok acc
+    | exception Store.Error e -> Error e
+  else Runner.fold_jsonl path ~init ~f
 
 (* ---- diff ---- *)
 
@@ -461,19 +426,8 @@ let diff_cmd =
     (* Streaming on both sides: the baseline is indexed once, the current
        rows (flat file or sharded store) pass through one at a time. *)
     let result =
-      if Sys.file_exists current && Sys.is_directory current then
-        match Runner.diff_stream ~baseline_path:baseline with
-        | Error e -> Error e
-        | Ok (feed, finish) -> (
-            match
-              Store.fold ~dir:current ~init:() ~f:(fun () line ->
-                  match Result.bind (Nab_obs.Json.of_string line) Runner.row_of_json with
-                  | Ok row -> feed row
-                  | Error e -> raise (Store.Error (current ^ ": " ^ e)))
-            with
-            | () -> Ok (finish ())
-            | exception Store.Error e -> Error e)
-      else Runner.diff_jsonl ~baseline_path:baseline ~current_path:current
+      Result.bind (Runner.diff_stream ~baseline_path:baseline) (fun (feed, finish) ->
+          Result.map finish (fold_rows current ~init:() ~f:(fun () row -> feed row)))
     in
     match result with
     | Error e ->
@@ -515,10 +469,7 @@ let analyze_cmd =
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
   in
   let analyze path out md =
-    let source =
-      if Sys.file_exists path && Sys.is_directory path then Analyze.Store_dir path
-      else Analyze.Jsonl path
-    in
+    let source = if is_store path then Analyze.Store_dir path else Analyze.Jsonl path in
     match Analyze.of_source source with
     | Error e ->
         prerr_endline e;
@@ -529,7 +480,7 @@ let analyze_cmd =
         Option.iter (fun p -> write_file p (Analyze.to_markdown t)) md;
         0
   in
-  let term = with_jobs Term.(const analyze $ path_arg $ out_arg $ md_arg) in
+  let term = Cli_flags.with_jobs Term.(const analyze $ path_arg $ out_arg $ md_arg) in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -545,13 +496,15 @@ let shrink_cmd =
   let file_arg =
     Arg.(
       required & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"A result JSONL, or a single scenario JSON file.")
+      & info [] ~docv:"PATH"
+          ~doc:"A store directory, a result JSONL, or a single scenario JSON file.")
   in
   let id_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "id" ] ~docv:"ID" ~doc:"Which row of a result file to shrink (default: first failing).")
+      & info [ "id" ] ~docv:"ID"
+          ~doc:"Which row of a store or result file to shrink (default: first failing).")
   in
   let out_arg =
     Arg.(value & opt string "repro" & info [ "out"; "o" ] ~docv:"DIR" ~doc:"Repro bundle directory.")
@@ -559,36 +512,26 @@ let shrink_cmd =
   let max_runs_arg =
     Arg.(value & opt int 400 & info [ "max-runs" ] ~docv:"N" ~doc:"Budget of candidate executions.")
   in
-  let shrink file id out max_runs =
-    let scenario =
-      if Filename.check_suffix file ".jsonl" then
-        match Runner.read_jsonl file with
-        | Error e -> failwith e
-        | Ok rows -> (
-            let pick =
-              match id with
-              | Some id ->
-                  List.find_opt (fun (r : Runner.row) -> r.Runner.scenario.Scenario.id = id) rows
-              | None ->
-                  List.find_opt (fun (r : Runner.row) -> r.Runner.outcome <> Runner.Pass) rows
-            in
-            match pick with
-            | Some r -> r.Runner.scenario
-            | None -> failwith "no matching (failing) row in the result file")
-      else
-        let ic = open_in file in
-        let content =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
+  let shrink path id out max_runs =
+    let* scenario =
+      if is_store path || Filename.check_suffix path ".jsonl" then
+        let wanted (r : Runner.row) =
+          match id with
+          | Some id -> r.Runner.scenario.Scenario.id = id
+          | None -> r.Runner.outcome <> Runner.Pass
         in
-        match Scenario.of_string content with Ok s -> s | Error e -> failwith e
+        let* found =
+          fold_rows path ~init:None ~f:(fun found r ->
+              if Option.is_none found && wanted r then Some r.Runner.scenario else found)
+        in
+        Option.to_result found ~none:("no matching (failing) row in " ^ path)
+      else Result.bind (read_file path) Scenario.of_string
     in
     match Shrink.shrink ~max_runs scenario with
     | None ->
         Printf.printf "scenario %s passes every check; nothing to shrink\n"
           scenario.Scenario.id;
-        2
+        Ok 2
     | Some r ->
         let files = Shrink.write_repro ~dir:out r in
         Printf.printf "violation key: %s\nminimized: %s (%d runs)\nwrote:\n" r.Shrink.key
@@ -602,9 +545,12 @@ let shrink_cmd =
         | None ->
             Printf.printf "replay: %s\n"
               (Shrink.replay_command ~scenario_file:(Filename.concat out "scenario.json")));
-        0
+        Ok 0
   in
-  let term = with_jobs Term.(const shrink $ file_arg $ id_arg $ out_arg $ max_runs_arg) in
+  let term =
+    Cli_flags.with_jobs
+      Term.(term_result' (const shrink $ file_arg $ id_arg $ out_arg $ max_runs_arg))
+  in
   Cmd.v
     (Cmd.info "shrink" ~doc:"Minimize a failing scenario to a self-contained reproducer.")
     term
@@ -616,13 +562,7 @@ let replay_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Scenario JSON file.")
   in
   let replay file =
-    let ic = open_in file in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Scenario.of_string content with
+    match Result.bind (read_file file) Scenario.of_string with
     | Error e ->
         prerr_endline e;
         2
@@ -637,10 +577,10 @@ let replay_cmd =
               row.Runner.checks;
             0
         | _ ->
-            print_failure stdout row;
+            print_failure stdout ~results:(Some file) row;
             1)
   in
-  let term = with_jobs Term.(const replay $ file_arg) in
+  let term = Cli_flags.with_jobs Term.(const replay $ file_arg) in
   Cmd.v (Cmd.info "replay" ~doc:"Run a single scenario JSON file and report its checks.") term
 
 let () =

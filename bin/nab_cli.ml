@@ -1,9 +1,16 @@
 (* Command-line driver: run NAB on generated networks, compute capacity
-   bounds, render the pipelining schedule, export graphs. *)
+   bounds, render the pipelining schedule, export graphs. Every command
+   names its network as a Scenario topology, and [run] builds a whole
+   Scenario from its flags and executes it with Runner.execute — the code
+   campaigns run — so a campaign's printed rerun line replays its row
+   exactly. *)
 
 open Cmdliner
 open Nab_graph
 open Nab_core
+open Nab_exp
+
+let ( let* ) = Result.bind
 
 let setup_logs () =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -11,26 +18,33 @@ let setup_logs () =
 
 (* ---- shared graph-family argument ---- *)
 
-let make_graph family n cap seed =
+(* The named families at size [n] and link capacity [cap], as scenario
+   topologies; "@path" loads a Graphfile network as an explicit edge list. *)
+let topo_of_family family ~n ~cap ~seed : (Scenario.topo, string) result =
+  let open Scenario in
   match family with
   | _ when String.length family > 1 && family.[0] = '@' -> (
-      (* "@path" loads a Graphfile network. *)
       let path = String.sub family 1 (String.length family - 1) in
       match Graphfile.parse_file path with
-      | Ok g -> g
-      | Error e -> invalid_arg (Printf.sprintf "cannot load %s: %s" path e))
-  | "complete" -> Gen.complete ~n ~cap
-  | "ring" -> Gen.ring ~n ~cap
-  | "chords" -> Gen.ring_with_chords ~n ~cap ~chord_cap:cap
-  | "random" -> Gen.random_bb_feasible ~n ~f:1 ~p:0.7 ~min_cap:1 ~max_cap:cap ~seed
-  | "dumbbell" -> Gen.dumbbell ~clique:(max 3 (n / 2)) ~clique_cap:cap ~bridge_cap:1
-  | "hypercube" -> Gen.hypercube ~dims:(max 2 (int_of_float (Float.round (Float.log2 (float_of_int (max 4 n)))))) ~cap
-  | "torus" -> Gen.torus ~rows:3 ~cols:(max 3 (n / 3)) ~cap
-  | "twin" -> Gen.twin_cliques ~half:(max 2 ((n - 1) / 2)) ~spoke_cap:(4 * cap) ~intra_cap:(4 * cap) ~cross_cap:1
-  | "star" -> Gen.star_mesh ~n ~spoke_cap:cap ~mesh_cap:1
-  | "fig1" -> Gen.figure1a
-  | "fig2" -> Gen.figure2
-  | other -> invalid_arg (Printf.sprintf "unknown graph family %S" other)
+      | Ok g -> Ok (Explicit { vertices = Digraph.vertices g; edges = Digraph.edges g })
+      | Error e -> Error (Printf.sprintf "cannot load %s: %s" path e))
+  | "complete" -> Ok (Complete { n; cap })
+  | "ring" -> Ok (Ring { n; cap })
+  | "chords" -> Ok (Chords { n; cap; chord_cap = cap })
+  | "random" ->
+      Ok (Random_feasible { n; f = 1; p = 0.7; min_cap = 1; max_cap = cap; gseed = seed })
+  | "dumbbell" -> Ok (Dumbbell { clique = max 3 (n / 2); clique_cap = cap; bridge_cap = 1 })
+  | "hypercube" ->
+      let dims = max 2 (int_of_float (Float.round (Float.log2 (float_of_int (max 4 n))))) in
+      Ok (Hypercube { dims; cap })
+  | "torus" -> Ok (Torus { rows = 3; cols = max 3 (n / 3); cap })
+  | "twin" ->
+      let half = max 2 ((n - 1) / 2) in
+      Ok (Twin_cliques { half; spoke_cap = 4 * cap; intra_cap = 4 * cap; cross_cap = 1 })
+  | "star" -> Ok (Star_mesh { n; spoke_cap = cap; mesh_cap = 1 })
+  | "fig1" -> Ok Fig1
+  | "fig2" -> Ok Fig2
+  | other -> Error (Printf.sprintf "unknown graph family %S" other)
 
 let family_arg =
   let doc =
@@ -44,23 +58,21 @@ let cap_arg = Arg.(value & opt int 2 & info [ "cap" ] ~docv:"CAP" ~doc:"Link cap
 let f_arg = Arg.(value & opt int 1 & info [ "faults"; "f" ] ~docv:"F" ~doc:"Fault budget.")
 let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel analytical sweeps (gamma*, U_k). \
-     Overrides the NAB_JOBS environment variable; 0 keeps the default. \
-     Results are identical at any job count."
-  in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
-
-(* Unit term that configures the pool before the command body runs
-   (cmdliner applies [$] left to right, so prepending this term sequences
-   the side effect first). *)
-let jobs_term =
+(* An unknown family or an unreadable @FILE is a usage error (exit 124). *)
+let topo_term =
   Term.(
-    const (fun jobs -> if jobs > 0 then Nab_util.Pool.set_jobs jobs) $ jobs_arg)
+    term_result'
+      (const (fun family n cap seed -> topo_of_family family ~n ~cap ~seed)
+      $ family_arg $ n_arg $ cap_arg $ seed_arg))
 
-let with_jobs term = Term.(const (fun () r -> r) $ jobs_term $ term)
+(* Resolve the adversary and the configuration before running, so a bad
+   name or field is a usage error rather than an uncaught exception. *)
+let checked s =
+  match (Scenario.adversary_t s, Scenario.config s) with
+  | _ -> Ok s
+  | exception Invalid_argument e -> Error e
 
+let graph_of topo = Scenario.graph (Scenario.make topo ())
 (* ---- observability arguments ---- *)
 
 let trace_arg =
@@ -109,84 +121,7 @@ let with_obs ~trace ~metrics ~sample f =
           List.iter (fun (_, oc) -> close_out oc) pairs)
         (fun () -> f ctx)
 
-(* ---- network backend arguments ---- *)
-
-let net_backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("sync", `Sync); ("async", `Async); ("socket", `Socket) ]) `Sync
-    & info [ "backend" ] ~docv:"NET"
-        ~doc:
-          "Network backend: sync (the round-synchronous simulator, default), \
-           async (event-driven, with injectable faults) or socket (one OS \
-           process per node over real Unix-domain sockets; zero-fault runs \
-           report identically to sync).")
-
-let latency_arg =
-  Arg.(
-    value & opt string "zero"
-    & info [ "latency" ] ~docv:"SPEC"
-        ~doc:
-          "Async per-message latency: zero, const:T, uniform:LO:HI or \
-           exp:MEAN (time units). Requires --backend async.")
-
-let jitter_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "jitter" ] ~docv:"J"
-        ~doc:"Async extra uniform [0,J) delay per message.")
-
-let reorder_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "reorder" ] ~docv:"P[:D]"
-        ~doc:
-          "Async reordering: bump each message with probability P by D time \
-           units (D omitted = one round's transmission time).")
-
-let crash_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "crash" ] ~docv:"N@T,.."
-        ~doc:"Async crash faults: node N sends/receives nothing from time T.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:"Seed for the async fault randomness (replay key).")
-
-(* One Transport.factory out of the six flags; rejects fault flags that
-   would be silently ignored on the sync and socket backends. *)
-let transport_of_flags backend latency jitter reorder crash fault_seed =
-  let reject_faults () =
-    if latency <> "zero" || jitter <> 0.0 || reorder <> "" || crash <> ""
-       || fault_seed <> 0
-    then
-      invalid_arg
-        "fault flags (--latency/--jitter/--reorder/--crash/--fault-seed) require --backend async"
-  in
-  match backend with
-  | `Sync ->
-      reject_faults ();
-      Nab_net.Sim.default_factory
-  | `Socket ->
-      reject_faults ();
-      Nab_net.Socket.factory ()
-  | `Async -> (
-      match
-        Nab_net.Async_sim.spec_of_flags ~latency ~jitter ~reorder ~crash
-          ~seed:fault_seed
-      with
-      | Ok spec -> Nab_net.Async_sim.factory ~spec ()
-      | Error e -> invalid_arg e)
-
 (* ---- run ---- *)
-
-let lookup_adversary name =
-  match Adversary.find name with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "unknown adversary %S" name)
 
 let run_cmd =
   let adversary_arg =
@@ -205,7 +140,7 @@ let run_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the per-phase breakdown.")
   in
-  let backend_arg =
+  let flag_backend_arg =
     Arg.(
       value
       & opt (enum [ ("eig", `Eig); ("phase-king", `Phase_king) ]) `Eig
@@ -241,33 +176,23 @@ let run_cmd =
             "With --stream: consecutive instances sharing one step-2.2 flag \
              broadcast (default W/2; 1 = per-instance serial fidelity).")
   in
-  let run family n cap f seed adversary q l m verbose backend trace metrics sample json
-      net_backend latency jitter reorder crash fault_seed stream stream_window flag_batch
-      =
+  let run family topo f seed adversary q l m verbose flag_backend trace metrics sample
+      json backend stream stream_window flag_batch =
     setup_logs ();
-    let g = make_graph family n cap seed in
-    let transport =
-      transport_of_flags net_backend latency jitter reorder crash fault_seed
+    let* s =
+      checked
+        (Scenario.make ~adversary ~f ~l_bits:l ~m ~seed
+           ~q:(Option.value stream ~default:q)
+           ~flag_backend
+           ?stream:(Option.map (fun _ -> stream_window) stream)
+           ~backend topo ())
     in
-    let adv = lookup_adversary adversary in
-    let config = Nab.config ~f ~l_bits:l ~m ~seed ~flag_backend:backend () in
-    let rng = Random.State.make [| seed; 0x1ca11 |] in
-    let tbl = Hashtbl.create 16 in
-    let inputs k =
-      match Hashtbl.find_opt tbl k with
-      | Some v -> v
-      | None ->
-          let v = Bitvec.random l rng in
-          Hashtbl.add tbl k v;
-          v
+    let e =
+      with_obs ~trace ~metrics ~sample (fun obs -> Runner.execute ~obs ?flag_batch s)
     in
-    match stream with
-    | Some sq ->
-        let r =
-          with_obs ~trace ~metrics ~sample (fun obs ->
-              Nab_stream.run ~obs ~transport ~window:stream_window ?flag_batch ~g
-                ~config ~adversary:adv ~inputs ~q:sq ())
-        in
+    let g = e.Runner.g and inputs = e.Runner.inputs and q = s.Scenario.q in
+    (match e.Runner.stream with
+    | Some r ->
         let module Json = Nab_obs.Json in
         if json then
           print_endline
@@ -277,7 +202,7 @@ let run_cmd =
                     ( "stream",
                       Json.Obj
                         [
-                          ("q", Json.Int sq);
+                          ("q", Json.Int q);
                           ("window", Json.Int r.Nab_stream.window);
                           ("flag_batch", Json.Int r.Nab_stream.flag_batch);
                           ("wall", Json.float r.Nab_stream.wall);
@@ -293,7 +218,7 @@ let run_cmd =
           Printf.printf
             "stream: %d values over %s (n=%d), f=%d, L=%d, adversary=%s, \
              window=%d, flag batch=%d\n"
-            sq family (Digraph.num_vertices g) f l adversary r.Nab_stream.window
+            q family (Digraph.num_vertices g) f l adversary r.Nab_stream.window
             r.Nab_stream.flag_batch;
           Printf.printf
             "wall %.1f, goodput %.3f bits/unit (serial per-value pays the full \
@@ -308,10 +233,7 @@ let run_cmd =
             r.Nab_stream.run.Nab.dc_count
         end
     | None ->
-        let report =
-          with_obs ~trace ~metrics ~sample (fun obs ->
-              Nab.run ~obs ~transport ~g ~config ~adversary:adv ~inputs ~q ())
-        in
+        let report = e.Runner.report in
         if json then
           print_endline (Nab_obs.Json.to_string (Report.run_to_json report))
         else begin
@@ -341,16 +263,17 @@ let run_cmd =
                 Printf.printf "\n-- instance %d --\n" i.Nab.k;
                 Format.printf "%a@." Report.pp_phase_breakdown i)
               report.instances
-        end
+        end);
+    Ok ()
   in
   let term =
-    with_jobs
+    Cli_flags.with_jobs
       Term.(
-        const run $ family_arg $ n_arg $ cap_arg $ f_arg $ seed_arg $ adversary_arg
-        $ q_arg $ l_arg $ m_arg $ verbose_arg $ backend_arg $ trace_arg $ metrics_arg
-        $ sample_arg $ json_arg $ net_backend_arg $ latency_arg $ jitter_arg
-        $ reorder_arg $ crash_arg $ fault_seed_arg $ stream_arg $ stream_window_arg
-        $ flag_batch_arg)
+        term_result'
+          (const run $ family_arg $ topo_term $ f_arg $ seed_arg $ adversary_arg $ q_arg
+         $ l_arg $ m_arg $ verbose_arg $ flag_backend_arg $ trace_arg $ metrics_arg
+         $ sample_arg $ json_arg $ Cli_flags.backend_term $ stream_arg
+         $ stream_window_arg $ flag_batch_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run Q instances of NAB under an adversary.") term
 
@@ -360,9 +283,9 @@ let bounds_cmd =
   let witness_arg =
     Arg.(value & flag & info [ "witness" ] ~doc:"Exhibit the Theorem-2 cut witnesses.")
   in
-  let bounds family n cap f seed witness =
+  let bounds family topo f witness =
     setup_logs ();
-    let g = make_graph family n cap seed in
+    let g = graph_of topo in
     let s = Params.stars g ~source:1 ~f in
     Printf.printf "network: %s (n=%d, %d edges, f=%d)\n" family (Digraph.num_vertices g)
       (Digraph.num_edges g) f;
@@ -380,8 +303,8 @@ let bounds_cmd =
     end
   in
   let term =
-    with_jobs
-      Term.(const bounds $ family_arg $ n_arg $ cap_arg $ f_arg $ seed_arg $ witness_arg)
+    Cli_flags.with_jobs
+      Term.(const bounds $ family_arg $ topo_term $ f_arg $ witness_arg)
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Compute gamma*, rho* and the Theorem 2/3 bounds.")
@@ -394,20 +317,11 @@ let pipelined_cmd =
   let l_arg =
     Arg.(value & opt int 4096 & info [ "l" ] ~docv:"L" ~doc:"Input bits per instance.")
   in
-  let run family n cap f seed q l =
+  let run topo f seed q l =
     setup_logs ();
-    let g = make_graph family n cap seed in
-    let config = Nab.config ~f ~l_bits:l ~seed () in
-    let rng = Random.State.make [| seed; 0x9199 |] in
-    let tbl = Hashtbl.create 16 in
-    let inputs k =
-      match Hashtbl.find_opt tbl k with
-      | Some v -> v
-      | None ->
-          let v = Bitvec.random l rng in
-          Hashtbl.add tbl k v;
-          v
-    in
+    let* s = checked (Scenario.make ~f ~l_bits:l ~seed ~q topo ()) in
+    let g = Scenario.graph s and config = Scenario.config s in
+    let inputs = Bitvec.random_stream l (Random.State.make [| seed; 0x9199 |]) in
     let r = Pipelined.run ~g ~config ~inputs ~q () in
     Printf.printf
       "pipelined %d instances: gamma=%d rho=%d hops=%d\n\
@@ -415,11 +329,12 @@ let pipelined_cmd =
        throughput %.3f bits/unit, delivered everywhere: %b\n"
       q r.Pipelined.gamma r.Pipelined.rho r.Pipelined.hops r.Pipelined.completion
       r.Pipelined.model_completion r.Pipelined.per_instance r.Pipelined.round_core
-      r.Pipelined.throughput r.Pipelined.all_delivered
+      r.Pipelined.throughput r.Pipelined.all_delivered;
+    Ok ()
   in
   let term =
-    with_jobs
-      Term.(const run $ family_arg $ n_arg $ cap_arg $ f_arg $ seed_arg $ q_arg $ l_arg)
+    Cli_flags.with_jobs
+      Term.(term_result' (const run $ topo_term $ f_arg $ seed_arg $ q_arg $ l_arg))
   in
   Cmd.v
     (Cmd.info "pipelined" ~doc:"Run Q fault-free instances overlapped per Figure 3.")
@@ -446,11 +361,11 @@ let consensus_cmd =
       value & opt string "ec-liar"
       & info [ "adversary"; "a" ] ~docv:"ADV" ~doc:("Adversary strategy: " ^ names ^ "."))
   in
-  let run family n cap f seed adversary l =
+  let run family topo f seed adversary l =
     setup_logs ();
-    let g = make_graph family n cap seed in
-    let adv = lookup_adversary adversary in
-    let config = Nab.config ~f ~l_bits:l ~seed () in
+    let* s = checked (Scenario.make ~adversary ~f ~l_bits:l ~seed topo ()) in
+    let g = Scenario.graph s and config = Scenario.config s in
+    let adv = Scenario.adversary_t s in
     (* A realistic vote: honest proposers agree on the payload, the last
        node proposes something else. *)
     let rng = Random.State.make [| seed; 0xc0 |] in
@@ -468,13 +383,14 @@ let consensus_cmd =
         Printf.printf "node %d decides %s%s\n" v (Bitvec.to_hex d)
           (if Vset.mem v faulty then "  (faulty)" else ""))
       r.Consensus.decisions;
-    Printf.printf "fault-free agreement: %b\n" (Consensus.all_agree r ~faulty)
+    Printf.printf "fault-free agreement: %b\n" (Consensus.all_agree r ~faulty);
+    Ok ()
   in
   let term =
-    with_jobs
+    Cli_flags.with_jobs
       Term.(
-        const run $ family_arg $ n_arg $ cap_arg $ f_arg $ seed_arg $ adversary_arg
-        $ l_arg)
+        term_result'
+          (const run $ family_arg $ topo_term $ f_arg $ seed_arg $ adversary_arg $ l_arg))
   in
   Cmd.v
     (Cmd.info "consensus" ~doc:"Multi-valued consensus from n parallel NAB broadcasts.")
@@ -483,9 +399,9 @@ let consensus_cmd =
 (* ---- stats ---- *)
 
 let stats_cmd =
-  let stats family n cap seed f =
+  let stats topo f =
     setup_logs ();
-    let g = make_graph family n cap seed in
+    let g = graph_of topo in
     Format.printf "%a@." Metrics.pp (Metrics.compute g);
     if f > 0 && Connectivity.meets_requirement g ~f then begin
       let s = Params.stars g ~source:1 ~f in
@@ -494,18 +410,15 @@ let stats_cmd =
     end
   in
   let term =
-    with_jobs Term.(const stats $ family_arg $ n_arg $ cap_arg $ seed_arg $ f_arg)
+    Cli_flags.with_jobs Term.(const stats $ topo_term $ f_arg)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Describe a network and its fault budget.") term
 
 (* ---- dot ---- *)
 
 let dot_cmd =
-  let dot family n cap seed =
-    let g = make_graph family n cap seed in
-    print_string (Dot.of_digraph ~name:family g)
-  in
-  let term = Term.(const dot $ family_arg $ n_arg $ cap_arg $ seed_arg) in
+  let dot family topo = print_string (Dot.of_digraph ~name:family (graph_of topo)) in
+  let term = Term.(const dot $ family_arg $ topo_term) in
   Cmd.v (Cmd.info "dot" ~doc:"Emit Graphviz DOT for a network family.") term
 
 let () =

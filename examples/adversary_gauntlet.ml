@@ -13,16 +13,7 @@ let () =
   let network = Gen.ring_with_chords ~n:7 ~cap:2 ~chord_cap:2 in
   let config = Nab.config ~f:1 ~l_bits:2048 ~m:16 () in
   let q = 8 in
-  let rng = Random.State.make [| 2024 |] in
-  let cache = Hashtbl.create 16 in
-  let inputs k =
-    match Hashtbl.find_opt cache k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random config.Nab.l_bits rng in
-        Hashtbl.add cache k v;
-        v
-  in
+  let inputs = Bitvec.random_stream config.Nab.l_bits (Random.State.make [| 2024 |]) in
   let baseline =
     Nab.run ~g:network ~config ~adversary:Adversary.none ~inputs ~q ()
   in

@@ -26,16 +26,7 @@ let () =
     (fun i primary ->
       let config = Nab.config ~f:1 ~source:primary ~l_bits:l () in
       let s = Params.stars network ~source:primary ~f:1 in
-      let rng = Random.State.make [| 50 + i |] in
-      let tbl = Hashtbl.create 8 in
-      let inputs k =
-        match Hashtbl.find_opt tbl k with
-        | Some v -> v
-        | None ->
-            let v = Bitvec.random l rng in
-            Hashtbl.add tbl k v;
-            v
-      in
+      let inputs = Bitvec.random_stream l (Random.State.make [| 50 + i |]) in
       (* The corrupted replica is always node 5; when it is primary itself it
          equivocates, otherwise it lies in the equality check. *)
       let adversary =

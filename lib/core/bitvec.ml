@@ -39,6 +39,16 @@ let random len st =
   clear_padding len data;
   { len; data }
 
+let random_stream len st =
+  let memo = Hashtbl.create 16 in
+  fun k ->
+    match Hashtbl.find_opt memo k with
+    | Some v -> v
+    | None ->
+        let v = random len st in
+        Hashtbl.add memo k v;
+        v
+
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
 let compare a b = Stdlib.compare (a.len, a.data) (b.len, b.data)
 

@@ -20,6 +20,13 @@ val init : int -> (int -> bool) -> t
     against. *)
 
 val random : int -> Random.State.t -> t
+
+val random_stream : int -> Random.State.t -> int -> t
+(** [random_stream len st] is a memoized input stream: the first call with
+    each key [k] draws a fresh [len]-bit value from [st], later calls with
+    [k] return that value again. Values depend on first-call order only,
+    which is how runs derive their per-instance inputs from a seed. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

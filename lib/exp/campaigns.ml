@@ -101,7 +101,3 @@ let quick () =
 
 let soak ~trials ~seed = Scenario.sample ~trials ~seed
 
-let by_name = function
-  | "quick" -> Some (fun ~trials:_ ~seed:_ -> quick ())
-  | "soak" -> Some (fun ~trials ~seed -> soak ~trials ~seed)
-  | _ -> None

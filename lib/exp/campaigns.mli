@@ -7,13 +7,12 @@
     is tractable. Its JSONL result is committed as [CAMPAIGN_baseline.jsonl]
     and diffed in CI; change the list and the baseline together.
 
-    {!soak} is the randomized tier: the sampler behind [bin/soak.exe],
-    scaled by trial count and reseedable. *)
+    {!soak} is the randomized tier: the sampler behind
+    [campaign run --soak TRIALS --seed SEED], scaled by trial count and
+    reseedable. *)
 
 val quick : unit -> Scenario.t list
 
 val soak : trials:int -> seed:int -> Scenario.t list
 (** [Scenario.sample], re-exported under the campaign vocabulary. *)
 
-val by_name : string -> (trials:int -> seed:int -> Scenario.t list) option
-(** ["quick"] (ignores [trials]/[seed]) or ["soak"]. *)

@@ -32,41 +32,52 @@ let stats_of ~g (report : Nab.run_report) =
     ("throughput_pipelined", Json.float report.Nab.throughput_pipelined);
   ]
 
+type execution = {
+  g : Digraph.t;
+  inputs : int -> Bitvec.t;
+  report : Nab.run_report;
+  stream : Nab_stream.report option;
+}
+
+let execute ?obs ?flag_batch s =
+  let g = Scenario.graph s in
+  let config = Scenario.config s in
+  let adversary = Scenario.adversary_t s in
+  let inputs = Scenario.inputs s in
+  let transport = Scenario.transport_factory s in
+  let q = s.Scenario.q in
+  match s.Scenario.stream with
+  | None ->
+      let report = Nab.run ?obs ~transport ~g ~config ~adversary ~inputs ~q () in
+      { g; inputs; report; stream = None }
+  | Some window ->
+      let r =
+        Nab_stream.run ?obs ~transport ~window ?flag_batch ~g ~config ~adversary ~inputs ~q ()
+      in
+      { g; inputs; report = r.Nab_stream.run; stream = Some r }
+
+let stream_stats = function
+  | None -> []
+  | Some (r : Nab_stream.report) ->
+      [
+        ("stream_wall", Json.float r.Nab_stream.wall);
+        ("stream_goodput", Json.float r.Nab_stream.goodput);
+        ("stream_flag_batches", Json.Int r.Nab_stream.flag_batches);
+        ("stream_rollbacks", Json.Int r.Nab_stream.rollbacks);
+      ]
+
 let run_scenario scenario =
   match
-    let g = Scenario.graph scenario in
-    let config = Scenario.config scenario in
-    let adversary = Scenario.adversary_t scenario in
-    let inputs = Scenario.inputs scenario in
-    let transport = Scenario.transport_factory scenario in
-    let report, stream_stats =
-      match scenario.Scenario.stream with
-      | None ->
-          ( Nab.run ~transport ~g ~config ~adversary ~inputs ~q:scenario.Scenario.q (),
-            [] )
-      | Some window ->
-          let r =
-            Nab_stream.run ~transport ~window ~g ~config ~adversary ~inputs
-              ~q:scenario.Scenario.q ()
-          in
-          ( r.Nab_stream.run,
-            [
-              ("stream_wall", Json.float r.Nab_stream.wall);
-              ("stream_goodput", Json.float r.Nab_stream.goodput);
-              ("stream_flag_batches", Json.Int r.Nab_stream.flag_batches);
-              ("stream_rollbacks", Json.Int r.Nab_stream.rollbacks);
-            ] )
-    in
-    let ctx = { Checker.scenario; g; report; inputs } in
-    let checks = Checker.evaluate ctx ~names:scenario.Scenario.checks in
-    (g, report, stream_stats, checks)
+    let e = execute scenario in
+    let ctx = { Checker.scenario; g = e.g; report = e.report; inputs = e.inputs } in
+    (e, Checker.evaluate ctx ~names:scenario.Scenario.checks)
   with
-  | g, report, stream_stats, checks ->
+  | e, checks ->
       let outcome =
         if List.for_all (fun (c : Checker.outcome) -> c.Checker.ok) checks then Pass
         else Violation
       in
-      { scenario; outcome; checks; stats = stats_of ~g report @ stream_stats }
+      { scenario; outcome; checks; stats = stats_of ~g:e.g e.report @ stream_stats e.stream }
   | exception e -> { scenario; outcome = Error (Printexc.to_string e); checks = []; stats = [] }
 
 (* Fixed chunk size: the fan-out batches (and hence the order in which
@@ -247,26 +258,29 @@ let read_jsonl path =
 
 (* ---- store-backed execution ---- *)
 
+(* Dedupe by id (ids are content-derived, so equal ids mean equal
+   scenarios) — the store holds one row per id. *)
+let distinct scenarios =
+  let seen = Hashtbl.create 256 in
+  List.filter
+    (fun s ->
+      let id = s.Scenario.id in
+      if Hashtbl.mem seen id then false
+      else begin
+        Hashtbl.replace seen id ();
+        true
+      end)
+    scenarios
+
+(* The resume check: anything already in the store is skipped. *)
+let pending ~store scenarios =
+  List.filter (fun s -> not (Store.mem store s.Scenario.id)) (distinct scenarios)
+
 let run_campaign_store ?jobs ?limit ?(commit_rows = default_commit_rows)
     ?(on_row = fun _ _ -> ()) ~store scenarios =
   let commit_rows = max 1 commit_rows in
-  (* Dedupe by id (ids are content-derived, so equal ids mean equal
-     scenarios) — the store holds one row per id. *)
-  let seen = Hashtbl.create 256 in
-  let distinct =
-    List.filter
-      (fun s ->
-        let id = s.Scenario.id in
-        if Hashtbl.mem seen id then false
-        else begin
-          Hashtbl.replace seen id ();
-          true
-        end)
-      scenarios
-  in
-  let requested = List.length distinct in
-  (* The resume check: anything already in the store is skipped. *)
-  let todo = List.filter (fun s -> not (Store.mem store s.Scenario.id)) distinct in
+  let requested = List.length (distinct scenarios) in
+  let todo = pending ~store scenarios in
   let skipped = requested - List.length todo in
   let todo, truncated =
     match limit with

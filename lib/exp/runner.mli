@@ -40,8 +40,23 @@ type row = {
   stats : (string * Nab_obs.Json.t) list;
 }
 
+type execution = {
+  g : Nab_graph.Digraph.t;  (** the materialized network *)
+  inputs : int -> Nab_core.Bitvec.t;  (** the run's input stream, already drawn *)
+  report : Nab_core.Nab.run_report;
+  stream : Nab_core.Nab_stream.report option;  (** for streamed scenarios *)
+}
+
+val execute : ?obs:Nab_obs.ctx -> ?flag_batch:int -> Scenario.t -> execution
+(** Materialize the scenario (graph, config, adversary, inputs, transport)
+    and run it: serially through {!Nab_core.Nab.run}, or through
+    {!Nab_core.Nab_stream.run} with window [w] when [s.stream = Some w]
+    ([flag_batch] applies there only). Raises whatever the run raises.
+    [nab_cli run] and {!run_scenario} both call this, which is why a
+    campaign row replays exactly under its printed [nab_cli] command. *)
+
 val run_scenario : Scenario.t -> row
-(** Materialize, run, evaluate the scenario's oracles. Never raises: an
+(** {!execute}, then evaluate the scenario's oracles. Never raises: an
     exception from the run (e.g. an infeasible shrunk network) becomes
     [Error] with the exception text. *)
 
@@ -66,6 +81,10 @@ type store_summary = {
 }
 
 val default_commit_rows : int
+
+val pending : store:Store.t -> Scenario.t list -> Scenario.t list
+(** The scenarios {!run_campaign_store} would run without a [limit]:
+    distinct by id, not yet in the store, in order. *)
 
 val run_campaign_store :
   ?jobs:int ->

@@ -130,6 +130,56 @@ let transport_factory s =
   | Async spec -> Nab_net.Async_sim.factory ~spec ()
   | Socket -> Nab_net.Socket.factory ()
 
+(* ---- the command-line form of a backend ---- *)
+
+type flags = {
+  net : [ `Sync | `Async | `Socket ];
+  latency : string;
+  jitter : float;
+  reorder : string;
+  crash : string;
+  fault_seed : int;
+}
+
+let default_flags =
+  { net = `Sync; latency = "zero"; jitter = 0.0; reorder = ""; crash = ""; fault_seed = 0 }
+
+let backend_of_flags fl =
+  match fl.net with
+  | (`Sync | `Socket) when { fl with net = `Sync } <> default_flags ->
+      Error
+        "fault flags (--latency/--jitter/--reorder/--crash/--fault-seed) require \
+         --backend async"
+  | `Sync -> Ok Sync
+  | `Socket -> Ok Socket
+  | `Async ->
+      Result.map
+        (fun spec -> Async spec)
+        (Nab_net.Async_sim.spec_of_flags ~latency:fl.latency ~jitter:fl.jitter
+           ~reorder:fl.reorder ~crash:fl.crash ~seed:fl.fault_seed)
+
+(* Partitions exist only in scenario JSON, so partitioned specs have no
+   flag form. *)
+let fault_flags s =
+  match s.backend with
+  | Sync -> Some default_flags
+  | Socket -> Some { default_flags with net = `Socket }
+  | Async spec when spec.partitions <> [] -> None
+  | Async spec ->
+      let fg = Printf.sprintf "%g" in
+      Some
+        {
+          net = `Async;
+          latency = Nab_net.Async_sim.latency_to_string spec.latency;
+          jitter = spec.jitter;
+          reorder =
+            (if spec.reorder_delay > 0.0 then fg spec.reorder ^ ":" ^ fg spec.reorder_delay
+             else if spec.reorder > 0.0 then fg spec.reorder
+             else "");
+          crash = Nab_net.Async_sim.crash_to_string spec.crash;
+          fault_seed = spec.seed;
+        }
+
 (* ---- materialization ---- *)
 
 let graph s =
@@ -176,20 +226,10 @@ let adversary_t s =
   in
   Adversary.with_disabled_hooks s.adversary.disabled base
 
-(* Same derivation as nab_cli run: one RNG stream seeded by (seed, 0x1ca11),
-   values drawn in first-call order and cached, so CLI replays are exact.
-   Each partial application [inputs s] is a fresh deterministic stream; the
-   runner applies it once per run. *)
-let inputs s =
-  let rng = Random.State.make [| s.seed; 0x1ca11 |] in
-  let tbl = Hashtbl.create 16 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random s.l_bits rng in
-        Hashtbl.add tbl k v;
-        v
+let input_stream ~l_bits ~seed =
+  Bitvec.random_stream l_bits (Random.State.make [| seed; 0x1ca11 |])
+
+let inputs s = input_stream ~l_bits:s.l_bits ~seed:s.seed
 
 let explicit s =
   let g = graph s in

@@ -11,9 +11,9 @@
     bits, which is what makes the JSONL result store diffable and the
     shrinker's repros replayable.
 
-    The input derivation matches [nab_cli run] exactly (the RNG stream
-    seeded by [(seed, 0x1ca11)]), so any scenario without disabled adversary
-    hooks replays bit-for-bit under [nab_cli run -g @FILE ...] — see
+    [nab_cli run] builds a scenario from its flags and executes it with
+    {!Runner.execute}, so any scenario without disabled adversary hooks
+    replays bit-for-bit under [nab_cli run -g @FILE ...] — see
     {!Shrink.cli_command}. *)
 
 open Nab_graph
@@ -127,6 +127,35 @@ val transport_factory : t -> Nab_net.Transport.factory
 (** The {!Nab_net.Transport.factory} realizing {!t.backend} — what the
     runner passes to [Nab.run]. *)
 
+(** {1 Command-line form of a backend} *)
+
+type flags = {
+  net : [ `Sync | `Async | `Socket ];  (** [--backend] *)
+  latency : string;  (** [--latency] *)
+  jitter : float;  (** [--jitter] *)
+  reorder : string;  (** [--reorder] *)
+  crash : string;  (** [--crash] *)
+  fault_seed : int;  (** [--fault-seed] *)
+}
+(** The six backend flags shared by [nab_cli run] and [campaign], as
+    given on the command line. *)
+
+val default_flags : flags
+(** The values of flags left unset: sync, latency ["zero"], no faults. *)
+
+val backend_of_flags : flags -> (backend, string) result
+(** The backend the flags select. Errors name the problem: fault flags
+    without [--backend async] (the other backends would silently ignore
+    them), or a fault spec that {!Nab_net.Async_sim.spec_of_flags}
+    rejects. *)
+
+val fault_flags : t -> flags option
+(** The inverse of {!backend_of_flags}: the flags that select [s.backend],
+    so [backend_of_flags (fault_flags s) = Ok s.backend] whenever the
+    spec's times and probabilities survive [%g] printing (as every value
+    the campaigns use does). [None] for partitioned async specs, which
+    only scenario JSON can express. *)
+
 val graph : t -> Digraph.t
 (** Materialize the topology (deterministic; [Random_feasible] uses its own
     [gseed], independent of the scenario seed). *)
@@ -138,11 +167,16 @@ val adversary_t : t -> Adversary.t
     {!Nab_core.Adversary.find} zoo. *)
 
 val inputs : t -> int -> Bitvec.t
-(** The per-instance input values: instance k's L-bit input drawn from the
-    [(seed, 0x1ca11)] stream in first-call order — the same derivation as
-    [nab_cli run], so CLI replays are exact. Each partial application
-    [inputs s] is a fresh stream with its own memo; apply it once per run
-    and reuse the closure (as {!Nab.run} and validity checking expect). *)
+(** The per-instance input values: [input_stream ~l_bits:s.l_bits
+    ~seed:s.seed]. Each partial application [inputs s] is a fresh stream
+    with its own memo; apply it once per run and reuse the closure (as
+    {!Nab.run} and validity checking expect). *)
+
+val input_stream : l_bits:int -> seed:int -> int -> Bitvec.t
+(** The input derivation of every scenario run, [nab_cli run] included:
+    instance k's L-bit input is drawn from the [(seed, 0x1ca11)] stream in
+    first-call order ({!Nab_core.Bitvec.random_stream}). Benches that
+    replay CLI seeds call it too. *)
 
 val explicit : t -> t
 (** Replace the topology by its materialized [Explicit] form (id
@@ -186,10 +220,9 @@ val grid :
 
 val sample : trials:int -> seed:int -> t list
 (** The randomized soak sampler, as data: [trials] scenarios drawn
-    deterministically from [seed] over the same configuration space the old
-    [bin/soak.ml] hand-rolled — f in {1, 2}, n in [3f+1, 3f+3], complete or
-    BB-feasible random topologies, the adversary zoo plus seeded chaos,
-    L in {64..256}, q in {2..5}. Checks: {!invariant_checks}, plus — on
+    deterministically from [seed] — f in {1, 2}, n in [3f+1, 3f+3],
+    complete or BB-feasible random topologies, the adversary zoo plus
+    seeded chaos, L in {64..256}, q in {2..5}. Checks: {!invariant_checks}, plus — on
     f = 1 scenarios, where n <= 6 keeps the Appendix-E enumeration cheap —
     ["theorem3-ratio"] and ["oblivious-gap"], whose structured data feeds
     the capacity-ratio and gap tables of [campaign analyze]. *)

@@ -150,36 +150,20 @@ let shrink ?(max_runs = 400) s0 =
 
 let backend_flag = function `Eig -> "eig" | `Phase_king -> "phase-king"
 
-(* Async scenarios replay over the nab_cli fault flags; partitioned specs
-   have no flag form (replay those via [campaign replay scenario.json]). *)
-let fault_flags (s : Scenario.t) =
-  match s.Scenario.backend with
-  | Scenario.Sync -> Some ""
-  | Scenario.Socket -> Some " --backend socket"
-  | Scenario.Async spec ->
-      if spec.partitions <> [] then None
-      else begin
-        let buf = Buffer.create 64 in
-        Buffer.add_string buf " --backend async";
-        (match spec.latency with
-        | Nab_net.Async_sim.Zero -> ()
-        | l ->
-            Buffer.add_string buf
-              (" --latency " ^ Nab_net.Async_sim.latency_to_string l));
-        if spec.jitter > 0.0 then
-          Buffer.add_string buf (Printf.sprintf " --jitter %g" spec.jitter);
-        if spec.reorder > 0.0 then
-          Buffer.add_string buf
-            (if spec.reorder_delay > 0.0 then
-               Printf.sprintf " --reorder %g:%g" spec.reorder spec.reorder_delay
-             else Printf.sprintf " --reorder %g" spec.reorder);
-        if spec.crash <> [] then
-          Buffer.add_string buf
-            (" --crash " ^ Nab_net.Async_sim.crash_to_string spec.crash);
-        if spec.seed <> 0 then
-          Buffer.add_string buf (Printf.sprintf " --fault-seed %d" spec.seed);
-        Some (Buffer.contents buf)
-      end
+(* The command-line form of [fl], flags at their defaults omitted. *)
+let flags_to_string (fl : Scenario.flags) =
+  let d = Scenario.default_flags in
+  let opt cond flag value = if cond then Printf.sprintf " --%s %s" flag value else "" in
+  String.concat ""
+    [
+      opt (fl.net <> d.net) "backend"
+        (match fl.net with `Sync -> "sync" | `Async -> "async" | `Socket -> "socket");
+      opt (fl.latency <> d.latency) "latency" fl.latency;
+      opt (fl.jitter <> d.jitter) "jitter" (Printf.sprintf "%g" fl.jitter);
+      opt (fl.reorder <> d.reorder) "reorder" fl.reorder;
+      opt (fl.crash <> d.crash) "crash" fl.crash;
+      opt (fl.fault_seed <> d.fault_seed) "fault-seed" (string_of_int fl.fault_seed);
+    ]
 
 let cli_command (s : Scenario.t) ~graph_file =
   let open Scenario in
@@ -201,7 +185,7 @@ let cli_command (s : Scenario.t) ~graph_file =
           (Printf.sprintf
              "dune exec bin/nab_cli.exe -- run -g @%s -f %d -l %d --m %d --seed %d -a %s -q %d --flag-backend %s%s%s"
              graph_file s.f s.l_bits s.m s.seed s.adversary.adv s.q
-             (backend_flag s.flag_backend) stream faults)
+             (backend_flag s.flag_backend) stream (flags_to_string faults))
 
 let replay_command ~scenario_file =
   Printf.sprintf "dune exec bin/campaign.exe -- replay %s" scenario_file

@@ -30,9 +30,11 @@ val shrink : ?max_runs:int -> Scenario.t -> result option
 val cli_command : Scenario.t -> graph_file:string -> string option
 (** The exact [nab_cli run] invocation replaying the scenario against the
     Graphfile export of its network — byte-for-byte the same run, because
-    scenarios derive inputs the way the CLI does. [None] when the scenario
-    is not CLI-expressible (disabled adversary hooks, or an adversary
-    outside the {!Nab_core.Adversary.find} vocabulary). *)
+    [nab_cli run] turns its flags back into a scenario and executes it with
+    {!Runner.execute}; the backend flags are {!Scenario.fault_flags}.
+    [None] when the scenario is not CLI-expressible (disabled adversary
+    hooks, an adversary outside the {!Nab_core.Adversary.find} vocabulary,
+    or a partitioned async spec). *)
 
 val replay_command : scenario_file:string -> string
 (** The [campaign.exe replay] invocation for the emitted scenario JSON —

@@ -9,17 +9,7 @@ open Nab_graph
 open Nab_core
 
 let () =
-  let input_fn ~l ~seed =
-    let rng = Random.State.make [| seed |] in
-    let tbl = Hashtbl.create 16 in
-    fun k ->
-      match Hashtbl.find_opt tbl k with
-      | Some v -> v
-      | None ->
-          let v = Bitvec.random l rng in
-          Hashtbl.add tbl k v;
-          v
-  in
+  let input_fn ~l ~seed = Bitvec.random_stream l (Random.State.make [| seed |]) in
   let trace = Buffer.create 4096 in
   let ctx = Nab_obs.make ~sample_messages:7 [ Nab_obs.buffer_jsonl_sink trace ] in
   let config = Nab.config ~f:1 ~l_bits:128 ~m:8 () in

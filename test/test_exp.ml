@@ -404,6 +404,51 @@ let test_cli_command_shape () =
   Alcotest.(check bool) "disabled hooks are not CLI-expressible" true
     (Shrink.cli_command hidden ~graph_file:"net.graph" = None)
 
+(* The backend flags printed in rerun commands select the backend they
+   were printed from: Scenario.backend_of_flags inverts
+   Scenario.fault_flags on every campaign backend and on hand-built async
+   specs; partitioned specs have no flag form. *)
+let test_flag_form_roundtrips () =
+  let open Nab_net.Async_sim in
+  let async spec =
+    match validate_spec spec with
+    | Ok spec -> Scenario.Async spec
+    | Error e -> Alcotest.failf "bad test spec: %s" e
+  in
+  let hand_built =
+    List.map async
+      [
+        no_faults;
+        { no_faults with latency = Const 0.5; seed = 3 };
+        { no_faults with latency = Uniform (0.25, 2.0); jitter = 0.1 };
+        { no_faults with latency = Exp 1.5; reorder = 0.3 };
+        { no_faults with reorder = 0.3; reorder_delay = 2.0; crash = [ (3, 5.0) ]; seed = 9 };
+        { no_faults with reorder_delay = 4.0; crash = [ (2, 0.0); (4, 12.5) ] };
+      ]
+  in
+  let backends = Scenario.Sync :: Scenario.Socket :: hand_built in
+  let roundtrips (s : Scenario.t) =
+    match Scenario.fault_flags s with
+    | None -> Alcotest.failf "%s: no flag form" s.Scenario.id
+    | Some fl ->
+        if Scenario.backend_of_flags fl <> Ok s.Scenario.backend then
+          Alcotest.failf "%s: flags do not select the scenario's backend" s.Scenario.id
+  in
+  List.iter
+    (fun s -> List.iter (fun b -> roundtrips (Scenario.with_backend b s)) backends)
+    (Campaigns.quick () @ Campaigns.soak ~trials:40 ~seed:11);
+  let s = Scenario.with_backend (List.nth hand_built 4) (List.hd (Campaigns.quick ())) in
+  (match Shrink.cli_command s ~graph_file:"net.graph" with
+  | Some cmd ->
+      Alcotest.(check bool) "printed flags" true
+        (contains cmd " --backend async --reorder 0.3:2 --crash 3@5 --fault-seed 9")
+  | None -> Alcotest.fail "async scenario should be CLI-expressible");
+  let cut = { cut = [ (1, 2) ]; from_t = 0.0; until_t = 10.0 } in
+  let partitioned = async { no_faults with partitions = [ cut ] } in
+  let s = Scenario.with_backend partitioned (List.hd (Campaigns.quick ())) in
+  Alcotest.(check bool) "partitioned spec has no flag form" true
+    (Scenario.fault_flags s = None && Shrink.cli_command s ~graph_file:"net.graph" = None)
+
 let () =
   Alcotest.run "exp"
     [
@@ -436,5 +481,6 @@ let () =
           Alcotest.test_case "injected bug shrinks to n<=6" `Quick test_shrink_injected_bug;
           Alcotest.test_case "passing scenario" `Quick test_shrink_passes_is_none;
           Alcotest.test_case "cli command" `Quick test_cli_command_shape;
+          Alcotest.test_case "flag form round-trips" `Quick test_flag_form_roundtrips;
         ] );
     ]

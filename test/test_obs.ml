@@ -10,16 +10,7 @@ module Pool = Nab_util.Pool
 
 let k4 = Gen.complete ~n:4 ~cap:2
 
-let input_fn ~l ~seed =
-  let rng = Random.State.make [| seed |] in
-  let tbl = Hashtbl.create 16 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
+let input_fn ~l ~seed = Bitvec.random_stream l (Random.State.make [| seed |])
 
 (* ---------- Json ---------- *)
 

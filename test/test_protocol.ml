@@ -13,16 +13,7 @@ let chords7 = Gen.ring_with_chords ~n:7 ~cap:2 ~chord_cap:2
 
 let dumbbell = Gen.dumbbell ~clique:3 ~clique_cap:4 ~bridge_cap:1
 
-let input_fn ~l ~seed =
-  let rng = Random.State.make [| seed |] in
-  let tbl = Hashtbl.create 16 in
-  fun k ->
-    match Hashtbl.find_opt tbl k with
-    | Some v -> v
-    | None ->
-        let v = Bitvec.random l rng in
-        Hashtbl.add tbl k v;
-        v
+let input_fn ~l ~seed = Bitvec.random_stream l (Random.State.make [| seed |])
 
 (* ---------- Phase 1 ---------- *)
 
