@@ -123,6 +123,10 @@ let with_obs ~trace ~metrics ~sample f =
 
 (* ---- run ---- *)
 
+(* A stalled stream is a named outcome of the run, not a usage error (124)
+   or an internal one (125). *)
+let stalled_exit = 3
+
 let run_cmd =
   let adversary_arg =
     let names = String.concat ", " (List.map fst Adversary.all) in
@@ -188,7 +192,13 @@ let run_cmd =
            ~backend topo ())
     in
     let e =
-      with_obs ~trace ~metrics ~sample (fun obs -> Runner.execute ~obs ?flag_batch s)
+      try with_obs ~trace ~metrics ~sample (fun obs -> Runner.execute ~obs ?flag_batch s)
+      with Nab_stream.Stalled undelivered ->
+        Printf.eprintf
+          "nab: stalled: %d instance(s) undelivered (the transport lost traffic: a \
+           crashed node or a lossy fault spec)\n"
+          undelivered;
+        exit stalled_exit
     in
     let g = e.Runner.g and inputs = e.Runner.inputs and q = s.Scenario.q in
     (match e.Runner.stream with
@@ -275,7 +285,15 @@ let run_cmd =
          $ sample_arg $ json_arg $ Cli_flags.backend_term $ stream_arg
          $ stream_window_arg $ flag_batch_arg))
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run Q instances of NAB under an adversary.") term
+  let exits =
+    Cmd.Exit.info stalled_exit
+      ~doc:
+        "a streamed run ($(b,--stream)) stalled: the transport lost traffic, so \
+         some instances can never be delivered (a crashed node or a lossy \
+         fault spec)."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v (Cmd.info "run" ~exits ~doc:"Run Q instances of NAB under an adversary.") term
 
 (* ---- bounds ---- *)
 

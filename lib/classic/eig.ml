@@ -7,11 +7,23 @@ type adversary =
 
 let honest ~me:_ ~round:_ ~dst:_ pairs = pairs
 
+(* Labels are short vertex lists; their table and membership tests stay
+   monomorphic, since a flag batch stores and looks up O(n^2) of them per
+   round. *)
+module Labels = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let in_label (i : int) label = List.exists (fun j -> j = i) label
+
 (* Per-node EIG state: the value tree, label -> payload. *)
-type node_state = (int list, Wire.payload) Hashtbl.t
+type node_state = Wire.payload Labels.t
 
 let lookup (st : node_state) ~default label =
-  match Hashtbl.find_opt st label with Some v -> v | None -> default
+  match Labels.find_opt st label with Some v -> v | None -> default
 
 let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
     ?(adversary = honest) ?(reliable_hooks = Reliable.honest_hooks) () =
@@ -27,11 +39,11 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
         invalid_arg "Eig.broadcast_all: participant absent from graph")
     (List.map fst inputs @ verts);
   let states : (int, node_state) Hashtbl.t = Hashtbl.create n in
-  List.iter (fun v -> Hashtbl.add states v (Hashtbl.create 64)) verts;
+  List.iter (fun v -> Hashtbl.add states v (Labels.create 64)) verts;
   let state v = Hashtbl.find states v in
   (* Sources adopt their own input as val(<s>). A faulty source's local tree
      is irrelevant to the guarantees, so this is safe for it too. *)
-  List.iter (fun (s, value) -> Hashtbl.replace (state s) [ s ] value) inputs;
+  List.iter (fun (s, value) -> Labels.replace (state s) [ s ] value) inputs;
   (* Labels of level r (length r) present in any instance: level 1 is the
      instance roots; level r+1 appends any relay not already in the label. *)
   let level1 = List.map (fun (s, _) -> [ s ]) inputs in
@@ -39,7 +51,7 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
     List.concat_map
       (fun label ->
         List.filter_map
-          (fun i -> if List.mem i label then None else Some (label @ [ i ]))
+          (fun i -> if in_label i label then None else Some (label @ [ i ]))
           verts)
       labels
   in
@@ -58,7 +70,7 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
         else
           List.filter_map
             (fun label ->
-              if List.mem i label then None
+              if in_label i label then None
               else Some (label, lookup (state i) ~default label))
             labels_prev
       in
@@ -99,8 +111,8 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
          parse of a Byzantine payload: [known] holds exactly the
          well-formed labels of this level, so one lookup rejects them all. *)
       let labels_now = if r = 1 then level1 else extend labels_prev in
-      let known = Hashtbl.create (List.length labels_now) in
-      List.iter (fun label -> Hashtbl.replace known label ()) labels_now;
+      let known = Labels.create (List.length labels_now) in
+      List.iter (fun label -> Labels.replace known label ()) labels_now;
       List.iter
         (fun j ->
           List.iter
@@ -114,10 +126,10 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
                         | Wire.Labeled { label; body } ->
                             let stored_label = if r = 1 then label else label @ [ i ] in
                             let valid =
-                              (r > 1 || label = [ i ]) && Hashtbl.mem known stored_label
+                              (r > 1 || label = [ i ]) && Labels.mem known stored_label
                             in
-                            if valid && not (Hashtbl.mem (state j) stored_label) then
-                              Hashtbl.replace (state j) stored_label body
+                            if valid && not (Labels.mem (state j) stored_label) then
+                              Labels.replace (state j) stored_label body
                         | _ -> ())
                       items
                 | _ -> ()
@@ -127,8 +139,8 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
           if r > 1 then
             List.iter
               (fun label ->
-                if not (List.mem j label) then
-                  Hashtbl.replace (state j) (label @ [ j ])
+                if not (in_label j label) then
+                  Labels.replace (state j) (label @ [ j ])
                     (lookup (state j) ~default label))
               labels_prev)
         verts;
@@ -146,7 +158,7 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
         else begin
           let children =
             List.filter_map
-              (fun i -> if List.mem i label then None else Some (resolve (label @ [ i ])))
+              (fun i -> if in_label i label then None else Some (resolve (label @ [ i ])))
               verts
           in
           let counts =

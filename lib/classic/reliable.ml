@@ -16,8 +16,9 @@ let honest_hooks =
 
 type delivery = (int * int, Wire.payload) Hashtbl.t
 
-(* Position helpers on a route (a vertex list). *)
-let predecessor route me =
+(* Position helpers on a route (a vertex list), monomorphic: every relay
+   hop of every flag batch runs them. *)
+let predecessor (route : int list) (me : int) =
   let rec go = function
     | a :: b :: _ when b = me -> Some a
     | _ :: rest -> go rest
@@ -25,7 +26,7 @@ let predecessor route me =
   in
   go route
 
-let successor route me =
+let successor (route : int list) (me : int) =
   let rec go = function
     | a :: b :: _ when a = me -> Some b
     | _ :: rest -> go rest
@@ -33,7 +34,13 @@ let successor route me =
   in
   go route
 
-let last route = List.nth route (List.length route - 1)
+let rec last (route : int list) =
+  match route with
+  | [ v ] -> v
+  | _ :: rest -> last rest
+  | [] -> invalid_arg "Reliable.last: empty route"
+
+let same_route = List.equal Int.equal
 
 let exchange ~net ~phase ~routing ~proto ~faulty ~hooks ~default ~sends =
   let g = Transport.graph net in
@@ -52,7 +59,7 @@ let exchange ~net ~phase ~routing ~proto ~faulty ~hooks ~default ~sends =
   let record_copy ~origin ~dst ~route payload =
     let key = (origin, dst) in
     let existing = try Hashtbl.find copies key with Not_found -> [] in
-    if not (List.mem_assoc route existing) then
+    if not (List.exists (fun (r, _) -> same_route r route) existing) then
       Hashtbl.replace copies key ((route, payload) :: existing)
   in
   (* Packets queued for sending by each node in the next subround. *)

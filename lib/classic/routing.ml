@@ -50,4 +50,4 @@ let next_hop _t ~route ~me =
   go route
 
 let is_route t ~src ~dst route =
-  List.exists (fun p -> p = route) (paths t ~src ~dst)
+  List.exists (List.equal Int.equal route) (paths t ~src ~dst)

@@ -2,6 +2,14 @@ open Nab_graph
 open Nab_net
 open Nab_classic
 
+exception Stalled of int
+
+let () =
+  Printexc.register_printer (function
+    | Stalled n ->
+        Some (Printf.sprintf "Nab_stream.Stalled: %d instance(s) undelivered" n)
+    | _ -> None)
+
 (* ------------------------------------------------------------------ *)
 (* Protos: instance-tagged so many in-flight broadcasts share one      *)
 (* transport. The epoch tags rollback generations — packets of a       *)
@@ -10,36 +18,120 @@ open Nab_classic
 let p1_proto ~k ~epoch ~tree = Printf.sprintf "sp1:%d:%d:%d" k epoch tree
 let ec_proto ~k ~epoch = Printf.sprintf "sec:%d:%d" k epoch
 
-(* [Some (k, epoch, Some tree)] for a Phase-1 slice, [Some (k, epoch, None)]
-   for equality-check symbols. *)
+type label =
+  | Slice of { k : int; epoch : int; tree : int }
+  | Symbols of { k : int; epoch : int }
+  | Foreign (* control traffic, other protocols, malformed labels *)
+
+(* The end of the run of 1 to 18 decimal digits at [i] in [p] (so a field
+   never overflows), if the run is followed by ':' — or ends [p] when
+   [last]; -1 otherwise. *)
+let field_end p i ~last =
+  let n = String.length p in
+  let j = ref i in
+  while !j < n && !j - i < 18 && p.[!j] >= '0' && p.[!j] <= '9' do
+    incr j
+  done;
+  if !j = i then -1
+  else if last then if !j = n then !j else -1
+  else if !j < n && p.[!j] = ':' then !j
+  else -1
+
+let number p i j =
+  let v = ref 0 in
+  for x = i to j - 1 do
+    v := (!v * 10) + Char.code p.[x] - Char.code '0'
+  done;
+  !v
+
+(* Read in place: every delivered packet's label passes through here. *)
 let parse_proto p =
-  match String.split_on_char ':' p with
-  | [ "sp1"; k; e; t ] -> (
-      match (int_of_string_opt k, int_of_string_opt e, int_of_string_opt t) with
-      | Some k, Some e, Some t -> Some (k, e, Some t)
-      | _ -> None)
-  | [ "sec"; k; e ] -> (
-      match (int_of_string_opt k, int_of_string_opt e) with
-      | Some k, Some e -> Some (k, e, None)
-      | _ -> None)
-  | _ -> None
+  if String.starts_with ~prefix:"sp1:" p then
+    let a = field_end p 4 ~last:false in
+    let b = if a < 0 then -1 else field_end p (a + 1) ~last:false in
+    let c = if b < 0 then -1 else field_end p (b + 1) ~last:true in
+    if c < 0 then Foreign
+    else Slice { k = number p 4 a; epoch = number p (a + 1) b; tree = number p (b + 1) c }
+  else if String.starts_with ~prefix:"sec:" p then
+    let a = field_end p 4 ~last:false in
+    let b = if a < 0 then -1 else field_end p (a + 1) ~last:true in
+    if b < 0 then Foreign else Symbols { k = number p 4 a; epoch = number p (a + 1) b }
+  else Foreign
+
+(* ------------------------------------------------------------------ *)
+(* The value-independent shape of an instance on one plan and source:
+   the Phase-1 schedule (which holds the tree array), each tree's
+   children and each node's G_k out-neighbours, all by vertex position.
+   Built on the first admission that needs it and shared by every later
+   instance on the same plan. *)
+
+type shape = {
+  s_plan : Nab.graph_plan;
+  s_source : int;
+  s_sched : Phase1.schedule;
+  s_verts : int array; (* G_k, ascending: position i is vertex s_verts.(i) *)
+  s_children : int list array; (* tree * n + position -> children's positions *)
+  s_out : int list array; (* position -> G_k out-neighbours' positions *)
+}
+
+let n_of sh = Array.length sh.s_verts
+
+(* The position of vertex [v] in the ascending array [verts], or -1. *)
+let position verts v =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let x = verts.(mid) in
+      if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length verts)
+
+(* -1 when v is not in G_k. *)
+let pos sh v = position sh.s_verts v
+
+let make_shape (ins : Nab.instance) =
+  let plan = ins.Nab.ins_plan and gk = ins.Nab.ins_gk in
+  let sched =
+    Phase1.schedule ~trees:plan.Nab.plan_trees ~source:ins.Nab.ins_source
+      ~value_bits:ins.Nab.ins_value_bits
+  in
+  let verts = Array.of_list (Digraph.vertices gk) in
+  let n = Array.length verts in
+  let trees = sched.Phase1.trees in
+  let positions = List.map (position verts) in
+  {
+    s_plan = plan;
+    s_source = ins.Nab.ins_source;
+    s_sched = sched;
+    s_verts = verts;
+    s_children =
+      Array.init (Array.length trees * n) (fun i ->
+          positions (Arborescence.children trees.(i / n) verts.(i mod n)));
+    s_out = Array.map (fun v -> positions (List.map fst (Digraph.out_edges gk v))) verts;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-instance transcript: the full protocol content of one broadcast
    instance on G_k — every Phase-1/EC send (computed by the serial
    driver's own forward and send rules, in its round order), each node's
-   assembled value and MISMATCH flag, and the per-node claim transcripts
-   dispute control broadcasts. Computing it eagerly at admission
+   assembled value and MISMATCH flag. Computing it eagerly at admission
    decouples the decision plane from the data plane (when the bits
-   actually move). *)
+   actually move). The per-node claim transcripts dispute control
+   broadcasts are derived from it only when dispute control runs
+   ({!claims_of}). *)
 
 type transcript = {
   t_ins : Nab.instance;
-  t_sends : (int * int * int, Wire.payload) Hashtbl.t; (* (tree, u, v) *)
-  t_ec_sends : (int * int, Wire.payload) Hashtbl.t; (* (u, v) per G_k edge *)
-  t_assembled : (int, Bitvec.t) Hashtbl.t;
-  t_flags : (int * bool) list; (* per node of G_k, vertex order *)
-  t_claims : (int, Wire.claim list) Hashtbl.t;
+  t_shape : shape;
+  (* tree * n + position: what the node holds on that tree — the source's
+     own slices, and otherwise the slice its tree parent sent. A node has
+     one parent per tree, so [Some] here is exactly "the parent sent". *)
+  t_recv : Wire.payload option array;
+  t_p1_sends : (int * int * int * Wire.payload) list; (* (tree, src, dst, p), last first *)
+  t_ec_sends : Wire.payload option array; (* src position * n + dst position *)
+  t_assembled : Bitvec.t array; (* by position *)
+  t_flags : bool array; (* by position; empty when reduced to Phase 1 *)
 }
 
 type status =
@@ -54,9 +146,12 @@ type instance = {
   mutable i_status : status;
   mutable i_epoch : int;
   mutable i_unsettled : int; (* tree-edge deliveries outstanding *)
-  i_node_wait : (int, int ref) Hashtbl.t;
+  mutable i_node_wait : int array; (* by position: parent edges unsettled *)
   mutable i_ec_outstanding : int;
   mutable i_admit_wall : float;
+  (* This launch's wire labels: per tree, and the equality check's. *)
+  mutable i_p1_protos : string array;
+  mutable i_ec_proto : string;
 }
 
 type t = {
@@ -71,6 +166,7 @@ type t = {
   mutable next_fin : int; (* id of the next instance to finalize *)
   waiting : (int * int option * Bitvec.t) Queue.t; (* (k, source, input) *)
   inflight : (int, instance) Hashtbl.t; (* admitted, not finalized *)
+  mutable shapes : shape list; (* one per (plan, source) seen *)
   mutable results : Nab.instance_report list; (* reversed *)
   mutable data_rounds : int;
   mutable last_admit_round : int;
@@ -132,6 +228,7 @@ let create ?obs ?transport ?(window = 32) ?flag_batch ?quantum ~g ~config
     next_fin = Nab.session_next_k ses;
     waiting = Queue.create ();
     inflight = Hashtbl.create 64;
+    shapes = [];
     results = [];
     data_rounds = 0;
     last_admit_round = -1;
@@ -144,174 +241,203 @@ let wall t = (Transport.timing t.net).Transport.wall
 
 (* ---------------- transcript computation ---------------- *)
 
+let shape_of t (ins : Nab.instance) =
+  let plan = ins.Nab.ins_plan and source = ins.Nab.ins_source in
+  match List.find_opt (fun sh -> sh.s_plan == plan && sh.s_source = source) t.shapes with
+  | Some sh -> sh
+  | None ->
+      let sh = make_shape ins in
+      t.shapes <- sh :: t.shapes;
+      sh
+
 let compute_transcript t ~k ~source input =
   let ses = t.ses in
   Nab.session_instance ses ~k ~source input
   |> Option.map @@ fun ins ->
   let faulty = Nab.session_faulty ses in
-  let gk = ins.Nab.ins_gk in
-  let verts = Digraph.vertices gk in
+  let sh = shape_of t ins in
+  let sched = sh.s_sched and verts = sh.s_verts in
+  let n = n_of sh in
   let value = ins.Nab.ins_value in
-  let plan = ins.Nab.ins_plan in
-  let sched =
-    Phase1.schedule ~trees:plan.Nab.plan_trees ~source
-      ~value_bits:ins.Nab.ins_value_bits
-  in
   let sizes = sched.Phase1.sizes in
   let gamma = Array.length sizes in
-  let slices = Array.of_list (Bitvec.split_balanced value ~parts:gamma) in
-  let received = Hashtbl.create 64 in
-  Array.iteri
-    (fun tr slice -> Hashtbl.replace received (tr, source) (Phase1.slice_payload slice))
-    slices;
-  let sends = Hashtbl.create 64 in
-  let claims_rev = Hashtbl.create 16 in
-  let push_claim v c =
-    let prev = try Hashtbl.find claims_rev v with Not_found -> [] in
-    Hashtbl.replace claims_rev v (c :: prev)
-  in
-  let claim_pair ~proto ~src ~dst body =
-    let claim dir =
-      { Wire.c_phase = proto; c_round = 0; c_src = src; c_dst = dst; c_dir = dir; c_body = body }
-    in
-    push_claim src (claim Wire.Sent);
-    push_claim dst (claim Wire.Received)
-  in
+  let recv = Array.make (gamma * n) None in
+  let src_pos = pos sh source in
+  List.iteri
+    (fun tr slice -> recv.((tr * n) + src_pos) <- Some (Phase1.slice_payload slice))
+    (Bitvec.split_balanced value ~parts:gamma);
+  let p1_sends = ref [] in
   (* Phase 1 in the serial driver's rounds and vertex order, so stateful
      hooks draw from the per-instance RNG identically. *)
   for round = 1 to sched.Phase1.max_depth do
-    List.iter
-      (fun v ->
+    Array.iteri
+      (fun i v ->
         Phase1.step sched ~faulty ~adversary:ins.Nab.ins_phase1 ~round ~me:v
-          ~received:(fun tr -> Hashtbl.find_opt received (tr, v))
+          ~received:(fun tr -> recv.((tr * n) + i))
           ~emit:(fun tr dst p ->
-            Hashtbl.replace sends (tr, v, dst) p;
-            Hashtbl.replace received (tr, dst) p;
-            claim_pair ~proto:(Phase1.tree_proto tr) ~src:v ~dst p))
+            recv.((tr * n) + pos sh dst) <- Some p;
+            p1_sends := (tr, v, dst, p) :: !p1_sends))
       verts
   done;
-  let assembled = Hashtbl.create 16 in
-  List.iter
-    (fun v ->
-      let bv =
+  let assembled =
+    Array.mapi
+      (fun i v ->
         if v = source then value
         else
           Phase1.assemble ~slice_sizes:sizes
-            (Array.init gamma (fun tr -> Hashtbl.find_opt received (tr, v)))
-      in
-      Hashtbl.replace assembled v bv)
-    verts;
-  let ec_sends = Hashtbl.create 64 in
+            (Array.init gamma (fun tr -> recv.((tr * n) + i))))
+      verts
+  in
+  let ec_sends = Array.make (n * n) None in
   let flags =
-    if ins.Nab.ins_reduced then []
+    if ins.Nab.ins_reduced then [||]
     else begin
       let m = (Nab.session_config ses).Nab.m in
-      let coding = plan.Nab.plan_coding in
-      let x_tbl = Hashtbl.create 16 in
-      let x_of v =
-        match Hashtbl.find_opt x_tbl v with
+      let coding = ins.Nab.ins_plan.Nab.plan_coding in
+      let xs = Array.make n None in
+      let x_of i =
+        match xs.(i) with
         | Some x -> x
         | None ->
-            let x = Bitvec.to_symbols (Hashtbl.find assembled v) ~sym_bits:m in
-            Hashtbl.replace x_tbl v x;
+            let x = Bitvec.to_symbols assembled.(i) ~sym_bits:m in
+            xs.(i) <- Some x;
             x
       in
       (* The equality check, again in serial outbox order. *)
-      List.iter
-        (fun v ->
+      Array.iteri
+        (fun i v ->
           List.iter
-            (fun (dst, _) ->
-              let payload =
-                Equality_check.send coding ~faulty ~adversary:ins.Nab.ins_ec ~me:v ~dst (x_of v)
-              in
-              Hashtbl.replace ec_sends (v, dst) payload;
-              claim_pair ~proto:Equality_check.proto ~src:v ~dst payload)
-            (Digraph.out_edges gk v))
+            (fun j ->
+              ec_sends.((i * n) + j) <-
+                Some
+                  (Equality_check.send coding ~faulty ~adversary:ins.Nab.ins_ec ~me:v
+                     ~dst:verts.(j) (x_of i)))
+            sh.s_out.(i))
         verts;
-      List.map
-        (fun v ->
-          ( v,
-            Equality_check.expected_flag coding ~graph:gk ~me:v ~x:(x_of v)
-              ~received:(fun ~src -> Hashtbl.find_opt ec_sends (src, v)) ))
+      Array.mapi
+        (fun i v ->
+          Equality_check.expected_flag coding ~graph:ins.Nab.ins_gk ~me:v ~x:(x_of i)
+            ~received:(fun ~src ->
+              let j = pos sh src in
+              if j < 0 then None else ec_sends.((j * n) + i)))
         verts
     end
   in
-  let claims = Hashtbl.create 16 in
-  Hashtbl.iter (fun v cs -> Hashtbl.replace claims v (List.rev cs)) claims_rev;
   {
     t_ins = ins;
-    t_sends = sends;
+    t_shape = sh;
+    t_recv = recv;
+    t_p1_sends = !p1_sends;
     t_ec_sends = ec_sends;
     t_assembled = assembled;
     t_flags = flags;
-    t_claims = claims;
   }
+
+(* The claim transcripts dispute control broadcasts: each send is claimed
+   as sent by its source and received by its destination, Phase-1 sends in
+   send order, then the equality check in outbox order. *)
+let claims_of tc =
+  let sh = tc.t_shape in
+  let n = n_of sh in
+  let rev = Array.make n [] in
+  let pair ~proto ~src ~dst body =
+    let claim dir =
+      { Wire.c_phase = proto; c_round = 0; c_src = src; c_dst = dst; c_dir = dir; c_body = body }
+    in
+    let i = pos sh src and j = pos sh dst in
+    rev.(i) <- claim Wire.Sent :: rev.(i);
+    rev.(j) <- claim Wire.Received :: rev.(j)
+  in
+  List.iter
+    (fun (tr, src, dst, p) -> pair ~proto:(Phase1.tree_proto tr) ~src ~dst p)
+    (List.rev tc.t_p1_sends);
+  Array.iteri
+    (fun i v ->
+      List.iter
+        (fun j ->
+          match tc.t_ec_sends.((i * n) + j) with
+          | Some p -> pair ~proto:Equality_check.proto ~src:v ~dst:sh.s_verts.(j) p
+          | None -> ())
+        sh.s_out.(i))
+    sh.s_verts;
+  fun v ->
+    let i = pos sh v in
+    if i < 0 then [] else List.rev rev.(i)
 
 (* ---------------- data plane ---------------- *)
 
-let enqueue_ec t inst (tc : transcript) v =
-  if not tc.t_ins.Nab.ins_reduced then begin
-    let outs = Digraph.out_edges tc.t_ins.Nab.ins_gk v in
-    List.iter
-      (fun (dst, _) ->
-        let payload = Hashtbl.find tc.t_ec_sends (v, dst) in
-        Link_sched.enqueue t.sched ~flow:inst.i_k ~src:v ~dst
-          (Packet.direct ~proto:(ec_proto ~k:inst.i_k ~epoch:inst.i_epoch) ~origin:v
-             ~dst payload);
-        inst.i_ec_outstanding <- inst.i_ec_outstanding + 1)
-      outs
-  end
-
-let node_settled t inst tc v =
-  let r = Hashtbl.find inst.i_node_wait v in
-  decr r;
-  if !r = 0 then enqueue_ec t inst tc v
-
-(* Edge (tree, parent -> v) settled: v's reception on that tree is final.
-   Cascade v's own sends — physical packets when the transcript says the
-   parent-side node actually sent, instant settlement otherwise (a
-   suppressed send delivers nothing, so nothing need move). *)
-let rec settle_edge t inst tc ~tree v =
-  inst.i_unsettled <- inst.i_unsettled - 1;
-  node_settled t inst tc v;
-  cascade_sends t inst tc ~tree v
-
-and cascade_sends t inst tc ~tree v =
-  let tr = List.nth tc.t_ins.Nab.ins_plan.Nab.plan_trees tree in
+let enqueue_ec t inst (tc : transcript) i =
+  let sh = tc.t_shape in
+  let n = n_of sh and v = sh.s_verts.(i) in
   List.iter
-    (fun w ->
-      match Hashtbl.find_opt tc.t_sends (tree, v, w) with
+    (fun j ->
+      match tc.t_ec_sends.((i * n) + j) with
+      | None -> () (* reduced to Phase 1: no equality check *)
+      | Some payload ->
+          let dst = sh.s_verts.(j) in
+          Link_sched.enqueue t.sched ~flow:inst.i_k ~src:v ~dst
+            (Packet.direct ~proto:inst.i_ec_proto ~origin:v ~dst payload);
+          inst.i_ec_outstanding <- inst.i_ec_outstanding + 1)
+    sh.s_out.(i)
+
+let node_settled t inst tc i =
+  inst.i_node_wait.(i) <- inst.i_node_wait.(i) - 1;
+  if inst.i_node_wait.(i) = 0 then enqueue_ec t inst tc i
+
+(* Edge (tree, parent -> v) settled, v at position [i]: v's reception on
+   that tree is final. Cascade v's own sends — physical packets when the
+   transcript says the parent-side node actually sent, instant settlement
+   otherwise (a suppressed send delivers nothing, so nothing need move). *)
+let rec settle_edge t inst tc ~tree i =
+  inst.i_unsettled <- inst.i_unsettled - 1;
+  node_settled t inst tc i;
+  cascade_sends t inst tc ~tree i
+
+and cascade_sends t inst tc ~tree i =
+  let sh = tc.t_shape in
+  let n = n_of sh and v = sh.s_verts.(i) in
+  List.iter
+    (fun j ->
+      match tc.t_recv.((tree * n) + j) with
       | Some p ->
+          let w = sh.s_verts.(j) in
           Link_sched.enqueue t.sched ~flow:inst.i_k ~src:v ~dst:w
-            (Packet.direct
-               ~proto:(p1_proto ~k:inst.i_k ~epoch:inst.i_epoch ~tree)
-               ~origin:v ~dst:w p)
-      | None -> settle_edge t inst tc ~tree w)
-    (Arborescence.children tr v)
+            (Packet.direct ~proto:inst.i_p1_protos.(tree) ~origin:v ~dst:w p)
+      | None -> settle_edge t inst tc ~tree j)
+    sh.s_children.((tree * n) + i)
 
 let check_done inst tc =
   if inst.i_unsettled = 0 && inst.i_ec_outstanding = 0 then
     inst.i_status <- Data_done tc
 
 let launch t inst tc =
-  inst.i_epoch <- t.epoch;
+  let sh = tc.t_shape in
+  let k = inst.i_k and epoch = t.epoch in
+  let gamma = Array.length sh.s_sched.Phase1.trees and n = n_of sh in
+  inst.i_epoch <- epoch;
   inst.i_admit_wall <- wall t;
   inst.i_status <- Streaming tc;
-  Hashtbl.reset inst.i_node_wait;
+  inst.i_p1_protos <- Array.init gamma (fun tree -> p1_proto ~k ~epoch ~tree);
+  inst.i_ec_proto <- ec_proto ~k ~epoch;
   inst.i_ec_outstanding <- 0;
-  let verts = Digraph.vertices tc.t_ins.Nab.ins_gk in
-  let gamma = List.length tc.t_ins.Nab.ins_plan.Nab.plan_trees in
-  let n_k = List.length verts in
   (* Every non-root vertex owes one parent-edge settlement per tree. *)
-  inst.i_unsettled <- gamma * (n_k - 1);
-  List.iter
-    (fun v ->
-      Hashtbl.replace inst.i_node_wait v (ref (if v = inst.i_source then 0 else gamma)))
-    verts;
-  enqueue_ec t inst tc inst.i_source;
-  List.iteri (fun tree _ -> cascade_sends t inst tc ~tree inst.i_source)
-    tc.t_ins.Nab.ins_plan.Nab.plan_trees;
+  inst.i_unsettled <- gamma * (n - 1);
+  inst.i_node_wait <- Array.map (fun v -> if v = inst.i_source then 0 else gamma) sh.s_verts;
+  let src_pos = pos sh inst.i_source in
+  enqueue_ec t inst tc src_pos;
+  for tree = 0 to gamma - 1 do
+    cascade_sends t inst tc ~tree src_pos
+  done;
   check_done inst tc
+
+(* Apply [f] to instance [k] if it is still streaming in [epoch]; packets
+   of a stale epoch or a finished instance are ignored. *)
+let on_streaming t ~k ~epoch f =
+  match Hashtbl.find_opt t.inflight k with
+  | Some ({ i_status = Streaming tc; _ } as inst) when inst.i_epoch = epoch ->
+      f inst tc;
+      check_done inst tc
+  | _ -> ()
 
 let absorb t inbox =
   List.iter
@@ -319,15 +445,13 @@ let absorb t inbox =
       List.iter
         (fun (_, (pkt : Packet.t)) ->
           match parse_proto pkt.Packet.proto with
-          | Some (k, e, tree) -> (
-              match Hashtbl.find_opt t.inflight k with
-              | Some ({ i_status = Streaming tc; _ } as inst) when inst.i_epoch = e ->
-                  (match tree with
-                  | Some tree -> settle_edge t inst tc ~tree v
-                  | None -> inst.i_ec_outstanding <- inst.i_ec_outstanding - 1);
-                  check_done inst tc
-              | _ -> () (* stale epoch, finished or no longer streaming *))
-          | None -> () (* control traffic or foreign phases: not ours *))
+          | Slice { k; epoch; tree } ->
+              on_streaming t ~k ~epoch (fun inst tc ->
+                  settle_edge t inst tc ~tree (pos tc.t_shape v))
+          | Symbols { k; epoch } ->
+              on_streaming t ~k ~epoch (fun inst _ ->
+                  inst.i_ec_outstanding <- inst.i_ec_outstanding - 1)
+          | Foreign -> ())
         (inbox v))
     (Digraph.vertices (Nab.session_physical_graph t.ses))
 
@@ -351,7 +475,7 @@ let report_of t inst tc ?dc decisions =
     ~latency:(wall t -. inst.i_admit_wall) ()
 
 let assembled_decisions tc =
-  List.map (fun v -> (v, Hashtbl.find tc.t_assembled v)) (Digraph.vertices tc.t_ins.Nab.ins_gk)
+  List.mapi (fun i v -> (v, tc.t_assembled.(i))) (Digraph.vertices tc.t_ins.Nab.ins_gk)
 
 (* Roll back every admitted-but-unfinalized instance: their transcripts
    were computed on a G_k that dispute control just evolved away from.
@@ -394,9 +518,9 @@ let ready_batch t =
 
 let dispute_control t inst tc flags =
   let ses = t.ses in
-  let claims_of v = try Hashtbl.find tc.t_claims v with Not_found -> [] in
   let verdicts, new_disputes =
-    Nab.dispute_control ses tc.t_ins ~net:t.net ~routing:t.routing ~flags ~claims_of ()
+    Nab.dispute_control ses tc.t_ins ~net:t.net ~routing:t.routing ~flags
+      ~claims_of:(claims_of tc) ()
   in
   let report =
     report_of t inst tc ~dc:new_disputes
@@ -423,7 +547,10 @@ let run_flag_stage t batch =
   let _, tc0 = List.hd batch in
   let participants = Digraph.vertices tc0.t_ins.Nab.ins_gk in
   let b = List.length batch in
-  let flag_of tc v = match List.assoc_opt v tc.t_flags with Some f -> f | None -> false in
+  let flag_of tc v =
+    let i = pos tc.t_shape v in
+    i >= 0 && i < Array.length tc.t_flags && tc.t_flags.(i)
+  in
   let inputs =
     List.map
       (fun v ->
@@ -537,9 +664,11 @@ let admit t =
         i_status = Absent;
         i_epoch = t.epoch;
         i_unsettled = 0;
-        i_node_wait = Hashtbl.create 8;
+        i_node_wait = [||];
         i_ec_outstanding = 0;
         i_admit_wall = wall t;
+        i_p1_protos = [||];
+        i_ec_proto = "";
       }
     in
       Hashtbl.add t.inflight k inst;
@@ -566,6 +695,8 @@ let submit t ?source input =
   admit t;
   k
 
+let pending t = Hashtbl.length t.inflight + Queue.length t.waiting
+
 let idle_limit = 100_000
 
 let drain t =
@@ -583,22 +714,18 @@ let drain t =
       end
       else if Transport.pending_count t.net > 0 then begin
         incr idle;
-        if !idle > idle_limit then
-          failwith "Nab_stream: transport lost in-flight traffic (lossy fault spec?)";
+        if !idle > idle_limit then raise (Stalled (pending t));
         absorb t (Transport.drain t.net ~phase:"stream-data")
       end
       else begin
         (* Nothing queued, nothing in flight, yet instances unfinished:
            only possible if the transport dropped packets. *)
         incr idle;
-        if !idle > 2 then
-          failwith "Nab_stream: stalled with undelivered instances (lossy transport?)";
+        if !idle > 2 then raise (Stalled (pending t));
         process_ready t
       end
     end
   done
-
-let pending t = Hashtbl.length t.inflight + Queue.length t.waiting
 
 (* ---------------- reports ---------------- *)
 

@@ -48,13 +48,20 @@
     serial equivalence; data-plane adversaries are unaffected.
 
     The stream requires a lossless transport (latency/jitter/reordering
-    faults are fine; message-dropping fault specs would strand a
-    transcript's delivery and raise [Failure] after an idle limit). *)
+    faults are fine; message-dropping fault specs and crashed nodes strand
+    a transcript's delivery, and {!drain} raises {!Stalled}). *)
 
 open Nab_graph
 open Nab_net
 
 type t
+
+exception Stalled of int
+(** Raised by {!drain} when the stream can no longer make progress: the
+    transport lost traffic (nothing left to schedule or deliver, yet
+    instances unfinished) or kept packets in flight past an idle limit.
+    Carries the number of instances undelivered at that point (queued plus
+    in flight, as {!pending}). *)
 
 val create :
   ?obs:Nab_obs.ctx ->
@@ -93,7 +100,8 @@ val submit : t -> ?source:int -> Bitvec.t -> int
 val drain : t -> unit
 (** Pump the data plane ({!Link_sched.select} rounds through the shared
     transport), flag batches and dispute control until every submitted
-    instance has finalized. *)
+    instance has finalized. Raises {!Stalled} on a transport that loses
+    traffic. *)
 
 val pending : t -> int
 (** Instances submitted but not yet finalized (queued + in flight). *)

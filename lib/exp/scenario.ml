@@ -50,7 +50,9 @@ let topo_label = function
   | Ring { n; cap } -> Printf.sprintf "ring-n%d-c%d" n cap
   | Chords { n; cap; chord_cap } -> Printf.sprintf "chords-n%d-c%d-cc%d" n cap chord_cap
   | Random_feasible { n; f; p; min_cap; max_cap; gseed } ->
-      Printf.sprintf "random-n%d-f%d-p%g-c%d.%d-g%d" n f p min_cap max_cap gseed
+      Printf.sprintf "random-n%d-f%d-p%s-c%d.%d-g%d" n f
+        (Nab_net.Async_sim.float_to_string p)
+        min_cap max_cap gseed
   | Dumbbell { clique; clique_cap; bridge_cap } ->
       Printf.sprintf "dumbbell-k%d-c%d-b%d" clique clique_cap bridge_cap
   | Star_mesh { n; spoke_cap; mesh_cap } ->
@@ -166,7 +168,7 @@ let fault_flags s =
   | Socket -> Some { default_flags with net = `Socket }
   | Async spec when spec.partitions <> [] -> None
   | Async spec ->
-      let fg = Printf.sprintf "%g" in
+      let fg = Nab_net.Async_sim.float_to_string in
       Some
         {
           net = `Async;

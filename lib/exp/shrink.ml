@@ -159,7 +159,7 @@ let flags_to_string (fl : Scenario.flags) =
       opt (fl.net <> d.net) "backend"
         (match fl.net with `Sync -> "sync" | `Async -> "async" | `Socket -> "socket");
       opt (fl.latency <> d.latency) "latency" fl.latency;
-      opt (fl.jitter <> d.jitter) "jitter" (Printf.sprintf "%g" fl.jitter);
+      opt (fl.jitter <> d.jitter) "jitter" (Nab_net.Async_sim.float_to_string fl.jitter);
       opt (fl.reorder <> d.reorder) "reorder" fl.reorder;
       opt (fl.crash <> d.crash) "crash" fl.crash;
       opt (fl.fault_seed <> d.fault_seed) "fault-seed" (string_of_int fl.fault_seed);

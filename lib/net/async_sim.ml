@@ -23,7 +23,19 @@ let no_faults =
     seed = 0;
   }
 
-let fg x = Printf.sprintf "%g" x
+(* The shortest of %.15g, %.16g and %.17g that reads back as the same
+   float (%.17g always does): spec labels, scenario ids and rerun lines
+   must tell apart every two specs and replay each exactly. *)
+let float_to_string x =
+  let at prec = Printf.sprintf "%.*g" prec x in
+  let exact s = Float.equal (float_of_string s) x in
+  let s15 = at 15 in
+  if exact s15 then s15
+  else
+    let s16 = at 16 in
+    if exact s16 then s16 else at 17
+
+let fg = float_to_string
 
 let latency_to_string = function
   | Zero -> "zero"

@@ -103,8 +103,14 @@ val fault_drops : t -> int
 val latency_of_string : string -> (latency, string) result
 (** ["zero"], ["const:T"], ["uniform:LO:HI"], ["exp:MEAN"]. *)
 
+val float_to_string : float -> string
+(** Shortest round-trip rendering: the first of [%.15g], [%.16g] and
+    [%.17g] that [float_of_string] reads back as the same float. Every
+    float in a spec label, scenario id or rerun line is printed with it. *)
+
 val latency_to_string : latency -> string
-(** Inverse of {!latency_of_string}, canonical form ([%g] floats). *)
+(** Inverse of {!latency_of_string}, canonical form ({!float_to_string}
+    floats). *)
 
 val crash_of_string : string -> ((int * float) list, string) result
 (** Comma-separated ["NODE@T"] items, e.g. ["3@120,7@1.5e3"]; [""] is

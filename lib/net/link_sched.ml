@@ -1,92 +1,104 @@
 open Nab_graph
 
+(* One flow's state on one link: its FIFO, its credit in bits and its
+   weight (fixed at activation). The record lives in the link's rotation
+   while the flow has queued traffic and is dropped when it drains. *)
+type flow = {
+  f_id : int;
+  f_queue : Packet.t Queue.t;
+  mutable f_deficit : float;
+  f_weight : int;
+}
+
 type link = {
   l_src : int;
   l_dst : int;
   l_cap : float;
-  flows : (int, Packet.t Queue.t) Hashtbl.t;
-  rotation : int Queue.t; (* flows with queued traffic, activation order *)
-  deficit : (int, float) Hashtbl.t; (* bits of accumulated credit *)
-  weight : (int, int) Hashtbl.t; (* fixed at activation *)
+  active : (int, flow) Hashtbl.t; (* flow id -> record, for enqueue *)
+  rotation : flow Queue.t; (* flows with queued traffic, activation order *)
+  mutable total_weight : int; (* over the rotation *)
 }
 
 type t = {
   quantum : float;
-  links : (int * int, link) Hashtbl.t;
-  (* (src, dst) lexicographic: the deterministic order select walks. *)
-  order : (int * int) array;
+  (* By edge id: (src, dst) lexicographic, the deterministic order select
+     walks and the order enqueue's binary search relies on. *)
+  links : link array;
   mutable n_queued : int;
   mutable bits_queued : int;
 }
 
 let create ?(quantum = 32.0) g =
   if quantum <= 0.0 then invalid_arg "Link_sched.create: quantum must be positive";
-  let edges = List.sort compare (Digraph.edges g) in
-  let links = Hashtbl.create (List.length edges) in
-  List.iter
-    (fun (src, dst, cap) ->
-      Hashtbl.replace links (src, dst)
-        {
-          l_src = src;
-          l_dst = dst;
-          l_cap = float_of_int (max 1 cap);
-          flows = Hashtbl.create 4;
-          rotation = Queue.create ();
-          deficit = Hashtbl.create 4;
-          weight = Hashtbl.create 4;
-        })
-    edges;
-  {
-    quantum;
-    links;
-    order = Array.of_list (List.map (fun (s, d, _) -> (s, d)) edges);
-    n_queued = 0;
-    bits_queued = 0;
-  }
+  let links =
+    List.sort compare (Digraph.edges g)
+    |> List.map (fun (src, dst, cap) ->
+           {
+             l_src = src;
+             l_dst = dst;
+             l_cap = float_of_int (max 1 cap);
+             active = Hashtbl.create 4;
+             rotation = Queue.create ();
+             total_weight = 0;
+           })
+    |> Array.of_list
+  in
+  { quantum; links; n_queued = 0; bits_queued = 0 }
+
+let find_link t ~src ~dst =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let l = t.links.(mid) in
+      let c = if l.l_src <> src then compare l.l_src src else compare l.l_dst dst in
+      if c = 0 then Some l else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length t.links)
 
 let enqueue t ~flow ?(weight = 1) ~src ~dst pkt =
   if weight < 1 then invalid_arg "Link_sched.enqueue: weight must be >= 1";
-  match Hashtbl.find_opt t.links (src, dst) with
+  match find_link t ~src ~dst with
   | None ->
       invalid_arg
         (Printf.sprintf "Link_sched.enqueue: no link %d->%d in the graph" src dst)
   | Some l ->
-      let q =
-        match Hashtbl.find_opt l.flows flow with
-        | Some q -> q
+      let fl =
+        match Hashtbl.find_opt l.active flow with
+        | Some fl -> fl
         | None ->
-            let q = Queue.create () in
-            Hashtbl.replace l.flows flow q;
-            Hashtbl.replace l.deficit flow 0.0;
-            Hashtbl.replace l.weight flow weight;
-            Queue.push flow l.rotation;
-            q
+            let fl =
+              { f_id = flow; f_queue = Queue.create (); f_deficit = 0.0; f_weight = weight }
+            in
+            Hashtbl.replace l.active flow fl;
+            Queue.push fl l.rotation;
+            l.total_weight <- l.total_weight + weight;
+            fl
       in
-      Queue.push pkt q;
+      Queue.push pkt fl.f_queue;
       t.n_queued <- t.n_queued + 1;
       t.bits_queued <- t.bits_queued + Packet.bits pkt
 
-let deactivate l flow =
-  Hashtbl.remove l.flows flow;
-  Hashtbl.remove l.deficit flow;
-  Hashtbl.remove l.weight flow
+let deactivate l fl =
+  Hashtbl.remove l.active fl.f_id;
+  l.total_weight <- l.total_weight - fl.f_weight
 
 let flush_flow t flow =
-  Hashtbl.iter
-    (fun _ l ->
-      match Hashtbl.find_opt l.flows flow with
+  Array.iter
+    (fun l ->
+      match Hashtbl.find_opt l.active flow with
       | None -> ()
-      | Some q ->
+      | Some fl ->
           Queue.iter
             (fun pkt ->
               t.n_queued <- t.n_queued - 1;
               t.bits_queued <- t.bits_queued - Packet.bits pkt)
-            q;
-          deactivate l flow;
+            fl.f_queue;
+          deactivate l fl;
           (* Rebuild the rotation without the flushed flow, preserving the
              relative order of the survivors. *)
           let survivors = Queue.create () in
-          Queue.iter (fun f -> if f <> flow then Queue.push f survivors) l.rotation;
+          Queue.iter (fun f -> if f != fl then Queue.push f survivors) l.rotation;
           Queue.clear l.rotation;
           Queue.transfer survivors l.rotation)
     t.links
@@ -96,40 +108,34 @@ let queued_bits t = t.bits_queued
 
 (* One DRR pass over a link: each active flow is visited once, its deficit
    topped up by its weighted share of the round budget, and affordable
-   head-of-line packets are sent while the link budget lasts. *)
-let select_link t l acc =
+   head-of-line packets are sent while the link budget lasts. Returns the
+   link's sends as [(dst, packet)], last sent first. *)
+let select_link t l =
   let n_active = Queue.length l.rotation in
-  if n_active = 0 then acc
+  if n_active = 0 then []
   else begin
     let budget0 = l.l_cap *. t.quantum in
     let budget = ref budget0 in
-    let total_weight =
-      Queue.fold (fun s f -> s + Hashtbl.find l.weight f) 0 l.rotation
-    in
+    let total_weight = float_of_int l.total_weight in
     let sent = ref [] in
     let take pkt =
-      sent := pkt :: !sent;
+      sent := (l.l_dst, pkt) :: !sent;
       t.n_queued <- t.n_queued - 1;
       t.bits_queued <- t.bits_queued - Packet.bits pkt
     in
     for _ = 1 to n_active do
-      let flow = Queue.pop l.rotation in
-      let q = Hashtbl.find l.flows flow in
-      let w = float_of_int (Hashtbl.find l.weight flow) in
+      let fl = Queue.pop l.rotation in
+      let q = fl.f_queue in
       let d =
-        ref (Hashtbl.find l.deficit flow +. (budget0 *. w /. float_of_int total_weight))
+        ref (fl.f_deficit +. (budget0 *. float_of_int fl.f_weight /. total_weight))
       in
-      let continue = ref true in
+      (* Send while the head packet fits both the flow's credit and the
+         link's budget; otherwise keep the credit for the next round. *)
       while
-        !continue && not (Queue.is_empty q)
+        (not (Queue.is_empty q))
         &&
         let b = float_of_int (Packet.bits (Queue.peek q)) in
-        if b <= !d && b <= !budget then true
-        else begin
-          (if b > !d then () (* keep credit, wait for the next round *));
-          continue := false;
-          false
-        end
+        b <= !d && b <= !budget
       do
         let pkt = Queue.pop q in
         let b = float_of_int (Packet.bits pkt) in
@@ -137,43 +143,38 @@ let select_link t l acc =
         d := !d -. b;
         budget := !budget -. b
       done;
-      if Queue.is_empty q then deactivate l flow
+      if Queue.is_empty q then deactivate l fl
       else begin
-        Hashtbl.replace l.deficit flow !d;
-        Queue.push flow l.rotation
+        fl.f_deficit <- !d;
+        Queue.push fl l.rotation
       end
     done;
     (* Progress rule: a backlogged link never goes silent. When nothing
        fit the budget, force the rotation head's head-of-line packet and
        reset that flow's credit. *)
     if !sent = [] && not (Queue.is_empty l.rotation) then begin
-      let flow = Queue.pop l.rotation in
-      let q = Hashtbl.find l.flows flow in
-      let pkt = Queue.pop q in
-      take pkt;
-      if Queue.is_empty q then deactivate l flow
+      let fl = Queue.pop l.rotation in
+      take (Queue.pop fl.f_queue);
+      if Queue.is_empty fl.f_queue then deactivate l fl
       else begin
-        Hashtbl.replace l.deficit flow 0.0;
-        Queue.push flow l.rotation
+        fl.f_deficit <- 0.0;
+        Queue.push fl l.rotation
       end
     end;
-    match !sent with
-    | [] -> acc
-    | pkts -> (l.l_src, List.rev_map (fun p -> (l.l_dst, p)) pkts) :: acc
+    !sent
   end
 
+(* Links are sorted by source, so each source's sends are one contiguous
+   run of links: walk them backwards, prepending, and the outboxes come out
+   in ascending source order with each link's packets in send order. *)
 let select t =
-  let by_src = Hashtbl.create 16 in
-  Array.iter
-    (fun key ->
-      let l = Hashtbl.find t.links key in
-      match select_link t l [] with
-      | [] -> ()
-      | [ (src, pkts) ] ->
-          let prev = try Hashtbl.find by_src src with Not_found -> [] in
-          Hashtbl.replace by_src src (prev @ pkts)
-      | _ -> assert false)
-    t.order;
-  (* Deterministic outbox order: ascending source id. *)
-  Hashtbl.fold (fun src pkts acc -> (src, pkts) :: acc) by_src []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let out = ref [] in
+  for e = Array.length t.links - 1 downto 0 do
+    let l = t.links.(e) in
+    match (select_link t l, !out) with
+    | [], _ -> ()
+    | sent, (src, pkts) :: rest when src = l.l_src ->
+        out := (src, List.rev_append sent pkts) :: rest
+    | sent, outs -> out := (l.l_src, List.rev sent) :: outs
+  done;
+  !out

@@ -11,10 +11,18 @@
     active flows in proportion to their weights, with unused credit carried
     in the deficit counter exactly as in classic DRR.
 
-    Fairness contract: over any interval in which a set of flows stays
-    backlogged on a link, the bits each flow sends are proportional to its
-    weight, up to one maximum-packet-size of slack per flow (the DRR
-    bound). Progress guarantee: a link with queued traffic never goes
+    Fairness contract, for flows that stay backlogged on a link from their
+    activation on, with no packet longer than its flow's per-round share
+    ([cap_e * quantum * w / W] bits for weight [w] among active weights
+    [W]): no flow ever sends more than its share summed over the rounds,
+    and the flow at the head of the rotation sends at least that minus one
+    maximum packet size. When the packet sizes divide the shares, every
+    flow sends exactly its share in every round. The round budget is
+    checked per packet, though, and budget that the next head packet does
+    not fit is left unused: a flow later in the rotation can fall behind
+    its share by a fraction of a packet per round, without bound over
+    many rounds (it keeps the credit, but the link time is lost).
+    Progress guarantee: a link with queued traffic never goes
     silent — when no queued packet fits the round budget, the head packet
     of the rotation's current flow is force-sent and that flow's credit is
     reset, so an oversized packet costs its flow its accumulated share but

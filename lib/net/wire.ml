@@ -18,14 +18,25 @@ and claim = {
   c_body : payload;
 }
 
+(* Direct recursion, no closure per element: the flag stage re-counts its
+   [Batch] payloads at every relay hop. *)
 let rec bits = function
   | Flag _ -> 1
   | Value { bits = b; _ } -> max 1 b
   | Coded { sym_bits; data } -> max 1 (sym_bits * Array.length data)
   | Labeled { label; body } -> (8 * List.length label) + bits body
-  | Batch ps -> max 1 (List.fold_left (fun acc p -> acc + bits p) 0 ps)
-  | Claims cs -> max 1 (List.fold_left (fun acc c -> acc + 32 + bits c.c_body) 0 cs)
+  | Batch ps -> max 1 (batch_bits 0 ps)
+  | Claims cs -> max 1 (claims_bits 0 cs)
   | Nothing -> 1
+
+and batch_bits acc = function
+  | [] -> acc
+  | (Flag _ | Nothing) :: ps -> batch_bits (acc + 1) ps
+  | p :: ps -> batch_bits (acc + bits p) ps
+
+and claims_bits acc = function
+  | [] -> acc
+  | c :: cs -> claims_bits (acc + 32 + bits c.c_body) cs
 
 let equal (a : payload) (b : payload) = a = b
 

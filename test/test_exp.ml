@@ -449,6 +449,57 @@ let test_flag_form_roundtrips () =
   Alcotest.(check bool) "partitioned spec has no flag form" true
     (Scenario.fault_flags s = None && Shrink.cli_command s ~graph_file:"net.graph" = None)
 
+(* Fault-spec floats print exactly: two specs that differ past six
+   significant digits get different ids, and every rerun line reads back
+   as its own spec. *)
+let test_exact_fault_floats () =
+  let open Nab_net.Async_sim in
+  let base = List.hd (Campaigns.quick ()) in
+  let with_spec spec = Scenario.with_backend (Scenario.Async spec) base in
+  let flag_value cmd flag =
+    let rec go = function
+      | f :: v :: _ when f = flag -> v
+      | _ :: rest -> go rest
+      | [] -> Alcotest.failf "no %s in %s" flag cmd
+    in
+    go (String.split_on_char ' ' cmd)
+  in
+  let jitter j =
+    let s = with_spec { no_faults with jitter = j } in
+    match Shrink.cli_command s ~graph_file:"net.graph" with
+    | Some cmd ->
+        Alcotest.(check (float 0.0)) "rerun jitter reads back" j
+          (float_of_string (flag_value cmd "--jitter"));
+        s.Scenario.id
+    | None -> Alcotest.fail "jitter spec should be CLI-expressible"
+  in
+  Alcotest.(check bool) "ids differ" true (jitter 0.1234567 <> jitter 0.1234568);
+  Alcotest.(check string) "short floats print as %g did" "0.1"
+    (float_to_string 0.1);
+  Alcotest.(check string) "17 digits when needed" "0.30000000000000004"
+    (float_to_string (0.1 +. 0.2));
+  let awkward =
+    {
+      no_faults with
+      latency = Uniform (1.0 /. 3.0, 2.0 /. 3.0);
+      jitter = 1e-7 +. 1e-22;
+      reorder = 0.1 +. 0.2;
+      reorder_delay = 1e6 +. 0.5;
+      crash = [ (3, 5.0 /. 7.0) ];
+    }
+  in
+  let s = with_spec awkward in
+  (match Scenario.fault_flags s with
+  | Some fl ->
+      Alcotest.(check bool) "flag form selects the exact spec" true
+        (Scenario.backend_of_flags fl = Ok s.Scenario.backend)
+  | None -> Alcotest.fail "awkward spec should have a flag form");
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"float_to_string round-trips" QCheck.float
+       (fun x ->
+         let s = float_to_string x in
+         Float.is_nan x || (Float.equal (float_of_string s) x && String.length s <= 24)))
+
 let () =
   Alcotest.run "exp"
     [
@@ -482,5 +533,6 @@ let () =
           Alcotest.test_case "passing scenario" `Quick test_shrink_passes_is_none;
           Alcotest.test_case "cli command" `Quick test_cli_command_shape;
           Alcotest.test_case "flag form round-trips" `Quick test_flag_form_roundtrips;
+          Alcotest.test_case "exact fault-spec floats" `Quick test_exact_fault_floats;
         ] );
     ]

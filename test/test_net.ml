@@ -352,6 +352,195 @@ let test_sim_differential_delayed =
        diff_case_gen
        (fun case -> run_differential ~delayed:true case))
 
+(* ---------- Link_sched ---------- *)
+
+(* A packet of [bits] declared bits whose data carries a unique tag, so a
+   reordering between the two schedulers cannot go unseen. *)
+let sched_packet ~tag ~src ~dst bits =
+  Packet.direct ~proto:"ls" ~origin:src ~dst (Wire.Value { bits; data = [| tag |] })
+
+type sched_op =
+  | Enqueue of { flow : int; weight : int; edge : int; bits : int }
+  | Flush of int
+  | Select
+
+let pp_sched_op = function
+  | Enqueue { flow; weight; edge; bits } ->
+      Printf.sprintf "enqueue(flow %d, w %d, edge %d, %d bits)" flow weight edge bits
+  | Flush f -> Printf.sprintf "flush %d" f
+  | Select -> "select"
+
+(* [Ref_link_sched] (test/ref_link_sched) is the scheduler before its
+   links moved into an array and its per-flow state into one record. On
+   random scripts — several weights per link, packets from one bit to many
+   round budgets long (so the force-send rule fires), flushes mid-stream —
+   both must return the same select outputs and the same backlog after
+   every step. *)
+let test_link_sched_differential =
+  let gen =
+    QCheck2.Gen.(
+      let* caps = list_repeat 12 (int_range 1 4) in
+      let* quantum = oneofl [ 0.5; 1.0; 2.5; 8.0 ] in
+      let op =
+        frequency
+          [
+            ( 6,
+              let+ flow = int_bound 5
+              and+ weight = int_range 1 4
+              and+ edge = int_bound 11
+              and+ bits = int_range 1 96 in
+              Enqueue { flow; weight; edge; bits } );
+            (1, map (fun f -> Flush f) (int_bound 5));
+            (4, return Select);
+          ]
+      in
+      let+ ops = list_size (int_range 1 150) op in
+      (caps, quantum, ops))
+  in
+  let print (caps, quantum, ops) =
+    Printf.sprintf "caps [%s], quantum %g: %s"
+      (String.concat ";" (List.map string_of_int caps))
+      quantum
+      (String.concat ", " (List.map pp_sched_op ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"Link_sched = reference on random scripts" ~print gen
+       (fun (caps, quantum, ops) ->
+         (* All 12 directed links of 4 nodes. *)
+         let pairs =
+           List.concat_map
+             (fun s -> List.filter_map (fun d -> if s = d then None else Some (s, d)) [ 0; 1; 2; 3 ])
+             [ 0; 1; 2; 3 ]
+         in
+         let g = Digraph.of_edges (List.map2 (fun (s, d) c -> (s, d, c)) pairs caps) in
+         let edges = Array.of_list pairs in
+         let t = Link_sched.create ~quantum g and r = Ref_link_sched.create ~quantum g in
+         let tags = ref 0 in
+         let same () =
+           Link_sched.queued t = Ref_link_sched.queued r
+           && Link_sched.queued_bits t = Ref_link_sched.queued_bits r
+         in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Enqueue { flow; weight; edge; bits } ->
+                 let src, dst = edges.(edge) in
+                 incr tags;
+                 let pkt = sched_packet ~tag:!tags ~src ~dst bits in
+                 Link_sched.enqueue t ~flow ~weight ~src ~dst pkt;
+                 Ref_link_sched.enqueue r ~flow ~weight ~src ~dst pkt;
+                 true
+             | Flush f ->
+                 Link_sched.flush_flow t f;
+                 Ref_link_sched.flush_flow r f;
+                 true
+             | Select -> Link_sched.select t = Ref_link_sched.select r)
+             && same ())
+           ops
+         && Link_sched.select t = Ref_link_sched.select r
+         && same ()))
+
+(* A packet longer than a round's budget still leaves: the progress rule
+   force-sends it on the first select. *)
+let test_link_sched_force_send () =
+  let g = Digraph.of_edges [ (0, 1, 1) ] in
+  let t = Link_sched.create ~quantum:1.0 g in
+  Link_sched.enqueue t ~flow:7 ~src:0 ~dst:1 (sched_packet ~tag:0 ~src:0 ~dst:1 10);
+  (match Link_sched.select t with
+  | [ (0, [ (1, pkt) ]) ] -> Alcotest.(check int) "oversized sent" 10 (Packet.bits pkt)
+  | _ -> Alcotest.fail "the oversized packet was not force-sent");
+  Alcotest.(check int) "nothing left" 0 (Link_sched.queued t)
+
+(* The fairness contract of link_sched.mli, on one link whose flows are
+   all backlogged from the first round (so the rotation keeps activation
+   order and flow 0 is its head). Returns the bits each flow sent in
+   [rounds] rounds and each flow's share of them. *)
+let drr_run ~weights ~cap ~quantum ~rounds ~size =
+  let g = Digraph.of_edges [ (0, 1, cap) ] in
+  let t = Link_sched.create ~quantum g in
+  let budget = float_of_int cap *. quantum in
+  let w_total = List.fold_left ( + ) 0 weights in
+  (* Enough packets that every flow stays backlogged throughout; the tag
+     names the flow. *)
+  let per_flow = (rounds * int_of_float budget) + 2 in
+  List.iteri
+    (fun flow weight ->
+      for _ = 1 to per_flow do
+        Link_sched.enqueue t ~flow ~weight ~src:0 ~dst:1
+          (sched_packet ~tag:flow ~src:0 ~dst:1 (size ()))
+      done)
+    weights;
+  let sent = Array.make (List.length weights) 0 in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (_, pkts) ->
+        List.iter
+          (fun (_, (pkt : Packet.t)) ->
+            match pkt.Packet.payload with
+            | Wire.Value { data = [| flow |]; bits } -> sent.(flow) <- sent.(flow) + bits
+            | _ -> assert false)
+          pkts)
+      (Link_sched.select t)
+  done;
+  ( sent,
+    Array.of_list
+      (List.map
+         (fun w -> float_of_int rounds *. budget *. float_of_int w /. float_of_int w_total)
+         weights) )
+
+let drr_gen =
+  QCheck2.Gen.(
+    let* weights = list_size (int_range 2 5) (int_range 1 4) in
+    let* cap = int_range 1 4 in
+    let* rounds = int_range 1 60 in
+    let+ seed = int in
+    (weights, cap, rounds, seed))
+
+let drr_print (weights, cap, rounds, seed) =
+  Printf.sprintf "weights [%s], cap %d, %d rounds, seed %d"
+    (String.concat ";" (List.map string_of_int weights))
+    cap rounds seed
+
+(* Random packet sizes up to the smallest per-round share: no flow exceeds
+   its share, and the rotation head stays within one packet of it. *)
+let test_link_sched_fairness =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"DRR share bounds" ~print:drr_print drr_gen
+       (fun (weights, cap, rounds, seed) ->
+         let quantum = 16.0 in
+         let w_total = List.fold_left ( + ) 0 weights in
+         let min_share =
+           float_of_int cap *. quantum *. float_of_int (List.fold_left min max_int weights)
+           /. float_of_int w_total
+         in
+         let max_pkt = max 1 (int_of_float min_share) in
+         let rng = Random.State.make [| seed |] in
+         let sent, share =
+           drr_run ~weights ~cap ~quantum ~rounds ~size:(fun () ->
+               1 + Random.State.int rng max_pkt)
+         in
+         Array.iteri
+           (fun flow s ->
+             if float_of_int s > share.(flow) then
+               QCheck2.Test.fail_reportf "flow %d sent %d bits, over its share %g" flow s
+                 share.(flow))
+           sent;
+         if share.(0) -. float_of_int sent.(0) > float_of_int max_pkt then
+           QCheck2.Test.fail_reportf "head flow sent %d bits, share %g, max packet %d" sent.(0)
+             share.(0) max_pkt;
+         true))
+
+(* Packet sizes that divide every share: each flow sends exactly its share. *)
+let test_link_sched_exact_shares =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"DRR exact shares" ~print:drr_print drr_gen
+       (fun (weights, cap, rounds, seed) ->
+         (* quantum = W makes flow i's share cap * w_i bits per round. *)
+         let quantum = float_of_int (List.fold_left ( + ) 0 weights) in
+         let size = if seed land 1 = 0 then 1 else cap in
+         let sent, share = drr_run ~weights ~cap ~quantum ~rounds ~size:(fun () -> size) in
+         Array.for_all2 (fun s sh -> float_of_int s = sh) sent share))
+
 let () =
   Alcotest.run "net"
     [
@@ -377,5 +566,15 @@ let () =
           Alcotest.test_case "rejects zero bits" `Quick test_sim_rejects_zero_bits;
           test_sim_differential_zero_delay;
           test_sim_differential_delayed;
+        ] );
+      (* Link_sched's tests. A group name no longer than "wire" keeps
+         Alcotest's name column, so the printed names of the other tests do
+         not change. *)
+      ( "drr",
+        [
+          test_link_sched_differential;
+          Alcotest.test_case "force-send" `Quick test_link_sched_force_send;
+          test_link_sched_fairness;
+          test_link_sched_exact_shares;
         ] );
     ]

@@ -216,6 +216,87 @@ let test_stream_goodput_amortizes () =
     true
     (stream.Nab_stream.wall < serial.Nab.total_wall)
 
+(* A transport that puts packets the stream must ignore at the front of
+   every stream-data inbox: labels of other protocols and malformed stream
+   labels, many copies each (so a label misread as instance 1's would
+   drive its counts far off), and — once a rollback has bumped the epoch —
+   every stream packet sent under an older epoch, delivered again. *)
+let injecting (base : Transport.factory) : Transport.factory =
+ fun ~obs ~keep_events g ->
+  let foreign =
+    List.concat_map
+      (fun proto -> List.init 16 (fun _ -> Packet.direct ~proto ~origin:0 ~dst:0 Wire.Nothing))
+      [ "p1:0"; "sp1:x:0:0"; "sec:1"; "sec:1:"; "sp1:1:0"; "sp1:1:0:0:0"; "sec:-1:0"; "eq" ]
+  in
+  (* Every stream packet sent so far, with its epoch. *)
+  let sent = ref [] and max_epoch = ref 0 in
+  let epoch_of (pkt : Packet.t) =
+    match String.split_on_char ':' pkt.Packet.proto with
+    | [ "sp1"; _; e; _ ] | [ "sec"; _; e ] -> int_of_string_opt e
+    | _ -> None
+  in
+  let record (pkt : Packet.t) =
+    match epoch_of pkt with
+    | Some e ->
+        max_epoch := max !max_epoch e;
+        sent := (e, pkt) :: !sent
+    | None -> ()
+  in
+  let inject inbox v =
+    let stale = List.filter_map (fun (e, p) -> if e < !max_epoch then Some p else None) !sent in
+    List.map (fun p -> (0, p)) (foreign @ stale) @ inbox v
+  in
+  let module M = struct
+    type t = Transport.t
+
+    let graph = Transport.graph
+    let obs = Transport.obs
+
+    let round t ~phase outbox =
+      if phase <> "stream-data" then Transport.round t ~phase outbox
+      else
+        let outbox v =
+          let out = outbox v in
+          List.iter (fun (_, p) -> record p) out;
+          out
+        in
+        inject (Transport.round t ~phase outbox)
+
+    let pending_count = Transport.pending_count
+
+    let drain t ~phase =
+      if phase <> "stream-data" then Transport.drain t ~phase
+      else inject (Transport.drain t ~phase)
+
+    let add_cost = Transport.add_cost
+    let timing = Transport.timing
+    let link_bits = Transport.link_bits
+    let dropped = Transport.dropped
+    let utilization = Transport.utilization
+    let events_of_phase = Transport.events_of_phase
+    let keeps_events = Transport.keeps_events
+    let rounds_run = Transport.rounds_run
+    let close = Transport.close
+  end in
+  Transport.pack (module M) (base ~obs ~keep_events g)
+
+let test_stream_ignores_foreign_labels () =
+  let config = Nab.config ~f:2 ~l_bits:64 ~m:4 () in
+  let inputs = input_fn ~l:64 ~seed:29 in
+  let run transport =
+    Nab_stream.run ~transport ~window:4 ~g:k7 ~config ~adversary:Adversary.stealthy ~inputs
+      ~q:10 ()
+  in
+  let plain = run Sim.default_factory and noisy = run (injecting Sim.default_factory) in
+  Alcotest.(check bool) "a rollback bumped the epoch" true (plain.Nab_stream.rollbacks > 0);
+  Alcotest.(check string) "same run report"
+    (Nab_obs.Json.to_string (Report.run_to_json plain.Nab_stream.run))
+    (Nab_obs.Json.to_string (Report.run_to_json noisy.Nab_stream.run));
+  Alcotest.(check (list int)) "same data rounds, flag batches, rollbacks"
+    [ plain.Nab_stream.data_rounds; plain.Nab_stream.flag_batches; plain.Nab_stream.rollbacks ]
+    [ noisy.Nab_stream.data_rounds; noisy.Nab_stream.flag_batches; noisy.Nab_stream.rollbacks ];
+  Alcotest.(check (float 0.0)) "same wall" plain.Nab_stream.wall noisy.Nab_stream.wall
+
 let () =
   Alcotest.run "stream"
     [
@@ -237,5 +318,7 @@ let () =
           Alcotest.test_case "backpressure window" `Quick test_stream_backpressure;
           Alcotest.test_case "multi-source session" `Quick test_stream_multi_source;
           Alcotest.test_case "goodput amortizes" `Quick test_stream_goodput_amortizes;
+          Alcotest.test_case "foreign and stale labels ignored" `Quick
+            test_stream_ignores_foreign_labels;
         ] );
     ]

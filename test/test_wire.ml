@@ -175,6 +175,49 @@ let test_bound_qcheck =
     arb_canonical (fun p ->
       if within_bound p then true else QCheck.Test.fail_report (bound_report p))
 
+(* ------------------------------ bit count ------------------------------ *)
+
+(* [Wire.bits] as a closure fold per element — the plain statement of the
+   accounting rule the direct recursion in wire.ml must reproduce. *)
+let rec ref_bits = function
+  | Wire.Flag _ -> 1
+  | Wire.Value { bits = b; _ } -> max 1 b
+  | Wire.Coded { sym_bits; data } -> max 1 (sym_bits * Array.length data)
+  | Wire.Labeled { label; body } -> (8 * List.length label) + ref_bits body
+  | Wire.Batch ps -> max 1 (List.fold_left (fun acc p -> acc + ref_bits p) 0 ps)
+  | Wire.Claims cs ->
+      max 1 (List.fold_left (fun acc c -> acc + 32 + ref_bits c.Wire.c_body) 0 cs)
+  | Wire.Nothing -> 1
+
+(* Flag-stage shaped payloads: batches of labelled batches of many flags,
+   with the odd nested payload in between. *)
+let gen_flag_batches =
+  let open QCheck.Gen in
+  let inner =
+    list_size (int_bound 64)
+      (frequency
+         [ (8, map (fun b -> Wire.Flag b) bool); (1, return Wire.Nothing); (1, gen_canonical) ])
+  in
+  map
+    (fun items -> Wire.Batch items)
+    (list_size (int_bound 16)
+       (map2
+          (fun label body -> Wire.Labeled { label; body = Wire.Batch body })
+          (list_size (int_bound 3) (int_bound 255))
+          inner))
+
+let test_bits_qcheck =
+  let prop p = Wire.bits p = ref_bits p in
+  [
+    QCheck.Test.make ~count:500 ~name:"bits = closure-fold reference (canonical)"
+      arb_canonical prop;
+    QCheck.Test.make ~count:500 ~name:"bits = closure-fold reference (arbitrary ints)"
+      arb_arbitrary prop;
+    QCheck.Test.make ~count:200 ~name:"bits = closure-fold reference (flag batches)"
+      (QCheck.make ~print:(Format.asprintf "%a" Wire.pp) gen_flag_batches)
+      prop;
+  ]
+
 (* ----------------------------- round-trip ----------------------------- *)
 
 let test_roundtrip_qcheck =
@@ -322,6 +365,7 @@ let () =
           Alcotest.test_case "every constructor" `Quick test_bound_constructors;
           QCheck_alcotest.to_alcotest test_bound_qcheck;
         ] );
+      ("bit count", List.map QCheck_alcotest.to_alcotest test_bits_qcheck);
       ( "round-trip",
         [
           QCheck_alcotest.to_alcotest test_roundtrip_qcheck;
