@@ -123,9 +123,10 @@ let with_obs ~trace ~metrics ~sample f =
 
 (* ---- run ---- *)
 
-(* A stalled stream is a named outcome of the run, not a usage error (124)
-   or an internal one (125). *)
+(* A stalled stream and disputes no f nodes explain are named outcomes of
+   the run, not a usage error (124) or an internal one (125). *)
 let stalled_exit = 3
+let model_violation_exit = 4
 
 let run_cmd =
   let adversary_arg =
@@ -193,12 +194,20 @@ let run_cmd =
     in
     let e =
       try with_obs ~trace ~metrics ~sample (fun obs -> Runner.execute ~obs ?flag_batch s)
-      with Nab_stream.Stalled undelivered ->
-        Printf.eprintf
-          "nab: stalled: %d instance(s) undelivered (the transport lost traffic: a \
-           crashed node or a lossy fault spec)\n"
-          undelivered;
-        exit stalled_exit
+      with
+      | Nab_stream.Stalled undelivered ->
+          Printf.eprintf
+            "nab: stalled: %d instance(s) undelivered (the transport lost traffic: a \
+             crashed node or a lossy fault spec)\n"
+            undelivered;
+          exit stalled_exit
+      | Nab.Unexplained_disputes { f; disputes } ->
+          Printf.eprintf
+            "nab: model violation: %d dispute(s) not explainable by at most f=%d faulty \
+             node(s) (the transport broke the synchronous model, e.g. a latency past a \
+             round)\n"
+            (List.length disputes) f;
+          exit model_violation_exit
     in
     let g = e.Runner.g and inputs = e.Runner.inputs and q = s.Scenario.q in
     (match e.Runner.stream with
@@ -291,6 +300,12 @@ let run_cmd =
         "a streamed run ($(b,--stream)) stalled: the transport lost traffic, so \
          some instances can never be delivered (a crashed node or a lossy \
          fault spec)."
+    :: Cmd.Exit.info model_violation_exit
+         ~doc:
+           "the run left the fault model: dispute control found disputes that \
+            no f faulty nodes explain, which honest nodes only produce when the \
+            transport breaks the synchronous model (an async latency past a \
+            round boundary)."
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "run" ~exits ~doc:"Run Q instances of NAB under an adversary.") term

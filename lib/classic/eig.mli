@@ -41,7 +41,14 @@ val broadcast_all :
     instance, keyed by [(source, node)]. Guarantees (for f < |nodes|/3,
     at most f faulty anywhere, and 2f+1-connected routing): all honest
     participants decide identically per instance, and on the source's input
-    when the source is honest. *)
+    when the source is honest.
+
+    A received item whose label is not a well-formed label of its round
+    (wrong length, a vertex outside the participants, a repeated vertex,
+    a non-source root, or the relayer already inside) is ignored, and of
+    two items for one label the first wins. Raises [Invalid_argument] when
+    n <= 3f, a source or participant is absent from the graph, a source is
+    not a participant, or (n+1)^(f+1) exceeds [max_int]. *)
 
 val broadcast :
   net:Transport.t ->

@@ -46,54 +46,60 @@ let honest_claims_adv ~me:_ claims = claims
 
 (* ---------- the pure DC2-DC3 analysis ---------- *)
 
-let find_claim claims ~proto ~src ~dst ~dir =
-  List.find_map
-    (fun (c : Wire.claim) ->
-      if c.c_phase = proto && c.c_src = src && c.c_dst = dst && c.c_dir = dir then
-        Some c.c_body
-      else None)
-    claims
+(* One node's agreed claims by (proto, src, dst, dir). The first claim of
+   a key wins, as a walk down the claim list would find it. *)
+module Index = Hashtbl.Make (struct
+  type t = string * int * int * Wire.dir
 
-let slice_sizes_of ctx =
-  Phase1.slice_sizes ~value_bits:ctx.value_bits ~trees:(List.length ctx.trees)
+  let equal (p, s, d, r) (p', s', d', r') =
+    Int.equal s s' && Int.equal d d' && r = r' && String.equal p p'
+
+  let hash = Hashtbl.hash
+end)
+
+let index_claims claims =
+  let idx = Index.create 16 in
+  List.iter
+    (fun (c : Wire.claim) ->
+      let key = (c.c_phase, c.c_src, c.c_dst, c.c_dir) in
+      if not (Index.mem idx key) then Index.add idx key c.c_body)
+    claims;
+  idx
+
+let find_claim idx ~proto ~src ~dst ~dir = Index.find_opt idx (proto, src, dst, dir)
 
 (* The sends the protocol prescribes for node v, derived from its claimed
-   receptions and (for the source) the agreed input: the deterministic
-   replay of DC3. Returns (proto, dst, payload) triples. *)
-let expected_sends ctx ~claims_of ~agreed_input v =
-  let sizes = slice_sizes_of ctx in
-  let claims = claims_of v in
-  let received_on_tree t =
-    match Arborescence.parent (List.nth ctx.trees t) v with
-    | None -> None (* v is the root *)
-    | Some parent ->
-        find_claim claims ~proto:(Phase1.tree_proto t) ~src:parent ~dst:v
-          ~dir:Wire.Received
+   receptions (its claim index [idx]) and, for the source, the agreed
+   input: the deterministic replay of DC3. Returns (proto, dst, payload)
+   triples and v's value as symbols. *)
+let expected_sends ctx ~trees ~protos ~sizes ~idx ~agreed_input v =
+  let n_trees = Array.length trees in
+  let received =
+    Array.init n_trees (fun t ->
+        match Arborescence.parent trees.(t) v with
+        | None -> None (* v is the root *)
+        | Some parent ->
+            find_claim idx ~proto:protos.(t) ~src:parent ~dst:v ~dir:Wire.Received)
   in
   let slices =
     if v = ctx.source then
       Array.of_list
         (List.map Phase1.slice_payload
-           (Bitvec.split_balanced agreed_input ~parts:(List.length ctx.trees)))
+           (Bitvec.split_balanced agreed_input ~parts:n_trees))
     else
-      Array.init (List.length ctx.trees) (fun t ->
-          Phase1.expected_forward ~slice_bits:sizes.(t) ~received:(received_on_tree t))
+      Array.init n_trees (fun t ->
+          Phase1.expected_forward ~slice_bits:sizes.(t) ~received:received.(t))
   in
   let p1_sends =
     List.concat
-      (List.mapi
-         (fun t tree ->
+      (List.init n_trees (fun t ->
            List.map
-             (fun child -> (Phase1.tree_proto t, child, slices.(t)))
-             (Arborescence.children tree v))
-         ctx.trees)
+             (fun child -> (protos.(t), child, slices.(t)))
+             (Arborescence.children trees.(t) v)))
   in
   (* The node's value x_v, then its equality-check sends. *)
   let x_value =
-    if v = ctx.source then agreed_input
-    else
-      Phase1.assemble ~slice_sizes:sizes
-        (Array.init (List.length ctx.trees) (fun t -> received_on_tree t))
+    if v = ctx.source then agreed_input else Phase1.assemble ~slice_sizes:sizes received
   in
   let sym_bits = Nab_field.Gf2p.degree (Coding.field ctx.coding) in
   let x = Bitvec.to_symbols x_value ~sym_bits in
@@ -106,75 +112,83 @@ let expected_sends ctx ~claims_of ~agreed_input v =
   (p1_sends @ ec_sends, x)
 
 let analyse ~ctx ~claims ~agreed_input =
-  let verts = Digraph.vertices ctx.gk in
+  let vs = Array.of_list (Digraph.vertices ctx.gk) in
+  let parsed = Array.map claims vs in
+  let index = Array.map index_claims parsed in
+  let index_of v = index.(Vset.position vs v) in
   let disputes = ref [] in
   let add_dispute a b =
     let d = Params.norm_dispute a b in
     if not (List.mem d !disputes) then disputes := d :: !disputes
   in
   (* DC2: cross-compare sent vs received claims over every claimed key on
-     adjacent pairs. An honest pair's claims always match (both drawn from
+     adjacent pairs — a key (proto, a, b) is claimed when a's or b's
+     claims hold it. An honest pair's claims always match (both drawn from
      the same delivery trace), so any mismatch implicates the pair. *)
-  List.iter
-    (fun a ->
+  let claimed = Hashtbl.create 64 in
+  Array.iteri
+    (fun i x ->
       List.iter
-        (fun b ->
-          if Digraph.mem_edge ctx.gk a b then begin
-            let keys =
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun (c : Wire.claim) ->
-                     if c.c_src = a && c.c_dst = b then Some c.c_phase else None)
-                   (claims a @ claims b))
+        (fun (c : Wire.claim) ->
+          let a = c.c_src and b = c.c_dst in
+          let key = (c.c_phase, a, b) in
+          if
+            (a = x || b = x)
+            && Digraph.mem_edge ctx.gk a b
+            && not (Hashtbl.mem claimed key)
+          then begin
+            Hashtbl.add claimed key ();
+            let sent =
+              find_claim (index_of a) ~proto:c.c_phase ~src:a ~dst:b ~dir:Wire.Sent
             in
-            List.iter
-              (fun proto ->
-                let sent = find_claim (claims a) ~proto ~src:a ~dst:b ~dir:Wire.Sent in
-                let recv = find_claim (claims b) ~proto ~src:a ~dst:b ~dir:Wire.Received in
-                match (sent, recv) with
-                | Some s, Some r -> if not (Wire.equal s r) then add_dispute a b
-                | Some _, None | None, Some _ -> add_dispute a b
-                | None, None -> ())
-              keys
+            let recv =
+              find_claim (index_of b) ~proto:c.c_phase ~src:a ~dst:b ~dir:Wire.Received
+            in
+            match (sent, recv) with
+            | Some s, Some r -> if not (Wire.equal s r) then add_dispute a b
+            | Some _, None | None, Some _ -> add_dispute a b
+            | None, None -> ()
           end)
-        verts)
-    verts;
+        parsed.(i))
+    vs;
   (* DC3: deterministic replay of each node against its own claims. *)
+  let trees = Array.of_list ctx.trees in
+  let protos = Array.init (Array.length trees) Phase1.tree_proto in
+  let sizes = Phase1.slice_sizes ~value_bits:ctx.value_bits ~trees:(Array.length trees) in
   let provably_faulty = ref Vset.empty in
-  List.iter
-    (fun v ->
-      let expected, x = expected_sends ctx ~claims_of:claims ~agreed_input v in
-      let v_claims = claims v in
-      let claimed_sends =
-        List.filter (fun (c : Wire.claim) -> c.c_dir = Wire.Sent && c.c_src = v) v_claims
-      in
+  Array.iteri
+    (fun i v ->
+      let idx = index.(i) in
+      let expected, x = expected_sends ctx ~trees ~protos ~sizes ~idx ~agreed_input v in
+      let prescribed = Hashtbl.create 16 in
+      List.iter
+        (fun (proto, dst, _) -> Hashtbl.replace prescribed (proto, dst) ())
+        expected;
       let consistent_sends =
         List.for_all
           (fun (proto, dst, payload) ->
-            match find_claim v_claims ~proto ~src:v ~dst ~dir:Wire.Sent with
+            match find_claim idx ~proto ~src:v ~dst ~dir:Wire.Sent with
             | Some claimed -> Wire.equal claimed payload
             | None -> false)
           expected
         && List.for_all
              (fun (c : Wire.claim) ->
-               List.exists
-                 (fun (proto, dst, _) -> c.c_phase = proto && c.c_dst = dst)
-                 expected)
-             claimed_sends
+               c.c_dir <> Wire.Sent || c.c_src <> v
+               || Hashtbl.mem prescribed (c.c_phase, c.c_dst))
+             parsed.(i)
       in
       (* Flag consistency: replay the equality check on claimed receptions. *)
       let expected_flag =
         Equality_check.expected_flag ctx.coding ~graph:ctx.gk ~me:v ~x
           ~received:(fun ~src ->
-            find_claim v_claims ~proto:Equality_check.proto ~src ~dst:v
-              ~dir:Wire.Received)
+            find_claim idx ~proto:Equality_check.proto ~src ~dst:v ~dir:Wire.Received)
       in
       let announced_flag =
         match List.assoc_opt v ctx.flags with Some b -> b | None -> false
       in
       if (not consistent_sends) || expected_flag <> announced_flag then
         provably_faulty := Vset.add v !provably_faulty)
-    verts;
+    vs;
   (* Provably faulty nodes are deemed in dispute with all their neighbours. *)
   Vset.iter
     (fun p -> List.iter (fun nbr -> add_dispute p nbr) (Digraph.neighbors ctx.gk p))
@@ -246,6 +260,11 @@ let run ~net ~routing ~ctx ~faulty ~true_input ?(claims_adv = honest_claims_adv)
     Eig.broadcast_all ~net ~nodes:verts ~phase:"dispute-control" ~routing ~f:ctx.f
       ~inputs ~default:(Wire.Claims []) ~faulty ?adversary:eig_adv ()
   in
+  (* A verdict is a function of the vantage's agreed view alone, and
+     agreement makes every honest vantage's view the same: analyse each
+     distinct view once. *)
+  let same_view = List.equal (fun a b -> a == b || Wire.equal a b) in
+  let analysed = ref [] in
   let verdicts =
     List.map
       (fun me ->
@@ -254,9 +273,15 @@ let run ~net ~routing ~ctx ~faulty ~true_input ?(claims_adv = honest_claims_adv)
           | Some p -> p
           | None -> Wire.Claims []
         in
-        let claims v = parse_claims (agreed v) in
-        let agreed_input = parse_input ~value_bits:ctx.value_bits (agreed ctx.source) in
-        (me, analyse ~ctx ~claims ~agreed_input))
+        let view = List.map agreed verts in
+        match List.find_opt (fun (seen, _) -> same_view seen view) !analysed with
+        | Some (_, verdict) -> (me, verdict)
+        | None ->
+            let claims v = parse_claims (agreed v) in
+            let agreed_input = parse_input ~value_bits:ctx.value_bits (agreed ctx.source) in
+            let verdict = analyse ~ctx ~claims ~agreed_input in
+            analysed := (view, verdict) :: !analysed;
+            (me, verdict))
       verts
   in
   if Nab_obs.enabled obs then begin

@@ -57,10 +57,12 @@ val run :
   (int * verdict) list
 (** Execute dispute control for the current instance; returns each node's
     verdict (honest nodes' verdicts are always identical — asserted in
-    tests). [input_adv] lets a faulty source lie about its input. The claim
-    transcripts of honest nodes are read from the simulator's event trace
-    for phases ["phase1"] and ["equality-check"] — unless [claims_of]
-    supplies them directly (a node's true transcript), which callers
+    tests). A verdict depends only on the vantage's agreed view, so each
+    distinct view is analysed once and vantages with equal views share
+    one verdict record. [input_adv] lets a faulty source lie about its
+    input. The claim transcripts of honest nodes are read from the
+    simulator's event trace for phases ["phase1"] and ["equality-check"]
+    — unless [claims_of] supplies them directly (a node's true transcript), which callers
     multiplexing several instances over one shared transport use, since
     the shared event trace interleaves instances. [claims_adv] still
     rewrites faulty nodes' claims on top of either source. *)
@@ -71,4 +73,6 @@ val analyse :
   agreed_input:Bitvec.t ->
   verdict
 (** The deterministic DC2-DC3 analysis given agreed claims — the pure core
-    of {!run}, exposed for unit tests. *)
+    of {!run}, exposed for unit tests. [claims] is called once per vertex
+    of G_k; the first claim of each (proto, src, dst, dir) key is the one
+    that counts. *)

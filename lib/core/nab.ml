@@ -140,6 +140,8 @@ type session = {
      submission source, the single-source driver always hits its own
      config.source entry. *)
   ses_plans : (((int * int * int) list * int list) * int, graph_plan) Hashtbl.t;
+  (* Broadcast_Default's routes over G, built on the first flag stage. *)
+  mutable ses_routing : Routing.t option;
   mutable ses_gk : Digraph.t;
   mutable ses_disputes : Params.dispute list;
   mutable ses_dc_count : int;
@@ -165,6 +167,7 @@ let create_session ?(obs = Nab_obs.null) ?(transport = Sim.default_factory) ~g
     ses_obs = obs;
     ses_transport = transport;
     ses_plans = Hashtbl.create 4;
+    ses_routing = None;
     ses_gk = g;
     ses_disputes = [];
     ses_dc_count = 0;
@@ -184,6 +187,14 @@ let session_adversary ses = ses.ses_adversary
 let session_total_n ses = ses.ses_total_n
 let session_physical_graph ses = ses.ses_g
 let session_next_k ses = ses.ses_next_k
+
+let session_routing ses =
+  match ses.ses_routing with
+  | Some r -> r
+  | None ->
+      let r = Routing.build ses.ses_g ~f:ses.ses_config.f in
+      ses.ses_routing <- Some r;
+      r
 
 (* ---- The resumable session record ---------------------------------
    The cross-instance state both drivers share: G_k, accumulated
@@ -209,10 +220,24 @@ let session_plan_for ses ~source =
 let session_value_bits ses plan =
   padded_bits ~l:ses.ses_config.l_bits ~rho:plan.plan_rho ~m:ses.ses_config.m
 
+exception Unexplained_disputes of { f : int; disputes : Params.dispute list }
+
+let () =
+  Printexc.register_printer (function
+    | Unexplained_disputes { f; disputes } ->
+        Some
+          (Printf.sprintf "Nab.Unexplained_disputes: no %d node(s) cover the disputes %s" f
+             (String.concat ","
+                (List.map (fun (a, b) -> Printf.sprintf "{%d,%d}" a b) disputes)))
+    | _ -> None)
+
 let session_dc_apply ses =
-  ses.ses_gk <-
-    Params.apply_disputes ses.ses_gk ~total_n:ses.ses_total_n ~f:ses.ses_config.f
-      ~disputes:ses.ses_disputes
+  let f = ses.ses_config.f and disputes = ses.ses_disputes in
+  (* apply_disputes raises only when no set of at most f nodes covers the
+     disputes. *)
+  match Params.apply_disputes ses.ses_gk ~total_n:ses.ses_total_n ~f ~disputes with
+  | gk -> ses.ses_gk <- gk
+  | exception Invalid_argument _ -> raise (Unexplained_disputes { f; disputes })
 
 let session_push_report ses report =
   ses.ses_next_k <- report.k + 1;
@@ -279,7 +304,8 @@ let session_instance ses ~k ~source input =
 let vantage ses ins =
   List.find (fun v -> not (Vset.mem v ses.ses_faulty)) (Digraph.vertices ins.ins_gk)
 
-let agree_flags ses ins ~net ~routing ~phase ~inputs ~default =
+let agree_flags ses ins ~net ~phase ~inputs ~default =
+  let routing = session_routing ses in
   let adversary = ses.ses_adversary and actx = ins.ins_actx in
   let nodes = Digraph.vertices ins.ins_gk in
   let f = session_f_eff ses and faulty = ses.ses_faulty in
@@ -306,7 +332,7 @@ let agree_flags ses ins ~net ~routing ~phase ~inputs ~default =
   let vantage = vantage ses ins in
   fun src -> Hashtbl.find_opt decisions (src, vantage)
 
-let dispute_control ses ins ~net ~routing ~flags ?claims_of () =
+let dispute_control ses ins ~net ~flags ?claims_of () =
   ses.ses_dc_count <- ses.ses_dc_count + 1;
   let adversary = ses.ses_adversary and actx = ins.ins_actx in
   let ctx =
@@ -322,7 +348,8 @@ let dispute_control ses ins ~net ~routing ~flags ?claims_of () =
     }
   in
   let verdicts =
-    Dispute.run ~net ~routing ~ctx ~faulty:ses.ses_faulty ~true_input:ins.ins_value
+    Dispute.run ~net ~routing:(session_routing ses) ~ctx ~faulty:ses.ses_faulty
+      ~true_input:ins.ins_value
       ~claims_adv:(adversary.Adversary.dc_claims actx)
       ?claims_of
       ?input_adv:(adversary.Adversary.dc_input actx)
@@ -461,9 +488,8 @@ let session_broadcast ses input0 =
               ~coding:plan.plan_coding ~values:x_of ~faulty ~adversary:ins.ins_ec ()
           in
           (* ---- Phase 2, step 2.2: broadcast the 1-bit flags ---- *)
-          let routing = Routing.build ses.ses_g ~f:ses.ses_config.f in
           let agreed =
-            agree_flags ses ins ~net ~routing ~phase:"flags"
+            agree_flags ses ins ~net ~phase:"flags"
               ~inputs:(List.map (fun (v, b) -> (v, Wire.Flag b)) own_flags)
               ~default:(Wire.Flag false)
           in
@@ -476,7 +502,7 @@ let session_broadcast ses input0 =
             report (List.map (fun v -> (v, assembled v)) verts)
           else begin
             (* ---- Phase 3: dispute control ---- *)
-            let verdicts, new_disputes = dispute_control ses ins ~net ~routing ~flags () in
+            let verdicts, new_disputes = dispute_control ses ins ~net ~flags () in
             let r =
               report ~dc:new_disputes
                 (List.map (fun (v, verdict) -> (v, verdict.Dispute.output)) verdicts)

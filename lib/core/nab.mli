@@ -173,6 +173,12 @@ val session_physical_graph : session -> Digraph.t
 val session_next_k : session -> int
 (** The 1-based id the next broadcast instance will carry. *)
 
+val session_routing : session -> Nab_classic.Routing.t
+(** The routes Broadcast_Default runs over on the physical graph
+    ({!session_physical_graph}, which never changes): built on the first
+    call, which is the first flag stage, and shared by every later
+    instance of either driver. *)
+
 (** {2 Driver steps}
 
     {!session_broadcast} and {!Nab_stream} take every decision of an
@@ -207,8 +213,16 @@ val session_plan_for : session -> source:int -> graph_plan
 val session_value_bits : session -> graph_plan -> int
 (** {!padded_bits} of the session's L under the plan's rho. *)
 
+exception Unexplained_disputes of { f : int; disputes : Params.dispute list }
+(** Raised by {!session_dc_apply} when no set of at most [f] nodes covers
+    the session's [disputes]. Under the fault model every dispute involves
+    a faulty node, so this cannot happen; it does when the transport breaks
+    the synchronous model (latency past a round boundary turns honest
+    nodes' claims into disagreements). A printer is registered. *)
+
 val session_dc_apply : session -> unit
-(** Recompute G_(k+1) from the accumulated disputes (DC4). *)
+(** Recompute G_(k+1) from the accumulated disputes (DC4). Raises
+    {!Unexplained_disputes} when they are more than f nodes can explain. *)
 
 val session_push_report : session -> instance_report -> unit
 (** Append a finished instance: advances {!session_next_k} past the
@@ -238,27 +252,25 @@ val agree_flags :
   session ->
   instance ->
   net:Transport.t ->
-  routing:Nab_classic.Routing.t ->
   phase:string ->
   inputs:(int * Wire.payload) list ->
   default:Wire.payload ->
   int -> Wire.payload option
 (** Step 2.2: Broadcast_Default each node's flag payload among the nodes
     of G_k — by EIG, or by Phase-King when configured and n_k > 4 f_eff —
-    under the instance's hooks. Returns what the lowest-id fault-free node
+    under the instance's hooks, over {!session_routing}. Returns what the lowest-id fault-free node
     decided for each sender; the caller decodes [Flag] or [Batch]. *)
 
 val dispute_control :
   session ->
   instance ->
   net:Transport.t ->
-  routing:Nab_classic.Routing.t ->
   flags:(int * bool) list ->
   ?claims_of:(int -> Wire.claim list) ->
   unit ->
   (int * Dispute.verdict) list * Params.dispute list
 (** Phase 3 under the agreed [flags]: counts the run, executes
-    {!Dispute.run} ([claims_of] as there), merges the fault-free vantage's
+    {!Dispute.run} ([claims_of] as there) over {!session_routing}, merges the fault-free vantage's
     verdict into the session's disputes, and emits the [nab.dc_runs] /
     [nab.disputes] counters and the ["dispute-control"] point event.
     Returns every node's verdict and the disputes new to the session. The

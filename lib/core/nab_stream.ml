@@ -1,6 +1,5 @@
 open Nab_graph
 open Nab_net
-open Nab_classic
 
 exception Stalled of int
 
@@ -76,19 +75,8 @@ type shape = {
 
 let n_of sh = Array.length sh.s_verts
 
-(* The position of vertex [v] in the ascending array [verts], or -1. *)
-let position verts v =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let x = verts.(mid) in
-      if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length verts)
-
 (* -1 when v is not in G_k. *)
-let pos sh v = position sh.s_verts v
+let pos sh v = Vset.position sh.s_verts v
 
 let make_shape (ins : Nab.instance) =
   let plan = ins.Nab.ins_plan and gk = ins.Nab.ins_gk in
@@ -99,7 +87,7 @@ let make_shape (ins : Nab.instance) =
   let verts = Array.of_list (Digraph.vertices gk) in
   let n = Array.length verts in
   let trees = sched.Phase1.trees in
-  let positions = List.map (position verts) in
+  let positions = List.map (Vset.position verts) in
   {
     s_plan = plan;
     s_source = ins.Nab.ins_source;
@@ -158,7 +146,6 @@ type t = {
   ses : Nab.session;
   net : Transport.t;
   sched : Link_sched.t;
-  routing : Routing.t;
   window : int;
   flag_batch : int;
   mutable epoch : int;
@@ -220,7 +207,6 @@ let create ?obs ?transport ?(window = 32) ?flag_batch ?quantum ~g ~config
     ses;
     net;
     sched = Link_sched.create ~quantum g;
-    routing = Routing.build g ~f:config.Nab.f;
     window;
     flag_batch;
     epoch = 0;
@@ -519,8 +505,7 @@ let ready_batch t =
 let dispute_control t inst tc flags =
   let ses = t.ses in
   let verdicts, new_disputes =
-    Nab.dispute_control ses tc.t_ins ~net:t.net ~routing:t.routing ~flags
-      ~claims_of:(claims_of tc) ()
+    Nab.dispute_control ses tc.t_ins ~net:t.net ~flags ~claims_of:(claims_of tc) ()
   in
   let report =
     report_of t inst tc ~dc:new_disputes
@@ -564,8 +549,7 @@ let run_flag_stage t batch =
   in
   (* The batch runs under its first instance's hooks. *)
   let agreed =
-    Nab.agree_flags ses tc0.t_ins ~net:t.net ~routing:t.routing ~phase:"stream-flags"
-      ~inputs ~default
+    Nab.agree_flags ses tc0.t_ins ~net:t.net ~phase:"stream-flags" ~inputs ~default
   in
   let agreed_flag i src =
     match agreed src with

@@ -51,28 +51,40 @@ let span net ~phase ~trees ~bits which f =
 
 type schedule = {
   trees : Arborescence.tree array;
-  depth_of : (int * int) list array;
+  verts : int array;
+  depth : int array array;
   sizes : int array;
   max_depth : int;
 }
 
 let schedule ~trees ~source ~value_bits =
   let trees = Array.of_list trees in
-  let depth_of = Array.map (fun t -> Arborescence.vertices_by_depth t ~root:source) trees in
+  let by_depth = Array.map (fun t -> Arborescence.vertices_by_depth t ~root:source) trees in
+  let verts =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map (List.map fst) (Array.to_list by_depth)))
+  in
+  let depth =
+    Array.map
+      (fun vds ->
+        let a = Array.make (Array.length verts) (-1) in
+        List.iter (fun (v, d) -> a.(Vset.position verts v) <- d) vds;
+        a)
+      by_depth
+  in
   {
     trees;
-    depth_of;
+    verts;
+    depth;
     sizes = slice_sizes ~value_bits ~trees:(Array.length trees);
-    max_depth =
-      Array.fold_left
-        (fun acc by_depth -> List.fold_left (fun acc (_, d) -> max acc d) acc by_depth)
-        0 depth_of;
+    max_depth = Array.fold_left (Array.fold_left max) 0 depth;
   }
 
 let step s ~faulty ~adversary ~round ~me ~received ~emit =
+  let p = Vset.position s.verts me in
   for t = 0 to Array.length s.trees - 1 do
-    let at_depth = List.exists (fun (w, d) -> w = me && d = round - 1) s.depth_of.(t) in
-    if at_depth then begin
+    if p >= 0 && s.depth.(t).(p) = round - 1 then begin
       let payload = expected_forward ~slice_bits:s.sizes.(t) ~received:(received t) in
       List.iter
         (fun dst ->

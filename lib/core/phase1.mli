@@ -17,7 +17,9 @@ val honest : adversary
 
 type schedule = private {
   trees : Arborescence.tree array;
-  depth_of : (int * int) list array;  (** per tree: (vertex, depth) *)
+  verts : int array;  (** the trees' vertices, ascending *)
+  depth : int array array;
+      (** per tree, by position in [verts]: the vertex's depth, -1 off the tree *)
   sizes : int array;  (** per tree: slice width in bits *)
   max_depth : int;  (** rounds Phase 1 takes *)
 }

@@ -314,131 +314,6 @@ let test_eig_cost_grows_with_f () =
        ~value:(Wire.Flag true) ~default:Wire.Nothing ~faulty:Vset.empty ());
   Alcotest.(check int) "f=2: 3 rounds" 3 (Sim.rounds_run sim2)
 
-(* EIG as it validated labels before the per-round hash set: every check is
-   a [List.mem] over the level's label list. Decisions must not change. *)
-let reference_broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
-    ~adversary () =
-  let g = Transport.graph net in
-  let verts =
-    match nodes with None -> Digraph.vertices g | Some vs -> List.sort_uniq compare vs
-  in
-  let states = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.add states v (Hashtbl.create 64)) verts;
-  let state v = Hashtbl.find states v in
-  let lookup st label = Option.value ~default (Hashtbl.find_opt st label) in
-  List.iter (fun (s, value) -> Hashtbl.replace (state s) [ s ] value) inputs;
-  let level1 = List.map (fun (s, _) -> [ s ]) inputs in
-  let extend labels =
-    List.concat_map
-      (fun label ->
-        List.filter_map (fun i -> if List.mem i label then None else Some (label @ [ i ])) verts)
-      labels
-  in
-  let total_rounds = f + 1 in
-  let rec run_round r labels_prev =
-    if r <= total_rounds then begin
-      let honest_pairs_for i =
-        if r = 1 then
-          List.filter_map
-            (fun (s, _) -> if s = i then Some ([ s ], lookup (state i) [ s ]) else None)
-            inputs
-        else
-          List.filter_map
-            (fun label -> if List.mem i label then None else Some (label, lookup (state i) label))
-            labels_prev
-      in
-      let sends =
-        List.concat_map
-          (fun i ->
-            let base = honest_pairs_for i in
-            List.filter_map
-              (fun j ->
-                if j = i then None
-                else
-                  let pairs =
-                    if Vset.mem i faulty then adversary ~me:i ~round:r ~dst:j base else base
-                  in
-                  match pairs with
-                  | [] -> None
-                  | _ ->
-                      Some
-                        ( i,
-                          j,
-                          Wire.Batch
-                            (List.map (fun (label, body) -> Wire.Labeled { label; body }) pairs) ))
-              verts)
-          verts
-      in
-      let delivery =
-        Reliable.exchange ~net ~phase ~routing ~proto:(phase ^ ":eig") ~faulty
-          ~hooks:Reliable.honest_hooks ~default:Wire.Nothing ~sends
-      in
-      let labels_now = if r = 1 then level1 else extend labels_prev in
-      List.iter
-        (fun j ->
-          List.iter
-            (fun i ->
-              if i <> j then
-                match Reliable.get delivery ~default:Wire.Nothing ~src:i ~dst:j with
-                | Wire.Batch items ->
-                    List.iter
-                      (function
-                        | Wire.Labeled { label; body } ->
-                            let stored_label = if r = 1 then label else label @ [ i ] in
-                            let valid =
-                              if r = 1 then label = [ i ] && List.mem label level1
-                              else
-                                List.length label = r - 1
-                                && (not (List.mem i label))
-                                && List.mem stored_label labels_now
-                            in
-                            if valid && not (Hashtbl.mem (state j) stored_label) then
-                              Hashtbl.replace (state j) stored_label body
-                        | _ -> ())
-                      items
-                | _ -> ())
-            verts;
-          if r > 1 then
-            List.iter
-              (fun label ->
-                if not (List.mem j label) then
-                  Hashtbl.replace (state j) (label @ [ j ]) (lookup (state j) label))
-              labels_prev)
-        verts;
-      run_round (r + 1) labels_now
-    end
-  in
-  run_round 1 level1;
-  let decisions = Hashtbl.create 16 in
-  List.iter
-    (fun j ->
-      let st = state j in
-      let rec resolve label =
-        if List.length label = total_rounds then lookup st label
-        else begin
-          let children =
-            List.filter_map
-              (fun i -> if List.mem i label then None else Some (resolve (label @ [ i ])))
-              verts
-          in
-          let counts =
-            List.fold_left
-              (fun acc v ->
-                match List.assoc_opt v acc with
-                | Some k -> (v, k + 1) :: List.remove_assoc v acc
-                | None -> (v, 1) :: acc)
-              [] children
-          in
-          let total = List.length children in
-          match List.find_opt (fun (_, k) -> 2 * k > total) counts with
-          | Some (v, _) -> v
-          | None -> default
-        end
-      in
-      List.iter (fun (s, _) -> Hashtbl.replace decisions (s, j) (resolve [ s ])) inputs)
-    verts;
-  decisions
-
 (* A faulty node that prefixes its honest pairs with every kind of malformed
    item, each carrying a lie: a label one level too deep, the empty label,
    a label that already contains the relayer, a label rooted at a
@@ -487,7 +362,7 @@ let test_eig_malformed_labels_match_reference () =
             ~faulty ~adversary ())
     and want =
       decide (fun net ->
-          reference_broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs
+          Ref_eig.broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs
             ~default:Wire.Nothing ~faulty ~adversary ())
     in
     Alcotest.(check int) (name ^ ": decision count") (List.length want) (List.length got);
@@ -504,6 +379,104 @@ let test_eig_malformed_labels_match_reference () =
   run ~name:"k7 f=2" ~graph:k7 ~f:2 ~inputs:(flags [ 1; 2; 3 ]) ~faulty:(Vset.of_list [ 2; 6 ]) ();
   run ~name:"k6 over 5 participants" ~graph:(Gen.complete ~n:6 ~cap:2) ~nodes:[ 1; 2; 3; 4; 5 ]
     ~f:1 ~inputs:(flags [ 1; 5 ]) ~faulty:(Vset.singleton 5) ()
+
+(* A Byzantine EIG sender driven by [st]: to each destination it forwards
+   its honest pairs kept, dropped or preceded by a value-changed duplicate,
+   plus labels no honest parse accepts — one level too shallow or too
+   deep, with a negative vertex, with a vertex outside the participants,
+   longer than any level, or empty — and a non-labelled item, all in a
+   random rotation. *)
+let random_labels st ~verts ~f ~me:_ ~round ~dst pairs =
+  let int k = Random.State.int st k in
+  let pick l = List.nth l (int (List.length l)) in
+  let value () =
+    match int 4 with
+    | 0 -> Wire.Flag (Random.State.bool st)
+    | 1 -> Wire.Nothing
+    | 2 -> Wire.Coded { sym_bits = 4; data = [| int 3 |] }
+    | _ -> Wire.Batch [ Wire.Flag (Random.State.bool st); Wire.Flag (dst mod 2 = 0) ]
+  in
+  let level = max 1 (round - 1) in
+  let chain k = List.init (max 0 k) (fun _ -> pick verts) in
+  let junk () =
+    match int 7 with
+    | 0 -> chain (level - 1)
+    | 1 -> chain (level + 1)
+    | 2 -> chain (level - 1) @ [ -1 - int 3 ]
+    | 3 -> (-1 - int 3) :: chain (level - 1)
+    | 4 -> chain (level - 1) @ [ pick [ 1000; max_int; min_int ] ]
+    | 5 -> chain (f + 2 + int 8)
+    | _ -> []
+  in
+  let kept =
+    List.concat_map
+      (fun ((label, _) as pair) ->
+        match int 4 with
+        | 0 -> []
+        | 1 -> [ (label, value ()); pair ]
+        | _ -> [ pair ])
+      pairs
+  in
+  let items = kept @ List.init (int 5) (fun _ -> (junk (), value ())) in
+  let k = int (List.length items + 1) in
+  List.filteri (fun i _ -> i >= k) items @ List.filteri (fun i _ -> i < k) items
+
+(* Eig against the reference EIG (test/ref_eig) on random feasible graphs,
+   participant sets, f, inputs and fault sets (up to f+1 faulty, so
+   beyond-model disagreement is compared too) under the random Byzantine
+   sender above: the decision tables and the packet traces must be equal. *)
+let test_eig_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"eig = reference eig under random label attacks"
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let int k = Random.State.int st k in
+         let n = 4 + int 5 in
+         let f = int (((n - 1) / 3) + 1) in
+         let graph =
+           Gen.random_bb_feasible ~n ~f ~p:0.7 ~min_cap:1 ~max_cap:2 ~seed:(int 1000)
+         in
+         let all = Digraph.vertices graph in
+         let extra = if int 2 = 0 then [] else List.filter (fun _ -> int 3 = 0) all in
+         let verts = List.filter (fun v -> not (List.mem v extra)) all in
+         let verts, nodes =
+           if List.length verts > 3 * f then (verts, Some verts) else (all, None)
+         in
+         let sources = List.filter (fun _ -> int 2 = 0) verts in
+         let sources = if sources = [] then [ List.hd verts ] else sources in
+         let inputs =
+           List.map
+             (fun s ->
+               (s, if int 2 = 0 then Wire.Flag (int 2 = 0) else Wire.Coded { sym_bits = 4; data = [| s |] }))
+             sources
+         in
+         let faulty = Vset.of_list (List.filter (fun _ -> int 3 = 0) verts) in
+         let faulty =
+           Vset.of_list (List.filteri (fun i _ -> i <= f) (Vset.elements faulty))
+         in
+         let routing = Routing.build graph ~f in
+         let adv_seed = int 1_000_000 in
+         let run broadcast_all =
+           let sim = Sim.create graph ~bits:Packet.bits ~keep_events:true in
+           let adversary = random_labels (Random.State.make [| adv_seed |]) ~verts ~f in
+           let d : (int * int, Wire.payload) Hashtbl.t =
+             broadcast_all ~net:(Sim.transport sim) ~adversary
+           in
+           (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) d []), Sim.events sim)
+         in
+         let got, got_events =
+           run (fun ~net ~adversary ->
+               Eig.broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs
+                 ~default:Wire.Nothing ~faulty ~adversary ())
+         and want, want_events =
+           run (fun ~net ~adversary ->
+               Ref_eig.broadcast_all ~net ?nodes ~phase:"bb" ~routing ~f ~inputs
+                 ~default:Wire.Nothing ~faulty ~adversary ())
+         in
+         List.length got = List.length want
+         && List.for_all2 (fun (k, g) (k', w) -> k = k' && Wire.equal g w) got want
+         && got_events = want_events))
 
 (* ---------- Phase king ---------- *)
 
@@ -655,6 +628,7 @@ let () =
           Alcotest.test_case "round count" `Quick test_eig_cost_grows_with_f;
           Alcotest.test_case "malformed labels = reference" `Quick
             test_eig_malformed_labels_match_reference;
+          test_eig_matches_reference;
         ] );
       ( "phase-king",
         [

@@ -199,18 +199,18 @@ let run_nab ?(g = k4) ?(q = 5) ?(l = 256) ?(m = 8) ?(f = 1) ?(backend = `Eig) ad
   (Nab.run ~g ~config ~adversary:adv ~inputs ~q (), inputs)
 
 (* Synthetic DC2/DC3 scenarios against the pure analyse function. *)
-let make_dc_ctx () =
-  let g = k4 in
+let make_dc_ctx ?(g = k4) () =
+  let n = Digraph.num_vertices g in
   let gamma = Params.gamma_k g ~source:1 in
-  let rho = Params.rho_k g ~total_n:4 ~f:1 ~disputes:[] in
+  let rho = Params.rho_k g ~total_n:n ~f:1 ~disputes:[] in
   let trees = Arborescence.pack g ~root:1 ~k:gamma in
-  let omega = Params.omega_k g ~total_n:4 ~f:1 ~disputes:[] in
+  let omega = Params.omega_k g ~total_n:n ~f:1 ~disputes:[] in
   let coding, _ = Coding.generate_correct g ~omega ~rho ~m:8 ~seed:5 () in
   let value_bits = rho * 8 in
   let value = Bitvec.random value_bits (Random.State.make [| 2 |]) in
   ( {
       Dispute.gk = g;
-      total_n = 4;
+      total_n = n;
       f = 1;
       source = 1;
       trees;
@@ -352,6 +352,225 @@ let test_disputes_always_involve_faulty () =
             (Vset.mem a report.Nab.faulty || Vset.mem b report.Nab.faulty))
         report.Nab.disputes)
     Adversary.all
+
+(* ---------- Dispute control against the reference (test/ref_dispute) ---------- *)
+
+let ref_ctx (c : Dispute.ctx) =
+  {
+    Ref_dispute.gk = c.gk;
+    total_n = c.total_n;
+    f = c.f;
+    source = c.source;
+    trees = c.trees;
+    coding = c.coding;
+    value_bits = c.value_bits;
+    flags = c.flags;
+  }
+
+let same_verdict (v : Dispute.verdict) (r : Ref_dispute.verdict) =
+  Bitvec.equal v.output r.output
+  && v.new_disputes = r.new_disputes
+  && Vset.equal v.provably_faulty r.provably_faulty
+
+(* Applies one to three random edits to node [me]'s claim list: a claim
+   dropped, re-keyed (phase, end points, direction) or given another body,
+   or duplicated with a different body before or after it (the first of a
+   key is the one that counts), or a junk claim about any pair — mostly
+   one [me] is an end of — in or outside the graph. *)
+let corrupt_claims st ~protos ~me claims =
+  let int k = Random.State.int st k in
+  let pick l = List.nth l (int (List.length l)) in
+  let ends = [ 0; 1; 2; 3; 4; 5; 6; 7; 99; -1 ] in
+  let body () =
+    match int 3 with
+    | 0 -> Wire.Nothing
+    | 1 -> Wire.Value { bits = 8; data = [| int 256 |] }
+    | _ -> Wire.Coded { sym_bits = 8; data = [| int 256; int 256 |] }
+  in
+  let alter (c : Wire.claim) =
+    match int 5 with
+    | 0 -> { c with Wire.c_phase = pick protos }
+    | 1 -> { c with Wire.c_src = pick ends }
+    | 2 -> { c with Wire.c_dst = pick ends }
+    | 3 -> { c with Wire.c_dir = (if c.Wire.c_dir = Wire.Sent then Wire.Received else Wire.Sent) }
+    | _ -> { c with Wire.c_body = body () }
+  in
+  let junk () =
+    let src, dst =
+      match int 3 with 0 -> (me, pick ends) | 1 -> (pick ends, me) | _ -> (pick ends, pick ends)
+    in
+    {
+      Wire.c_phase = pick protos;
+      c_round = 0;
+      c_src = src;
+      c_dst = dst;
+      c_dir = (if int 2 = 0 then Wire.Sent else Wire.Received);
+      c_body = body ();
+    }
+  in
+  let edit claims =
+    let at = int (List.length claims + 1) in
+    List.concat
+      (List.mapi
+         (fun i c ->
+           if i <> at then [ c ]
+           else
+             match int 5 with
+             | 0 -> []
+             | 1 -> [ alter c ]
+             | 2 -> [ { c with Wire.c_body = body () }; c ]
+             | 3 -> [ c; { c with Wire.c_body = body () } ]
+             | _ -> [ c; junk () ])
+         claims)
+    @ if at = List.length claims then [ junk () ] else []
+  in
+  List.fold_left (fun claims _ -> edit claims) claims (List.init (1 + int 3) Fun.id)
+
+let dc_protos ctx =
+  "junk" :: Equality_check.proto
+  :: List.mapi (fun t _ -> Phase1.tree_proto t) ctx.Dispute.trees
+
+(* The indexed analyse against the reference's list walks, on honest
+   claims corrupted at random and random announced flags. *)
+let test_analyse_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"analyse = reference analyse on corrupted claims"
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let ctx, value = make_dc_ctx ~g:(if seed mod 3 = 0 then k7 else k4) () in
+         let ctx =
+           {
+             ctx with
+             Dispute.flags =
+               List.map (fun v -> (v, Random.State.int st 4 = 0)) (Digraph.vertices ctx.gk);
+           }
+         in
+         let honest = honest_claims_for ctx value in
+         let protos = dc_protos ctx in
+         let corrupted =
+           List.map
+             (fun v ->
+               (v, if Random.State.int st 2 = 0 then honest v
+                 else corrupt_claims st ~protos ~me:v (honest v)))
+             (Digraph.vertices ctx.gk)
+         in
+         let claims v = List.assoc v corrupted in
+         same_verdict
+           (Dispute.analyse ~ctx ~claims ~agreed_input:value)
+           (Ref_dispute.analyse ~ctx:(ref_ctx ctx) ~claims ~agreed_input:value)))
+
+(* Dispute.run and the reference run, one analyse per vantage, on fresh
+   simulators with identically seeded adversaries; returns both verdict
+   lists after checking they are equal vantage by vantage. *)
+let check_run_matches_reference ~name ~ctx ~value ~faulty ~adversaries =
+  let routing = Nab_classic.Routing.build ctx.Dispute.gk ~f:ctx.Dispute.f in
+  let claims_of = honest_claims_for ctx value in
+  let run go =
+    let claims_adv, input_adv, eig_adv = adversaries () in
+    let net = Sim.transport (Sim.create ctx.Dispute.gk ~bits:Packet.bits) in
+    go ~net ~claims_adv ~input_adv ~eig_adv
+  in
+  let got =
+    run (fun ~net ~claims_adv ~input_adv ~eig_adv ->
+        Dispute.run ~net ~routing ~ctx ~faulty ~true_input:value ~claims_adv ~claims_of
+          ~input_adv ~eig_adv ())
+  and want =
+    run (fun ~net ~claims_adv ~input_adv ~eig_adv ->
+        Ref_dispute.run ~net ~routing ~ctx:(ref_ctx ctx) ~faulty ~true_input:value
+          ~claims_adv ~claims_of ~input_adv ~eig_adv ())
+  in
+  Alcotest.(check (list int)) (name ^ ": vantages") (List.map fst want) (List.map fst got);
+  List.iter2
+    (fun (v, g) (_, w) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: vantage %d" name v) true (same_verdict g w))
+    got want;
+  got
+
+let test_run_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"run = per-vantage reference under random faults"
+       QCheck2.Gen.(int_range 0 1_000_000)
+       (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let ctx, value = make_dc_ctx ~g:(if seed mod 4 = 0 then k7 else k4) () in
+         let verts = Digraph.vertices ctx.Dispute.gk in
+         let faulty =
+           Vset.of_list
+             (List.filteri (fun i _ -> i < 2) (List.filter (fun _ -> Random.State.bool st) verts))
+         in
+         let protos = dc_protos ctx in
+         let adversaries () =
+           let st = Random.State.make [| seed; 1 |] in
+           let claims_adv ~me claims =
+             if Random.State.bool st then claims else corrupt_claims st ~protos ~me claims
+           in
+           let input_adv bv =
+             if Random.State.bool st then bv else Bitvec.create (Bitvec.length bv)
+           in
+           let eig_adv ~me:_ ~round:_ ~dst:_ pairs =
+             List.map
+               (fun (label, body) ->
+                 match Random.State.int st 4 with
+                 | 0 -> (label, Wire.Claims [])
+                 | 1 -> (label, snd (List.nth pairs (Random.State.int st (List.length pairs))))
+                 | _ -> (label, body))
+               pairs
+           in
+           (claims_adv, input_adv, eig_adv)
+         in
+         ignore
+           (check_run_matches_reference ~name:(Printf.sprintf "seed %d" seed) ~ctx ~value
+              ~faulty ~adversaries);
+         true))
+
+(* Two faulty nodes against f = 1, beyond the model on purpose: node 3
+   EIG-broadcasts its true claims to 1, 2 and 4 and to 5, 6 and 7 the same
+   claims plus one about a pair outside the graph, and node 2 relays the
+   latter to everyone but itself. The honest vantages agree on them and
+   find no dispute, while node 2's own view splits 3-3 and falls back to
+   no claims at all, which convicts node 3: the reuse must miss there. *)
+let test_run_faulty_vantage_view_differs () =
+  let ctx, value = make_dc_ctx ~g:k7 () in
+  let honest = honest_claims_for ctx value in
+  let tampered =
+    Wire.Claims
+      (honest 3
+      @ [
+          {
+            Wire.c_phase = "junk";
+            c_round = 0;
+            c_src = 99;
+            c_dst = 3;
+            c_dir = Wire.Received;
+            c_body = Wire.Nothing;
+          };
+        ])
+  in
+  let adversaries () =
+    let eig_adv ~me ~round ~dst pairs =
+      List.map
+        (fun (label, body) ->
+          if label <> [ 3 ] then (label, body)
+          else if me = 3 && round = 1 && dst >= 5 then (label, tampered)
+          else if me = 2 && round = 2 then (label, tampered)
+          else (label, body))
+        pairs
+    in
+    (Dispute.honest_claims_adv, (fun bv -> bv), eig_adv)
+  in
+  let verdicts =
+    check_run_matches_reference ~name:"split" ~ctx ~value ~faulty:(Vset.of_list [ 2; 3 ])
+      ~adversaries
+  in
+  let honest_verdict = List.assoc 1 verdicts and faulty_verdict = List.assoc 2 verdicts in
+  Alcotest.(check bool) "honest vantages agree" true
+    (List.for_all
+       (fun (v, verdict) -> v = 2 || v = 3 || verdict == honest_verdict)
+       verdicts);
+  Alcotest.(check (list (pair int int))) "honest verdict" [] honest_verdict.Dispute.new_disputes;
+  Alcotest.(check (list int)) "node 2 convicts node 3" [ 3 ]
+    (Vset.elements faulty_verdict.Dispute.provably_faulty)
 
 (* ---------- NAB end-to-end: agreement, validity, budget ---------- *)
 
@@ -831,6 +1050,10 @@ let () =
           Alcotest.test_case "honest never convicted" `Quick test_honest_never_convicted;
           Alcotest.test_case "disputes involve faulty" `Quick
             test_disputes_always_involve_faulty;
+          test_analyse_matches_reference;
+          test_run_matches_reference;
+          Alcotest.test_case "run: a faulty vantage's view differs" `Quick
+            test_run_faulty_vantage_view_differs;
         ] );
       ( "nab",
         [
