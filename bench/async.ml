@@ -131,7 +131,7 @@ let sweep ~quick ~(write : Harness.writer) =
         let l = if quick then 256 else 1024 in
         let q = if quick then 2 else 4 in
         let sync =
-          Harness.run_nab ~transport:(Sim.factory ()) ~adv:"none" g ~l ~q ~seed:7
+          Harness.run_nab ~transport:Sim.default_factory ~adv:"none" g ~l ~q ~seed:7
         in
         let dbar = mean_round_time sync in
         Printf.printf "%s: sync wall %.1f, mean round %.3f\n%!" name sync.Nab.total_wall
@@ -181,7 +181,7 @@ let run_checks () =
           let run transport = Harness.run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
           check
             (Printf.sprintf "%s/%s async-zero == sync" name adv)
-            (report_json (run (Sim.factory ()))
+            (report_json (run Sim.default_factory)
             = report_json (run (Async_sim.factory ~spec:Async_sim.no_faults ()))))
         [ "none"; "ec-liar"; "chaos:7" ])
     (("complete", Gen.complete ~n:4 ~cap:2) :: topologies);

@@ -607,36 +607,46 @@ let experiments =
     ("e11", e11);
   ]
 
+let usage =
+  "usage: main.exe [--only ID] [--no-micro] [--jobs N] [--trace PATH] [--metrics PATH] \
+   [--json PATH]"
+
+(* One pass over argv: an unknown flag, or a flag missing its value, exits
+   2 with the usage line, as the artifact benches do through harness.ml.
+   The first occurrence of a valued flag wins. *)
+let parse_args argv =
+  let bad msg =
+    Printf.eprintf "main: %s\n%s\n" msg usage;
+    exit 2
+  in
+  let values = ref [] and no_micro = ref false in
+  let rec go = function
+    | [] -> ()
+    | "--no-micro" :: rest ->
+        no_micro := true;
+        go rest
+    | (("--only" | "--jobs" | "--trace" | "--metrics" | "--json") as flag) :: rest -> (
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+            if not (List.mem_assoc flag !values) then values := (flag, v) :: !values;
+            go rest
+        | _ -> bad (flag ^ " needs a value"))
+    | arg :: _ -> bad ("unknown argument " ^ arg)
+  in
+  go (List.tl (Array.to_list argv));
+  let value flag = List.assoc_opt flag !values in
+  Option.iter
+    (fun n ->
+      match int_of_string_opt n with
+      | Some j when j >= 1 -> Nab_util.Pool.set_jobs j
+      | _ ->
+          Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
+          exit 1)
+    (value "--jobs");
+  (Option.map String.lowercase_ascii (value "--only"), !no_micro, value)
+
 let () =
-  let args = Array.to_list Sys.argv in
-  (let rec find = function
-     | "--jobs" :: n :: _ -> (
-         match int_of_string_opt n with
-         | Some j when j >= 1 -> Nab_util.Pool.set_jobs j
-         | _ ->
-             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-             exit 1)
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find args);
-  let only =
-    let rec find = function
-      | "--only" :: id :: _ -> Some (String.lowercase_ascii id)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let no_micro = List.mem "--no-micro" args in
-  let file_of flag =
-    let rec find = function
-      | x :: path :: _ when x = flag -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
+  let only, no_micro, file_of = parse_args Sys.argv in
   let chans = ref [] in
   let open_artifact path =
     let oc = open_out path in

@@ -53,10 +53,10 @@ let saturating_outbox g =
     (Digraph.vertices g);
   fun v -> try Hashtbl.find tbl v with Not_found -> []
 
-let bench_loop ~min_time ~name ?(delays = fun _ -> 0) g =
+let bench_loop ~min_time ~name g =
   let outbox = saturating_outbox g in
   let run_new () =
-    let sim = Sim.create ~delays g ~bits in
+    let sim = Sim.create g ~bits in
     for _ = 1 to episode_rounds do
       let (_ : int -> (int * int) list) = Sim.round sim ~phase:"bench" outbox in
       ()
@@ -64,7 +64,7 @@ let bench_loop ~min_time ~name ?(delays = fun _ -> 0) g =
     (Sim.timing sim).Sim.wall
   in
   let run_ref () =
-    let sim = Ref_sim.create ~delays g ~bits in
+    let sim = Ref_sim.create g ~bits in
     for _ = 1 to episode_rounds do
       let (_ : int -> (int * int) list) = Ref_sim.round sim ~phase:"bench" outbox in
       ()
@@ -85,12 +85,9 @@ let bench_loop ~min_time ~name ?(delays = fun _ -> 0) g =
 
 let loop_workloads () =
   [
-    ("mesh-n8", Gen.complete ~n:8 ~cap:2, None);
-    ("mesh-n16", Gen.complete ~n:16 ~cap:2, None);
-    ("mesh-n32", Gen.complete ~n:32 ~cap:2, None);
-    ( "mesh-n16-delayed",
-      Gen.complete ~n:16 ~cap:2,
-      Some (fun (s, d) -> (s + d) mod 3) );
+    ("mesh-n8", Gen.complete ~n:8 ~cap:2);
+    ("mesh-n16", Gen.complete ~n:16 ~cap:2);
+    ("mesh-n32", Gen.complete ~n:32 ~cap:2);
   ]
 
 (* -------------------------- campaign timing -------------------------- *)
@@ -201,8 +198,8 @@ let scaled_scenarios ~quick =
 (* ------------------------------ checks ------------------------------
 
    Differential correctness of the compiled core against the reference
-   fabric on random episodes (sparse ids, random edges, delayed links,
-   sends to absent links), plus cold-vs-warm campaign row identity. Exits
+   fabric on random episodes (sparse ids, random edges, sends to absent
+   links), plus cold-vs-warm campaign row identity. Exits
    nonzero on the first mismatch. This (not the timings) is what CI runs. *)
 
 let random_episode st =
@@ -219,7 +216,6 @@ let random_episode st =
             edges := (s, d, 1 + Random.State.int st 4) :: !edges)
         ids)
     ids;
-  let dseed = Random.State.int st 98 in
   let nrounds = 1 + Random.State.int st 6 in
   let sends =
     List.init nrounds (fun _ ->
@@ -228,13 +224,12 @@ let random_episode st =
               Random.State.int st (n + 1),
               1 + Random.State.int st 200 )))
   in
-  (ids, List.rev !edges, dseed, sends)
+  (ids, List.rev !edges, sends)
 
-let run_episode (ids, edges, dseed, sends) =
+let run_episode (ids, edges, sends) =
   let g = Digraph.of_edges ~vertices:(Array.to_list ids) edges in
-  let delays (s, d) = ((s * 5) + (d * 3) + dseed) mod 3 in
-  let sim = Sim.create ~delays ~keep_events:true g ~bits in
-  let rsim = Ref_sim.create ~delays g ~bits in
+  let sim = Sim.create ~keep_events:true g ~bits in
+  let rsim = Ref_sim.create g ~bits in
   let verts = Digraph.vertices g in
   let id_of i = if i >= Array.length ids then 999983 else ids.(i) in
   let ok = ref true in
@@ -305,7 +300,7 @@ let sweep ~quick ~(write : Harness.writer) =
   let min_time = if quick then 0.02 else 0.2 in
   let rows =
     List.map
-      (fun (name, g, delays) -> bench_loop ~min_time ~name ?delays g)
+      (fun (name, g) -> bench_loop ~min_time ~name g)
       (loop_workloads ())
   in
   let campaigns =

@@ -168,7 +168,7 @@ let run_checks () =
           let run transport = Harness.run_nab ~transport ~adv g ~l:256 ~q:2 ~seed:7 in
           check
             (Printf.sprintf "%s/%s socket == sync" name adv)
-            (report_json (run (Sim.factory ()))
+            (report_json (run Sim.default_factory)
             = report_json (run (Socket.factory ()))))
         [ "none"; "ec-liar"; "chaos:7" ])
     topologies;
@@ -177,7 +177,7 @@ let run_checks () =
   check "complete/none socket-tcp == sync"
     (let g = Gen.complete ~n:4 ~cap:2 in
      let run transport = Harness.run_nab ~transport ~adv:"none" g ~l:256 ~q:2 ~seed:7 in
-     report_json (run (Sim.factory ())) = report_json (run (Socket.factory ~mode:`Tcp ())))
+     report_json (run Sim.default_factory) = report_json (run (Socket.factory ~mode:`Tcp ())))
 
 (* -------------------------- artifact verify -------------------------- *)
 

@@ -127,6 +127,7 @@ let with_obs ~trace ~metrics ~sample f =
    the run, not a usage error (124) or an internal one (125). *)
 let stalled_exit = 3
 let model_violation_exit = 4
+let socket_exit = 5
 
 let run_cmd =
   let adversary_arg =
@@ -208,6 +209,9 @@ let run_cmd =
              round)\n"
             (List.length disputes) f;
           exit model_violation_exit
+      | Nab_net.Socket.Socket_error msg ->
+          Printf.eprintf "nab: socket: %s\n" msg;
+          exit socket_exit
     in
     let g = e.Runner.g and inputs = e.Runner.inputs and q = s.Scenario.q in
     (match e.Runner.stream with
@@ -306,6 +310,11 @@ let run_cmd =
             no f faulty nodes explain, which honest nodes only produce when the \
             transport breaks the synchronous model (an async latency past a \
             round boundary)."
+    :: Cmd.Exit.info socket_exit
+         ~doc:
+           "the socket backend ($(b,--backend socket)) failed: it could not \
+            set up its node fleet (for example, no socket directory could be \
+            made under TMPDIR) or a node process died or stopped answering."
     :: Cmd.Exit.defaults
   in
   Cmd.v (Cmd.info "run" ~exits ~doc:"Run Q instances of NAB under an adversary.") term

@@ -15,8 +15,6 @@ type adversary =
     send. [round] is 0 for the initial source dissemination, 1 for the
     all-to-all preference exchange, 2 for the king round. *)
 
-val honest : adversary
-
 val broadcast_all :
   net:Transport.t ->
   ?nodes:int list ->

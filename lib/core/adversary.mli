@@ -32,22 +32,12 @@ type t = {
   reliable : ctx -> Reliable.hooks;  (** path-level corruption *)
 }
 
-val nobody : g:Digraph.t -> source:int -> f:int -> Vset.t
-val non_source_heavy : g:Digraph.t -> source:int -> f:int -> Vset.t
-(** The f largest non-source ids. *)
-
-val with_source : g:Digraph.t -> source:int -> f:int -> Vset.t
-(** The source plus the f-1 largest other ids (requires f >= 1). *)
-
 val adaptive : g:Digraph.t -> source:int -> f:int -> Vset.t
 (** Worst-case placement: greedily corrupt the non-source node whose
     worst-case exclusion hurts gamma the most (ties to the largest id) —
     i.e. the node whose removal of all incident edges minimises the source
     broadcast min-cut. The paper's adversary knows the topology; this picker
     uses that knowledge. *)
-
-val honest_hooks : name:string -> (g:Digraph.t -> source:int -> f:int -> Vset.t) -> t
-(** A strategy whose every hook follows the protocol. *)
 
 val none : t  (** no faulty nodes at all *)
 

@@ -186,5 +186,3 @@ let of_hex ~bits s =
   if rem > 0 && n > 0 && Char.code (Bytes.get data (n - 1)) land (0xff lsr rem) <> 0 then
     invalid_arg "Bitvec.of_hex: padding bits set";
   { len = bits; data }
-
-let pp fmt t = Format.fprintf fmt "<%d bits: %s>" t.len (to_hex t)

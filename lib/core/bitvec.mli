@@ -65,5 +65,3 @@ val of_hex : bits:int -> string -> t
 (** Inverse of {!to_hex} given the bit length: [of_hex ~bits (to_hex v)] is
     [v] when [bits = length v]. Raises [Invalid_argument] on a digit count
     that does not match [bits], a non-hex digit, or set padding bits. *)
-
-val pp : Format.formatter -> t -> unit

@@ -114,7 +114,9 @@ let correct_for t ~h =
 let is_correct t ~g ~omega =
   List.for_all (fun vset -> correct_for t ~h:(Digraph.induced g vset)) omega
 
-let generate_correct g ~omega ~rho ~m ~seed ?(max_attempts = 64) () =
+let max_attempts = 64
+
+let generate_correct g ~omega ~rho ~m ~seed () =
   let rec go attempt =
     if attempt > max_attempts then
       failwith "Coding.generate_correct: exhausted attempts (field too small?)"

@@ -55,11 +55,10 @@ val is_correct : t -> g:Digraph.t -> omega:Vset.t list -> bool
 
 val generate_correct :
   Digraph.t -> omega:Vset.t list -> rho:int -> m:int -> seed:int ->
-  ?max_attempts:int -> unit -> t * int
+  unit -> t * int
 (** Resample until {!is_correct}; returns the matrices and the number of
     attempts used (Theorem 1: one attempt succeeds with probability at least
-    [1 - failure_bound]). Raises [Failure] after [max_attempts] (default
-    64). *)
+    [1 - failure_bound]). Raises [Failure] after 64 attempts. *)
 
 val failure_bound : n:int -> f:int -> rho:int -> m:int -> float
 (** Theorem 1's bound on the probability that a random matrix set is NOT

@@ -28,8 +28,7 @@ let expected_flag coding ~graph ~me ~x ~received =
       | Some data -> not (Coding.check coding ~edge:(src, me) ~x ~received:data))
     (Digraph.in_edges graph me)
 
-let run ~net ?graph ~phase ~coding ~values ~faulty ?(adversary = honest) () =
-  let g = match graph with Some g -> g | None -> Transport.graph net in
+let run ~net ~graph:g ~phase ~coding ~values ~faulty ?(adversary = honest) () =
   let verts = Digraph.vertices g in
   let obs = Transport.obs net in
   if Nab_obs.enabled obs then

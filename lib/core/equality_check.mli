@@ -18,7 +18,7 @@ val honest : adversary
 
 val run :
   net:Transport.t ->
-  ?graph:Digraph.t ->
+  graph:Digraph.t ->
   phase:string ->
   coding:Coding.t ->
   values:(int -> int array) ->
@@ -26,9 +26,9 @@ val run :
   ?adversary:adversary ->
   unit ->
   (int * bool) list
-(** [run ~net ~phase ~coding ~values ~faulty ()] performs the check on
-    [graph] (default: the simulator's graph — pass G_k explicitly when the
-    simulator carries the full physical network), where [values v] is node
+(** [run ~net ~graph ~phase ~coding ~values ~faulty ()] performs the check
+    on [graph] (G_k, which may be smaller than the network [net] carries),
+    where [values v] is node
     v's symbol vector X_v (stripes * rho symbols). Returns each node's 1-bit
     flag: [true] means MISMATCH. Guarantee (EC), given correct matrices: if
     two fault-free nodes hold different values, some fault-free node flags

@@ -27,12 +27,6 @@ let config ?(f = default_config.f) ?(source = default_config.source)
     ?(seed = default_config.seed) ?(flag_backend = default_config.flag_backend) () =
   validate_config { f; source; l_bits; m; seed; flag_backend }
 
-let with_f f c = validate_config { c with f }
-let with_source source c = validate_config { c with source }
-let with_l_bits l_bits c = validate_config { c with l_bits }
-let with_m m c = validate_config { c with m }
-let with_seed seed c = validate_config { c with seed }
-let with_flag_backend flag_backend c = validate_config { c with flag_backend }
 
 type instance_report = {
   k : int;
@@ -183,8 +177,6 @@ let session_instances ses = List.rev ses.ses_instances
 let session_config ses = ses.ses_config
 let session_obs ses = ses.ses_obs
 let session_transport ses = ses.ses_transport
-let session_adversary ses = ses.ses_adversary
-let session_total_n ses = ses.ses_total_n
 let session_physical_graph ses = ses.ses_g
 let session_next_k ses = ses.ses_next_k
 

@@ -19,8 +19,8 @@ type config = {
   flag_backend : [ `Eig | `Phase_king ];  (** step-2.2 Broadcast_Default backend *)
 }
 (** The record type stays exposed for pattern-matching and field access;
-    construct values with {!config} (or the {!with_f} family), which
-    validates the fields up front instead of deep inside {!run}. *)
+    construct values with {!config}, which validates the fields up front
+    instead of deep inside {!run}. *)
 
 val config :
   ?f:int ->
@@ -31,29 +31,13 @@ val config :
   ?flag_backend:[ `Eig | `Phase_king ] ->
   unit ->
   config
-(** The smart constructor: every omitted field takes its {!default_config}
-    value. Raises [Invalid_argument] when [f < 0], [l_bits < 1], or [m] is
+(** The smart constructor: every omitted field takes its default (f = 1,
+    source = 1, L = 1024, m = 16, seed = 7, EIG flags). Raises [Invalid_argument] when [f < 0], [l_bits < 1], or [m] is
     outside 1..61 (the GF(2^m) degrees {!Nab_field.Gf2p} supports) — the
     graph-dependent requirements (source present, n >= 3f+1, connectivity)
     are still checked by {!create_session}, which is where the graph is
     first known. *)
 
-val default_config : config
-(** f = 1, source = 1, L = 1024, m = 16, seed = 7, EIG flags. *)
-
-val with_f : int -> config -> config
-(** Functional updaters with the same validation as {!config}. *)
-
-val with_source : int -> config -> config
-val with_l_bits : int -> config -> config
-val with_m : int -> config -> config
-val with_seed : int -> config -> config
-val with_flag_backend : [ `Eig | `Phase_king ] -> config -> config
-
-val validate_config : config -> config
-(** [validate_config c] is [c] if it satisfies the {!config} constraints,
-    and raises the same [Invalid_argument] otherwise — the check applied to
-    every configuration entering {!create_session}, however it was built. *)
 
 type instance_report = {
   k : int;
@@ -127,7 +111,7 @@ val create_session :
   adversary:Adversary.t ->
   unit ->
   session
-(** Validates the configuration ({!validate_config}) and the network
+(** Validates the configuration (the {!config} constraints) and the network
     (n >= 3f+1, connectivity >= 2f+1, source present) and fixes the
     corrupted node set for the whole session.
 
@@ -162,8 +146,6 @@ val session_instances : session -> instance_report list
 val session_config : session -> config
 val session_obs : session -> Nab_obs.ctx
 val session_transport : session -> Transport.factory
-val session_adversary : session -> Adversary.t
-val session_total_n : session -> int
 
 val session_physical_graph : session -> Digraph.t
 (** The original G: the physical network every instance's transport is
@@ -173,11 +155,6 @@ val session_physical_graph : session -> Digraph.t
 val session_next_k : session -> int
 (** The 1-based id the next broadcast instance will carry. *)
 
-val session_routing : session -> Nab_classic.Routing.t
-(** The routes Broadcast_Default runs over on the physical graph
-    ({!session_physical_graph}, which never changes): built on the first
-    call, which is the first flag stage, and shared by every later
-    instance of either driver. *)
 
 (** {2 Driver steps}
 
@@ -258,7 +235,8 @@ val agree_flags :
   int -> Wire.payload option
 (** Step 2.2: Broadcast_Default each node's flag payload among the nodes
     of G_k — by EIG, or by Phase-King when configured and n_k > 4 f_eff —
-    under the instance's hooks, over {!session_routing}. Returns what the lowest-id fault-free node
+    under the instance's hooks, over the session's routes on the physical
+    graph (built once, at the first flag stage). Returns what the lowest-id fault-free node
     decided for each sender; the caller decodes [Flag] or [Batch]. *)
 
 val dispute_control :
@@ -270,7 +248,7 @@ val dispute_control :
   unit ->
   (int * Dispute.verdict) list * Params.dispute list
 (** Phase 3 under the agreed [flags]: counts the run, executes
-    {!Dispute.run} ([claims_of] as there) over {!session_routing}, merges the fault-free vantage's
+    {!Dispute.run} ([claims_of] as there) over the session's routes, merges the fault-free vantage's
     verdict into the session's disputes, and emits the [nab.dc_runs] /
     [nab.disputes] counters and the ["dispute-control"] point event.
     Returns every node's verdict and the disputes new to the session. The

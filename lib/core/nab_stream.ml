@@ -190,8 +190,7 @@ let auto_quantum ses g =
            (float_of_int ec_bits /. cap)))
     1.0 (Digraph.edges g)
 
-let create ?obs ?transport ?(window = 32) ?flag_batch ?quantum ~g ~config
-    ~adversary () =
+let create ?obs ?transport ?(window = 32) ?flag_batch ~g ~config ~adversary () =
   if window < 1 then invalid_arg "Nab_stream.create: window must be >= 1";
   (* Half the window: the flag stage fires while the other half is still
      streaming/admitting, so batching never bubbles the data pipeline. *)
@@ -200,7 +199,7 @@ let create ?obs ?transport ?(window = 32) ?flag_batch ?quantum ~g ~config
   in
   if flag_batch < 1 then invalid_arg "Nab_stream.create: flag_batch must be >= 1";
   let ses = Nab.create_session ?obs ?transport ~g ~config ~adversary () in
-  let quantum = match quantum with Some x -> x | None -> auto_quantum ses g in
+  let quantum = auto_quantum ses g in
   let obs = Nab.session_obs ses in
   let net = Nab.session_transport ses ~obs ~keep_events:false g in
   {
@@ -222,7 +221,6 @@ let create ?obs ?transport ?(window = 32) ?flag_batch ?quantum ~g ~config
     rollbacks = 0;
   }
 
-let session t = t.ses
 let wall t = (Transport.timing t.net).Transport.wall
 
 (* ---------------- transcript computation ---------------- *)
@@ -749,9 +747,9 @@ let report t =
 
 let close t = Transport.close t.net
 
-let run ?obs ?transport ?window ?flag_batch ?quantum ~g ~config ~adversary ~inputs
+let run ?obs ?transport ?window ?flag_batch ~g ~config ~adversary ~inputs
     ~q () =
-  let t = create ?obs ?transport ?window ?flag_batch ?quantum ~g ~config ~adversary () in
+  let t = create ?obs ?transport ?window ?flag_batch ~g ~config ~adversary () in
   Fun.protect ~finally:(fun () -> close t) @@ fun () ->
   for k = 1 to q do
     ignore (submit t (inputs k))

@@ -5,7 +5,7 @@
     transport: every value pays the full pipeline fill (Phase-1 depth
     rounds) plus a whole flag-broadcast round trip. This module keeps a
     window of instances in flight on a {e single} transport, schedules
-    their traffic per link with {!Nab_net.Link_sched} (weighted
+    their traffic per link with {!Nab_net.Link_sched} (equal-share
     deficit-round-robin), and batches the step-2.2 flag broadcasts of
     consecutive instances into one {!Nab_classic.Eig} execution — so the
     steady-state cost per value approaches the coding cost alone and
@@ -68,7 +68,6 @@ val create :
   ?transport:Transport.factory ->
   ?window:int ->
   ?flag_batch:int ->
-  ?quantum:float ->
   g:Digraph.t ->
   config:Nab.config ->
   adversary:Adversary.t ->
@@ -82,12 +81,11 @@ val create :
     [window/2]) caps how many consecutive instances share one flag
     broadcast — the stream accumulates data-complete instances up to that
     many before running the shared EIG, firing early only when nothing
-    else can progress; 1 gives full per-instance serial fidelity.
-    [quantum] is the
-    {!Link_sched} round budget in simulated time units; the default is one
-    instance's bottleneck round duration under the initial plan (largest
-    per-link Phase-1 slice or equality-check payload over capacity), which
-    mimics the serial cadence per link while interleaving instances. *)
+    else can progress; 1 gives full per-instance serial fidelity. The
+    {!Link_sched} round budget is one instance's bottleneck round duration
+    under the initial plan (largest per-link Phase-1 slice or
+    equality-check payload over capacity), which mimics the serial cadence
+    per link while interleaving instances. *)
 
 val submit : t -> ?source:int -> Bitvec.t -> int
 (** Submit a value for broadcast; returns the instance id it will run as
@@ -105,12 +103,6 @@ val drain : t -> unit
 
 val pending : t -> int
 (** Instances submitted but not yet finalized (queued + in flight). *)
-
-val session : t -> Nab.session
-(** The underlying resumable session: graph/dispute state and finished
-    instance reports are readable through the {!Nab} accessors at any
-    point; interleaving {!Nab.session_broadcast} calls with an undrained
-    stream is not supported. *)
 
 val wall : t -> float
 (** Simulated time elapsed on the shared fabric so far. *)
@@ -146,7 +138,6 @@ val run :
   ?transport:Transport.factory ->
   ?window:int ->
   ?flag_batch:int ->
-  ?quantum:float ->
   g:Digraph.t ->
   config:Nab.config ->
   adversary:Adversary.t ->

@@ -138,8 +138,8 @@ let run ~net ~phase ~trees ~source ~value ~faulty ?(adversary = honest) () =
     in
     absorb (Transport.round net ~phase outbox)
   done;
-  (* On a delayed network the schedule can end with slices still in flight
-     (a hop whose propagation delay reaches past round [max_depth]); drain
-     the fabric so final-hop deliveries are not silently dropped. *)
+  (* On a backend with latency the schedule can end with slices still in
+     flight (a hop that lands past round [max_depth]); drain the fabric so
+     final-hop deliveries are not silently dropped. *)
   if Transport.pending_count net > 0 then absorb (Transport.drain net ~phase);
   fun v -> Array.map (fun tbl -> Hashtbl.find_opt tbl v) received

@@ -7,8 +7,6 @@
 open Nab_graph
 open Nab_net
 
-val proto : string
-
 type adversary = me:int -> tree:int -> dst:int -> Wire.payload -> Wire.payload option
 (** Transform (or drop, with [None]) the slice a faulty node forwards to a
     child on a tree. The honest behaviour wraps the slice unchanged. *)

@@ -1,35 +1,15 @@
-type cell = Phase1_hop of int | Phase2 | Idle
-
-let rounds_needed ~q ~hops = q + hops
-
-let schedule ~q ~hops =
-  if q < 1 || hops < 1 then invalid_arg "Pipeline.schedule";
-  List.init (rounds_needed ~q ~hops) (fun r0 ->
-      let round = r0 + 1 in
-      let acts =
-        List.filter_map
-          (fun i0 ->
-            let instance = i0 + 1 in
-            let offset = round - instance in
-            if offset < 0 || offset > hops then None
-            else if offset = hops then Some (instance, Phase2)
-            else Some (instance, Phase1_hop (offset + 1)))
-          (List.init q Fun.id)
-      in
-      (round, acts))
-
-let round_length ~l ~gamma ~rho ~overhead = (l /. gamma) +. (l /. rho) +. overhead
-
-let steady_throughput ~l ~gamma ~rho ~overhead =
-  l /. round_length ~l ~gamma ~rho ~overhead
-
-let completion_time ~q ~hops ~l ~gamma ~rho ~overhead =
-  float_of_int (rounds_needed ~q ~hops) *. round_length ~l ~gamma ~rho ~overhead
+(* Instance [instance] performs Phase-1 hop h (1-based) in round
+   instance + h - 1 and Phase 2 in round instance + hops. *)
+let cell ~hops ~instance ~round =
+  let offset = round - instance in
+  if offset < 0 || offset > hops then ".    "
+  else if offset = hops then "P2   "
+  else Printf.sprintf "H%-4d" (offset + 1)
 
 let render ~q ~hops =
-  let grid = schedule ~q ~hops in
+  if q < 1 || hops < 1 then invalid_arg "Pipeline.render";
   let buf = Buffer.create 256 in
-  let total = rounds_needed ~q ~hops in
+  let total = q + hops in
   Buffer.add_string buf "round    ";
   for r = 1 to total do
     Buffer.add_string buf (Printf.sprintf "%-5d" r)
@@ -38,13 +18,7 @@ let render ~q ~hops =
   for i = 1 to q do
     Buffer.add_string buf (Printf.sprintf "inst %-3d " i);
     for r = 1 to total do
-      let cell =
-        match List.assoc_opt i (List.assoc r grid) with
-        | Some (Phase1_hop h) -> Printf.sprintf "H%-4d" h
-        | Some Phase2 -> "P2   "
-        | Some Idle | None -> ".    "
-      in
-      Buffer.add_string buf cell
+      Buffer.add_string buf (cell ~hops ~instance:i ~round:r)
     done;
     Buffer.add_char buf '\n'
   done;

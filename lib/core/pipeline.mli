@@ -4,29 +4,9 @@
     staggered by one round, so the steady-state cost per instance is one
     round regardless of the network diameter. *)
 
-type cell =
-  | Phase1_hop of int  (** forwarding hop h (1-based) of Phase 1 *)
-  | Phase2  (** equality check + flag broadcast *)
-  | Idle
-
-val schedule : q:int -> hops:int -> (int * (int * cell) list) list
-(** [schedule ~q ~hops] is the grid of Figure 3: for each round (1-based),
-    the list of [(instance, cell)] activities; instance i performs hop h in
-    round i + h - 1 and Phase 2 in round i + hops. *)
-
-val rounds_needed : q:int -> hops:int -> int
-
-val round_length : l:float -> gamma:float -> rho:float -> overhead:float -> float
-(** L/gamma + L/rho + overhead — the paper's round length. *)
-
-val steady_throughput : l:float -> gamma:float -> rho:float -> overhead:float -> float
-(** L divided by the round length; approaches eq. (6)'s bound
-    gamma rho / (gamma + rho) as L grows. *)
-
-val completion_time :
-  q:int -> hops:int -> l:float -> gamma:float -> rho:float -> overhead:float -> float
-(** Total time for [q] pipelined instances: (q + hops) rounds. *)
-
 val render : q:int -> hops:int -> string
-(** ASCII rendering of the schedule grid, one row per instance — the shape
-    of Figure 3. *)
+(** ASCII rendering of the schedule grid for [q] instances over [hops]
+    Phase-1 hops, one row per instance — the shape of Figure 3: instance i
+    performs hop h in round i + h - 1 and Phase 2 in round i + hops, so the
+    grid spans q + hops rounds. Raises [Invalid_argument] unless [q] and
+    [hops] are positive. *)

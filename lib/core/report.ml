@@ -1,17 +1,5 @@
 open Nab_net
 
-let pp_instance fmt (i : Nab.instance_report) =
-  Format.fprintf fmt "k=%-3d gamma=%-3d rho=%-3d L'=%-6d %s wall=%-10.2f pipe=%-10.2f %s"
-    i.Nab.k i.Nab.gamma_k i.Nab.rho_k i.Nab.value_bits
-    (if i.Nab.mismatch then "MISMATCH" else "clean   ")
-    i.Nab.wall_time i.Nab.pipelined_time
-    (if i.Nab.dc_run then
-       Printf.sprintf "DC[%s]"
-         (String.concat ","
-            (List.map (fun (a, b) -> Printf.sprintf "{%d,%d}" a b) i.Nab.new_disputes))
-     else if i.Nab.reduced_to_phase1 then "phase1-only"
-     else "")
-
 let pp_phase_breakdown fmt (i : Nab.instance_report) =
   Format.fprintf fmt "@[<v>%-18s %6s %12s %12s %12s@," "phase" "rounds" "wall"
     "bottleneck" "bits";
@@ -36,27 +24,6 @@ let pp_phase_breakdown fmt (i : Nab.instance_report) =
         busiest;
       Format.fprintf fmt "@,");
   Format.fprintf fmt "@]"
-
-let pp_run fmt (r : Nab.run_report) =
-  Format.fprintf fmt "@[<v>adversary %s, faulty %a, f = %d, L = %d@,@,"
-    r.Nab.adversary_name Nab_graph.Vset.pp r.Nab.faulty r.Nab.config.Nab.f
-    r.Nab.config.Nab.l_bits;
-  List.iter (fun i -> Format.fprintf fmt "%a@," pp_instance i) r.Nab.instances;
-  Format.fprintf fmt
-    "@,dispute controls: %d (budget f(f+1) = %d), accumulated disputes: %d@,"
-    r.Nab.dc_count
-    (r.Nab.config.Nab.f * (r.Nab.config.Nab.f + 1))
-    (List.length r.Nab.disputes);
-  Format.fprintf fmt "throughput: %.3f wall, %.3f pipelined (bits/time-unit)@]@."
-    r.Nab.throughput_wall r.Nab.throughput_pipelined
-
-let summary_line (r : Nab.run_report) =
-  Printf.sprintf "%s: %d instances, %d DCs, %d disputes, thpt %.3f/%.3f"
-    r.Nab.adversary_name
-    (List.length r.Nab.instances)
-    r.Nab.dc_count
-    (List.length r.Nab.disputes)
-    r.Nab.throughput_wall r.Nab.throughput_pipelined
 
 (* ---------- JSON encoding ---------- *)
 
@@ -151,158 +118,3 @@ let run_to_json (r : Nab.run_report) =
       ("throughput_wall", J.float r.Nab.throughput_wall);
       ("throughput_pipelined", J.float r.Nab.throughput_pipelined);
     ]
-
-(* ---------- strict decoding ---------- *)
-
-exception Decode of string
-
-let fail path what = raise (Decode (Printf.sprintf "%s: expected %s" path what))
-
-let field path name j =
-  match J.member name j with
-  | Some v -> v
-  | None -> raise (Decode (Printf.sprintf "%s.%s: missing" path name))
-
-let int_f path name j =
-  match J.get_int (field path name j) with
-  | Some i -> i
-  | None -> fail (path ^ "." ^ name) "int"
-
-let float_f path name j =
-  match J.get_float (field path name j) with
-  | Some f -> f
-  | None -> fail (path ^ "." ^ name) "number"
-
-let str_f path name j =
-  match J.get_string (field path name j) with
-  | Some s -> s
-  | None -> fail (path ^ "." ^ name) "string"
-
-let bool_f path name j =
-  match J.get_bool (field path name j) with
-  | Some b -> b
-  | None -> fail (path ^ "." ^ name) "bool"
-
-let list_f path name j =
-  match J.get_list (field path name j) with
-  | Some l -> l
-  | None -> fail (path ^ "." ^ name) "array"
-
-let decode_dispute path j =
-  match J.get_list j with
-  | Some [ a; b ] -> (
-      match (J.get_int a, J.get_int b) with
-      | Some a, Some b -> (a, b)
-      | _ -> fail path "pair of ints")
-  | Some _ | None -> fail path "pair of ints"
-
-let decode_config path j =
-  let backend =
-    match str_f path "flag_backend" j with
-    | "eig" -> `Eig
-    | "phase_king" -> `Phase_king
-    | _ -> fail (path ^ ".flag_backend") {|"eig" or "phase_king"|}
-  in
-  {
-    Nab.f = int_f path "f" j;
-    source = int_f path "source" j;
-    l_bits = int_f path "l_bits" j;
-    m = int_f path "m" j;
-    seed = int_f path "seed" j;
-    flag_backend = backend;
-  }
-
-let decode_graph path j =
-  let vertices =
-    List.map
-      (fun v -> match J.get_int v with Some v -> v | None -> fail path "vertex int")
-      (list_f path "vertices" j)
-  in
-  let edges =
-    List.map
-      (fun e ->
-        match J.get_list e with
-        | Some [ s; d; c ] -> (
-            match (J.get_int s, J.get_int d, J.get_int c) with
-            | Some s, Some d, Some c -> (s, d, c)
-            | _ -> fail path "edge triple")
-        | Some _ | None -> fail path "edge triple")
-      (list_f path "edges" j)
-  in
-  Nab_graph.Digraph.of_edges ~vertices edges
-
-let decode_instance path j =
-  {
-    Nab.k = int_f path "k" j;
-    value_bits = int_f path "value_bits" j;
-    gamma_k = int_f path "gamma_k" j;
-    rho_k = int_f path "rho_k" j;
-    decisions =
-      List.mapi
-        (fun n d ->
-          let p = Printf.sprintf "%s.decisions[%d]" path n in
-          let bits = int_f p "bits" d in
-          ( int_f p "node" d,
-            try Bitvec.of_hex ~bits (str_f p "hex" d)
-            with Invalid_argument m -> raise (Decode (p ^ ": " ^ m)) ))
-        (list_f path "decisions" j);
-    mismatch = bool_f path "mismatch" j;
-    dc_run = bool_f path "dc_run" j;
-    reduced_to_phase1 = bool_f path "reduced_to_phase1" j;
-    coding_attempts = int_f path "coding_attempts" j;
-    wall_time = float_f path "wall_time" j;
-    pipelined_time = float_f path "pipelined_time" j;
-    phase_stats =
-      List.mapi
-        (fun n s ->
-          let p = Printf.sprintf "%s.phase_stats[%d]" path n in
-          {
-            Sim.phase = str_f p "phase" s;
-            rounds = int_f p "rounds" s;
-            wall = float_f p "wall" s;
-            bottleneck = float_f p "bottleneck" s;
-            bits_total = int_f p "bits_total" s;
-            extra = float_f p "extra" s;
-          })
-        (list_f path "phase_stats" j);
-    utilization =
-      List.mapi
-        (fun n u ->
-          let p = Printf.sprintf "%s.utilization[%d]" path n in
-          ((int_f p "src" u, int_f p "dst" u), float_f p "u" u))
-        (list_f path "utilization" j);
-    new_disputes =
-      List.mapi
-        (fun n d -> decode_dispute (Printf.sprintf "%s.new_disputes[%d]" path n) d)
-        (list_f path "new_disputes" j);
-  }
-
-let run_of_json j =
-  match
-    {
-      Nab.config = decode_config "config" (field "" "config" j);
-      adversary_name = str_f "" "adversary" j;
-      faulty =
-        Nab_graph.Vset.of_list
-          (List.map
-             (fun v ->
-               match J.get_int v with Some v -> v | None -> fail "faulty" "int")
-             (list_f "" "faulty" j));
-      instances =
-        List.mapi
-          (fun n i -> decode_instance (Printf.sprintf "instances[%d]" n) i)
-          (list_f "" "instances" j);
-      dc_count = int_f "" "dc_count" j;
-      disputes =
-        List.mapi
-          (fun n d -> decode_dispute (Printf.sprintf "disputes[%d]" n) d)
-          (list_f "" "disputes" j);
-      final_graph = decode_graph "final_graph" (field "" "final_graph" j);
-      total_wall = float_f "" "total_wall" j;
-      total_pipelined = float_f "" "total_pipelined" j;
-      throughput_wall = float_f "" "throughput_wall" j;
-      throughput_pipelined = float_f "" "throughput_pipelined" j;
-    }
-  with
-  | r -> Ok r
-  | exception Decode m -> Error m

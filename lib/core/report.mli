@@ -1,22 +1,12 @@
-(** Human-readable rendering of NAB run reports: per-instance rows, the
-    per-phase time/bit breakdown, and the run summary. Shared by the CLI
-    and the examples. *)
-
-val pp_instance : Format.formatter -> Nab.instance_report -> unit
-(** One line: k, gamma/rho, flags, timing, dispute outcome. *)
+(** Rendering of NAB run reports: the per-phase time/bit breakdown the CLI
+    prints, and the JSON encoding behind [--json] and the benches. *)
 
 val pp_phase_breakdown : Format.formatter -> Nab.instance_report -> unit
 (** The per-phase table (rounds, wall, bottleneck, bits). *)
 
-val pp_run : Format.formatter -> Nab.run_report -> unit
-(** Full report: header, instance table, totals, throughput. *)
-
-val summary_line : Nab.run_report -> string
-(** Compact one-liner: adversary, agreement-relevant counters, throughput. *)
-
 (** {1 Machine-readable reports}
 
-    A lossless JSON encoding of {!Nab.run_report} (the CLI's [--json]
+    A JSON encoding of {!Nab.run_report} (the CLI's [--json]
     artifact). Schema, top level:
     {v
     {"config":{"f":..,"source":..,"l_bits":..,"m":..,"seed":..,"flag_backend":"eig"|"phase_king"},
@@ -41,12 +31,4 @@ val summary_line : Nab.run_report -> string
     non-finite throughputs (a zero-time run) encode as the strings ["inf"] /
     ["nan"] per {!Nab_obs.Json}. *)
 
-val to_json : Nab.instance_report -> Nab_obs.Json.t
-
 val run_to_json : Nab.run_report -> Nab_obs.Json.t
-
-val run_of_json : Nab_obs.Json.t -> (Nab.run_report, string) result
-(** Strict inverse of {!run_to_json}: every field is required and
-    type-checked; [Error] carries the offending path. The round-trip
-    [run_of_json (run_to_json r) = Ok r] is exact (hex decisions, graph,
-    and float bit patterns included) and enforced by [test/test_obs.ml]. *)

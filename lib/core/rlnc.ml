@@ -25,7 +25,7 @@ type buffer = { mutable rows : coded list; by_pivot : coded option array }
 
 let proto = "rlnc"
 
-let broadcast ~net ~phase ~source ~value ~gamma ~m ~seed ?max_rounds () =
+let broadcast ~net ~phase ~source ~value ~gamma ~m ~seed () =
   let g = Transport.graph net in
   let verts = Digraph.vertices g in
   let n = List.length verts in
@@ -36,7 +36,7 @@ let broadcast ~net ~phase ~source ~value ~gamma ~m ~seed ?max_rounds () =
   let fld = Gf2p.create m in
   let ker = Kernel.of_field fld in
   let st = Random.State.make [| seed; 0x12a9c; gamma; m |] in
-  let max_rounds = match max_rounds with Some r -> r | None -> 4 * (n + gamma) in
+  let max_rounds = 4 * (n + gamma) in
   (* The generation: gamma source symbols, each a row of payload length
      l / (gamma * m) sub-symbols. *)
   let payload_syms = l / (gamma * m) in

@@ -35,10 +35,9 @@ val broadcast :
   gamma:int ->
   m:int ->
   seed:int ->
-  ?max_rounds:int ->
   unit ->
   result
 (** Broadcast [value] from [source] at generation size [gamma] with
     coefficients in GF(2^m). The value length must be a positive multiple
-    of [gamma * m]. [max_rounds] defaults to [4 * (n + gamma)]. The
+    of [gamma * m]. It gives up after [4 * (n + gamma)] rounds. The
     simulator should carry the target network. *)

@@ -232,14 +232,8 @@ let register name oracle =
   Hashtbl.replace registry name oracle;
   Mutex.unlock registry_mutex
 
-let find name =
-  Mutex.lock registry_mutex;
-  let r = Hashtbl.find_opt registry name in
-  Mutex.unlock registry_mutex;
-  match r with Some _ as o -> o | None -> List.assoc_opt name builtin
-
 (* Oracles carrying structured data for analyze. A registered oracle of the
-   same name still wins (matching [find]), falling back to the plain detail
+   same name still wins, falling back to the plain detail
    string with no data. *)
 let builtin_rich =
   [ ("theorem3-ratio", theorem3_ratio_rich); ("oblivious-gap", oblivious_gap_rich) ]

@@ -42,39 +42,10 @@ type outcome = {
 type oracle = ctx -> bool * string
 (** Evaluate one check; returns (ok, detail). *)
 
-val builtin : (string * oracle) list
-(** - ["agreement"]: all fault-free nodes decided identically in every
-      instance ({!Nab_core.Nab.fault_free_agree}).
-    - ["validity"]: fault-free-source instances decide the input.
-    - ["dc-budget"]: dispute control fired at most f(f+1) times.
-    - ["honest-present"]: no fault-free node was ever excluded from G_k.
-    - ["theorem1-attempts"]: per instance, the observed number of
-      coding-matrix generation attempts is consistent with Theorem 1's
-      per-attempt failure bound p — when p <= 1/2, more than
-      [1 + log(1e-12)/log(p)] attempts would have probability below 1e-12
-      and flags a violation.
-    - ["theorem3-ratio"]: gamma', rho' and eq. (6) give
-      [throughput_lb / capacity_ub >= 1/3] — or >= 1/2 under the
-      half-capacity condition gamma' <= rho' — and
-      [throughput_lb <= capacity_ub].
-    - ["capacity-witness"]: the constructive Theorem-2 cut witnesses check
-      out against the bounds ({!Nab_core.Capacity.verify}).
-    - ["oblivious-gap"]: a capacity-oblivious EIG broadcast of the same
-      value measures at most the Theorem-2 capacity ceiling, and — when the
-      scenario sets [min_gap] — NAB's guaranteed rate beats the oblivious
-      baseline by at least that factor.
-    - ["stream-equiv"]: for stream scenarios ({!Scenario.t.stream}), a
-      serial replay of the q instances on a fresh session decides the same
-      values, accumulates the same disputes and evolves the same graph —
-      the streaming layer is a scheduling transformation only. Trivially
-      passes on serial scenarios. *)
-
 val register : string -> oracle -> unit
 (** Extend the oracle vocabulary for this process (tests inject
     deliberately-failing oracles to exercise the shrinker). Registered
-    names win over {!builtin}. *)
-
-val find : string -> oracle option
+    names win over the built-in oracles. *)
 
 val evaluate : ctx -> names:string list -> outcome list
 (** Run the named oracles in order. An unknown name yields a failing

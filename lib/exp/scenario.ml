@@ -205,26 +205,11 @@ let graph s =
 let config s =
   Nab.config ~f:s.f ~l_bits:s.l_bits ~m:s.m ~seed:s.seed ~flag_backend:s.flag_backend ()
 
-let registry : (string, Adversary.t) Hashtbl.t = Hashtbl.create 8
-let registry_mutex = Mutex.create ()
-
-let register_adversary name a =
-  Mutex.lock registry_mutex;
-  Hashtbl.replace registry name a;
-  Mutex.unlock registry_mutex
-
 let adversary_t s =
   let base =
-    Mutex.lock registry_mutex;
-    let r = Hashtbl.find_opt registry s.adversary.adv in
-    Mutex.unlock registry_mutex;
-    match r with
+    match Adversary.find s.adversary.adv with
     | Some a -> a
-    | None -> (
-        match Adversary.find s.adversary.adv with
-        | Some a -> a
-        | None ->
-            invalid_arg (Printf.sprintf "Scenario: unknown adversary %S" s.adversary.adv))
+    | None -> invalid_arg (Printf.sprintf "Scenario: unknown adversary %S" s.adversary.adv)
   in
   Adversary.with_disabled_hooks s.adversary.disabled base
 

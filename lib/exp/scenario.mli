@@ -163,8 +163,8 @@ val graph : t -> Digraph.t
 val config : t -> Nab.config
 val adversary_t : t -> Adversary.t
 (** Resolve the adversary spec; raises [Invalid_argument] on an unknown
-    name or hook. Consults {!register_adversary} entries before the
-    {!Nab_core.Adversary.find} zoo. *)
+    name or hook. Names resolve through the {!Nab_core.Adversary.find}
+    zoo. *)
 
 val inputs : t -> int -> Bitvec.t
 (** The per-instance input values: [input_stream ~l_bits:s.l_bits
@@ -181,12 +181,6 @@ val input_stream : l_bits:int -> seed:int -> int -> Bitvec.t
 val explicit : t -> t
 (** Replace the topology by its materialized [Explicit] form (id
     re-derived) — the first step of edge-level shrinking. *)
-
-val register_adversary : string -> Adversary.t -> unit
-(** Extend the adversary vocabulary for this process (test harnesses inject
-    deliberately-broken strategies this way). Registered names win over the
-    zoo; they are {e not} replayable in a fresh process, which is why only
-    tests use this. *)
 
 (** {1 JSON codec} *)
 

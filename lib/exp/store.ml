@@ -49,10 +49,7 @@ type t = {
   mutable closed : bool;
 }
 
-let dir t = t.dir
-let salt t = t.salt
 let row_count t = Array.fold_left ( + ) 0 t.rows
-let sealed t = t.is_sealed
 let mem t id = Hashtbl.mem t.ids id
 let pending t = t.pending_n
 

@@ -55,15 +55,8 @@ val open_ : ?shards:int -> dir:string -> salt:string -> unit -> t
     hashes and any torn tail is truncated; [shards] (default 16, max 256)
     applies only when the store is created fresh. *)
 
-val dir : t -> string
-val salt : t -> string
-
 val row_count : t -> int
 (** Committed rows (excluding {!add}ed-but-uncommitted ones). *)
-
-val sealed : t -> bool
-(** True when the store's last commit was a {!seal} and nothing has been
-    appended since. *)
 
 val mem : t -> string -> bool
 (** Is a row with this scenario id present (committed or pending)? The
@@ -114,8 +107,6 @@ type manifest = {
 
 val read_manifest : string -> manifest
 (** Read [DIR/MANIFEST.json]; raises {!Error} if absent or malformed. *)
-
-val total_rows : manifest -> int
 
 val fold_shard : dir:string -> manifest -> int -> init:'a -> f:('a -> string -> 'a) -> 'a
 (** Fold over the committed lines of one shard, in file order. Only the

@@ -282,6 +282,3 @@ let generator f =
               in
               Atomic.set f.gen (Some g);
               g)
-
-let pp f fmt x = Format.fprintf fmt "0x%0*x" ((f.m + 3) / 4) x
-let pp_field fmt f = Format.fprintf fmt "GF(2^%d) mod 0x%x" f.m f.full

@@ -78,12 +78,6 @@ val random_nonzero : t -> Random.State.t -> int
 val generator : t -> int
 (** A generator of the multiplicative group (smallest one). *)
 
-val pp : t -> Format.formatter -> int -> unit
-(** Hex-print an element. *)
-
-val pp_field : Format.formatter -> t -> unit
-(** Print the field as ["GF(2^m) mod 0x..."]. *)
-
 val irreducible : m:int -> poly:int -> bool
 (** Rabin irreducibility test for a degree-[m] polynomial over GF(2), given
     as a full bit mask. Exposed for tests. *)

@@ -46,8 +46,6 @@ type mode =
 type t = { fld : Gf2p.t; m : int; mask : int; mode : mode }
 
 let field k = k.fld
-let degree k = k.m
-let tabled k = match k.mode with Raw _ -> false | _ -> true
 
 (* ------------------------------ stats ------------------------------ *)
 

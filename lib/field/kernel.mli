@@ -74,11 +74,6 @@ val field : t -> Gf2p.t
     its [(degree, poly)] pair when that pair is canonical (see
     {!of_field}); not necessarily the descriptor passed in. *)
 
-val degree : t -> int
-
-val tabled : t -> bool
-(** Whether the kernel runs on exp/log tables ([m <= 16]). *)
-
 (** {1 Scalar operations}
 
     Same results as the {!Gf2p} counterparts, without the per-call cache

@@ -23,5 +23,3 @@ val factor : int -> (int * int) list
 
 val prime_divisors : int -> int list
 (** Distinct prime divisors in increasing order. *)
-
-val gcd : int -> int -> int

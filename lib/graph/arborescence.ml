@@ -123,10 +123,3 @@ let verify g ~root trees =
               (Printf.sprintf "edge (%d,%d) used %d times but has capacity %d" u v used
                  (Digraph.cap g u v)))
     usage (Ok ())
-
-let pp fmt t =
-  Format.fprintf fmt "@[{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@ ")
-       (fun fmt (p, c) -> Format.fprintf fmt "%d->%d" p c))
-    t

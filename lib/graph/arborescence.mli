@@ -28,5 +28,3 @@ val depth : tree -> root:int -> int
 val vertices_by_depth : tree -> root:int -> (int * int) list
 (** [(vertex, depth)] pairs sorted by depth then vertex; the root has
     depth 0. Drives the hop-by-hop Phase-1 forwarding schedule. *)
-
-val pp : Format.formatter -> tree -> unit

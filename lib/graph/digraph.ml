@@ -163,8 +163,3 @@ let fingerprint g =
         inner)
     g.succ;
   Buffer.contents buf
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>vertices: %a@,edges:@," Vset.pp g.verts;
-  List.iter (fun (s, d, c) -> Format.fprintf fmt "  %d -> %d (cap %d)@," s d c) (edges g);
-  Format.fprintf fmt "@]"

@@ -76,4 +76,3 @@ val reachable : t -> int -> Vset.t
 (** Vertices reachable from the given vertex by directed paths (inclusive). *)
 
 val is_strongly_connected : t -> bool
-val pp : Format.formatter -> t -> unit

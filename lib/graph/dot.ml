@@ -13,14 +13,3 @@ let of_digraph ?(name = "G") ?(highlight = []) g =
     (Digraph.edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let of_ugraph ?(name = "G") ?(highlight = []) g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
-  List.iter (fun v -> Buffer.add_string buf (Printf.sprintf "  %d;\n" v)) (Ugraph.vertices g);
-  List.iter
-    (fun (u, v, c) ->
-      Buffer.add_string buf (Printf.sprintf "  %d -- %d %s;\n" u v (edge_attrs highlight u v c)))
-    (Ugraph.edges g);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -42,15 +42,6 @@ let edges g =
 
 let num_edges g = List.length (edges g)
 let neighbors g v = Digraph.out_edges g v
-let degree g v = List.length (neighbors g v)
-let remove_vertex = Digraph.remove_vertex
-let induced = Digraph.induced
-let equal = Digraph.equal
 
 let fold_edges f g acc =
   List.fold_left (fun acc (u, v, c) -> f u v c acc) acc (edges g)
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>vertices: %a@,edges:@," Vset.pp (vertex_set g);
-  List.iter (fun (u, v, c) -> Format.fprintf fmt "  %d -- %d (cap %d)@," u v c) (edges g);
-  Format.fprintf fmt "@]"

@@ -4,14 +4,6 @@
 
 type t
 
-val empty : t
-val add_vertex : t -> int -> t
-
-val add_edge : t -> int -> int -> int -> t
-(** [add_edge g u v cap]: adds {u,v} with the given capacity (replacing any
-    previous one). Raises [Invalid_argument] on non-positive capacity or
-    self-loop. *)
-
 val of_edges : ?vertices:int list -> (int * int * int) list -> t
 
 val of_digraph : Digraph.t -> t
@@ -31,9 +23,4 @@ val edges : t -> (int * int * int) list
 val neighbors : t -> int -> (int * int) list
 (** [(neighbor, cap)] pairs, sorted. *)
 
-val degree : t -> int -> int
-val remove_vertex : t -> int -> t
-val induced : t -> Vset.t -> t
-val equal : t -> t -> bool
 val fold_edges : (int -> int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-val pp : Format.formatter -> t -> unit

@@ -18,12 +18,6 @@ let get a i j =
   if i < 0 || i >= a.nr || j < 0 || j >= a.nc then invalid_arg "Matrix.get";
   a.data.((i * a.nc) + j)
 
-let set a i j v =
-  if i < 0 || i >= a.nr || j < 0 || j >= a.nc then invalid_arg "Matrix.set";
-  let data = Array.copy a.data in
-  data.((i * a.nc) + j) <- v;
-  { a with data }
-
 let of_arrays rows =
   let nr = Array.length rows in
   let nc = if nr = 0 then 0 else Array.length rows.(0) in
@@ -44,15 +38,6 @@ let row a i = Array.sub a.data (i * a.nc) a.nc
 let col a j = Array.init a.nr (fun i -> get a i j)
 let transpose a = init a.nc a.nr (fun i j -> get a j i)
 let equal a b = a.nr = b.nr && a.nc = b.nc && a.data = b.data
-let is_zero a = Array.for_all (fun x -> x = 0) a.data
-
-let add f a b =
-  if a.nr <> b.nr || a.nc <> b.nc then invalid_arg "Matrix.add: shape mismatch";
-  (* char 2: matrix addition is one fused XOR pass (the kernel's a = 1
-     axpy), not a per-element closure through the field descriptor. *)
-  let data = Array.copy a.data in
-  Kernel.axpy_row (Kernel.of_field f) ~a:1 ~x:b.data ~y:data;
-  { a with data }
 
 let mul f a b =
   if a.nc <> b.nr then invalid_arg "Matrix.mul: shape mismatch";
@@ -63,11 +48,6 @@ let mul f a b =
       ~cols:b.nc ~y:c ~yoff:(i * b.nc)
   done;
   { nr = a.nr; nc = b.nc; data = c }
-
-let scale f s a =
-  let data = Array.copy a.data in
-  Kernel.scal_row (Kernel.of_field f) ~a:s ~x:data;
-  { a with data }
 
 let vec_mul f x a =
   if Array.length x <> a.nr then invalid_arg "Matrix.vec_mul: shape mismatch";
@@ -101,13 +81,4 @@ let select_cols a js =
   Array.iter (fun j -> if j < 0 || j >= a.nc then invalid_arg "Matrix.select_cols") js;
   init a.nr (Array.length js) (fun i j -> get a i js.(j))
 
-let map f a = { a with data = Array.map f a.data }
 let random fld nr nc st = init nr nc (fun _ _ -> Gf2p.random fld st)
-
-let pp f fmt a =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to a.nr - 1 do
-    if i > 0 then Format.fprintf fmt "@,";
-    Vec.pp f fmt (row a i)
-  done;
-  Format.fprintf fmt "@]"

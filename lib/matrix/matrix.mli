@@ -14,8 +14,6 @@ val identity : int -> t
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> int
-val set : t -> int -> int -> int -> t
-(** Functional update. *)
 
 val of_arrays : int array array -> t
 (** Copies; raises [Invalid_argument] on ragged input. *)
@@ -36,10 +34,7 @@ val row : t -> int -> int array
 val col : t -> int -> int array
 val transpose : t -> t
 val equal : t -> t -> bool
-val is_zero : t -> bool
-val add : Gf2p.t -> t -> t -> t
 val mul : Gf2p.t -> t -> t -> t
-val scale : Gf2p.t -> int -> t -> t
 
 val vec_mul : Gf2p.t -> int array -> t -> int array
 (** Row vector times matrix: [vec_mul f x a] has length [cols a]. *)
@@ -57,6 +52,4 @@ val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
 val select_cols : t -> int list -> t
 (** Keep the listed columns, in the order given. *)
 
-val map : (int -> int) -> t -> t
 val random : Gf2p.t -> int -> int -> Random.State.t -> t
-val pp : Gf2p.t -> Format.formatter -> t -> unit

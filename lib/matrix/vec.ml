@@ -9,10 +9,6 @@ let add f a b =
   check_same_length a b;
   Array.mapi (fun i ai -> Gf2p.add f ai b.(i)) a
 
-let sub = add
-
-let scale f c a = Array.map (fun ai -> Gf2p.mul f c ai) a
-
 let dot f a b =
   check_same_length a b;
   let acc = ref 0 in
@@ -20,12 +16,3 @@ let dot f a b =
   !acc
 
 let is_zero a = Array.for_all (fun x -> x = 0) a
-let equal a b = a = b
-let random f n st = Array.init n (fun _ -> Gf2p.random f st)
-
-let pp f fmt a =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_seq
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       (Gf2p.pp f))
-    (Array.to_seq a)

@@ -4,10 +4,5 @@ open Nab_field
 
 val zero : int -> int array
 val add : Gf2p.t -> int array -> int array -> int array
-val sub : Gf2p.t -> int array -> int array -> int array
-val scale : Gf2p.t -> int -> int array -> int array
 val dot : Gf2p.t -> int array -> int array -> int
 val is_zero : int array -> bool
-val equal : int array -> int array -> bool
-val random : Gf2p.t -> int -> Random.State.t -> int array
-val pp : Gf2p.t -> Format.formatter -> int array -> unit

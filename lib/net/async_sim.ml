@@ -174,7 +174,7 @@ let sample_delay t =
 
 let round t ~phase outbox =
   let l = t.l in
-  ignore (Ledger.begin_round l ~phase : int);
+  Ledger.begin_round l ~phase;
   (* Collect this round's accepted sends; arrivals are stamped once the
      round's transmission time is known. *)
   let sends = ref [] in

@@ -39,7 +39,6 @@ type 'm t = {
   e_dst_id : int array;
   e_dst : int array; (* dense destination index per edge *)
   e_capf : float array;
-  e_delay : int array; (* max 0 (delays (src, dst)), resolved at compile time *)
   (* (src index * nv + dst index) -> edge id. Dense matrix for small
      graphs, hashtable above [dense_edge_limit] vertices. *)
   eid_dense : int array;
@@ -63,8 +62,7 @@ type 'm t = {
 let dense_vertex_span = 65536
 let dense_edge_limit = 512 (* nv <= this: the nv^2 edge matrix stays small *)
 
-let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) ~who g
-    ~bits =
+let create ?(obs = Nab_obs.null) ?(keep_events = false) ~who g ~bits =
   let vid = Array.of_list (Digraph.vertices g) in
   let nv = Array.length vid in
   let idx_tbl = Hashtbl.create (max 16 nv) in
@@ -90,7 +88,6 @@ let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) ~
   let e_dst_id = Array.make ne 0 in
   let e_dst = Array.make ne 0 in
   let e_capf = Array.make ne 0.0 in
-  let e_delay = Array.make ne 0 in
   let use_dense = nv > 0 && nv <= dense_edge_limit in
   let eid_dense = if use_dense then Array.make (nv * nv) (-1) else [||] in
   let eid_tbl = Hashtbl.create (if use_dense then 1 else max 16 ne) in
@@ -105,7 +102,6 @@ let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) ~
       e_dst_id.(e) <- dst;
       e_dst.(e) <- di;
       e_capf.(e) <- float_of_int cap;
-      e_delay.(e) <- max 0 (delays (src, dst));
       let key = (si * nv) + di in
       if use_dense then eid_dense.(key) <- e else Hashtbl.replace eid_tbl key e)
     edges;
@@ -125,7 +121,6 @@ let create ?(delays = fun _ -> 0) ?(obs = Nab_obs.null) ?(keep_events = false) ~
     e_dst_id;
     e_dst;
     e_capf;
-    e_delay;
     eid_dense;
     eid_tbl;
     round_no = 0;
@@ -168,7 +163,6 @@ let edge_id t src dst =
   end
 
 let edge_dst t e = t.e_dst.(e)
-let edge_delay t e = t.e_delay.(e)
 
 (* ------------------------------ rounds ------------------------------ *)
 
@@ -189,8 +183,7 @@ let elapsed_phases t =
 let begin_round t ~phase =
   t.cur <- phase_acc t phase;
   t.cur_phase <- phase;
-  t.round_no <- t.round_no + 1;
-  t.round_no
+  t.round_no <- t.round_no + 1
 
 let charge t e msg =
   let b = t.bits msg in

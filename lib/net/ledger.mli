@@ -2,8 +2,8 @@
     model in one place.
 
     A ledger compiles a digraph once into a dense index (a direct
-    id->index table, edge arrays in (src, dst) order carrying capacity and
-    propagation delay, and an O(1) edge-id lookup) and keeps the whole
+    id->index table, edge arrays in (src, dst) order carrying capacity,
+    and an O(1) edge-id lookup) and keeps the whole
     run's books: per-phase accumulators, the per-round bit tally, per-link
     totals, the delivery trace and the ["sim"]-scope observability points.
     A round in which link e of capacity z_e carries b_e bits lasts
@@ -21,15 +21,14 @@ type 'm event = { round_no : int; ev_phase : string; src : int; dst : int; msg :
 type 'm t
 
 val create :
-  ?delays:(int * int -> int) ->
   ?obs:Nab_obs.ctx ->
   ?keep_events:bool ->
   who:string ->
   Nab_graph.Digraph.t ->
   bits:('m -> int) ->
   'm t
-(** A fresh ledger over the graph. [delays] is evaluated once per link
-    (default 0); [who] names the engine in the error {!charge} raises.
+(** A fresh ledger over the graph. [who] names the engine in the error
+    {!charge} raises.
     [obs] and [keep_events] as in {!Sim.create}. *)
 
 (** {1 Index} *)
@@ -48,13 +47,10 @@ val edge_id : 'm t -> int -> int -> int
 val edge_dst : 'm t -> int -> int
 (** Dense index of an edge's destination. *)
 
-val edge_delay : 'm t -> int -> int
-(** An edge's propagation delay in rounds. *)
-
 (** {1 Rounds} *)
 
-val begin_round : 'm t -> phase:string -> int
-(** Open the next round, accounted to [phase]; returns its number. *)
+val begin_round : 'm t -> phase:string -> unit
+(** Open the next round, accounted to [phase]. *)
 
 val charge : 'm t -> int -> 'm -> unit
 (** Put a message on an edge: it counts towards this round's tally and

@@ -1,14 +1,9 @@
 open Nab_graph
 
-(* One flow's state on one link: its FIFO, its credit in bits and its
-   weight (fixed at activation). The record lives in the link's rotation
-   while the flow has queued traffic and is dropped when it drains. *)
-type flow = {
-  f_id : int;
-  f_queue : Packet.t Queue.t;
-  mutable f_deficit : float;
-  f_weight : int;
-}
+(* One flow's state on one link: its FIFO and its credit in bits. The
+   record lives in the link's rotation while the flow has queued traffic
+   and is dropped when it drains. *)
+type flow = { f_id : int; f_queue : Packet.t Queue.t; mutable f_deficit : float }
 
 type link = {
   l_src : int;
@@ -16,7 +11,6 @@ type link = {
   l_cap : float;
   active : (int, flow) Hashtbl.t; (* flow id -> record, for enqueue *)
   rotation : flow Queue.t; (* flows with queued traffic, activation order *)
-  mutable total_weight : int; (* over the rotation *)
 }
 
 type t = {
@@ -25,10 +19,9 @@ type t = {
      walks and the order enqueue's binary search relies on. *)
   links : link array;
   mutable n_queued : int;
-  mutable bits_queued : int;
 }
 
-let create ?(quantum = 32.0) g =
+let create ~quantum g =
   if quantum <= 0.0 then invalid_arg "Link_sched.create: quantum must be positive";
   let links =
     List.sort compare (Digraph.edges g)
@@ -39,11 +32,10 @@ let create ?(quantum = 32.0) g =
              l_cap = float_of_int (max 1 cap);
              active = Hashtbl.create 4;
              rotation = Queue.create ();
-             total_weight = 0;
            })
     |> Array.of_list
   in
-  { quantum; links; n_queued = 0; bits_queued = 0 }
+  { quantum; links; n_queued = 0 }
 
 let find_link t ~src ~dst =
   let rec go lo hi =
@@ -56,8 +48,7 @@ let find_link t ~src ~dst =
   in
   go 0 (Array.length t.links)
 
-let enqueue t ~flow ?(weight = 1) ~src ~dst pkt =
-  if weight < 1 then invalid_arg "Link_sched.enqueue: weight must be >= 1";
+let enqueue t ~flow ~src ~dst pkt =
   match find_link t ~src ~dst with
   | None ->
       invalid_arg
@@ -67,21 +58,15 @@ let enqueue t ~flow ?(weight = 1) ~src ~dst pkt =
         match Hashtbl.find_opt l.active flow with
         | Some fl -> fl
         | None ->
-            let fl =
-              { f_id = flow; f_queue = Queue.create (); f_deficit = 0.0; f_weight = weight }
-            in
+            let fl = { f_id = flow; f_queue = Queue.create (); f_deficit = 0.0 } in
             Hashtbl.replace l.active flow fl;
             Queue.push fl l.rotation;
-            l.total_weight <- l.total_weight + weight;
             fl
       in
       Queue.push pkt fl.f_queue;
-      t.n_queued <- t.n_queued + 1;
-      t.bits_queued <- t.bits_queued + Packet.bits pkt
+      t.n_queued <- t.n_queued + 1
 
-let deactivate l fl =
-  Hashtbl.remove l.active fl.f_id;
-  l.total_weight <- l.total_weight - fl.f_weight
+let deactivate l fl = Hashtbl.remove l.active fl.f_id
 
 let flush_flow t flow =
   Array.iter
@@ -89,11 +74,7 @@ let flush_flow t flow =
       match Hashtbl.find_opt l.active flow with
       | None -> ()
       | Some fl ->
-          Queue.iter
-            (fun pkt ->
-              t.n_queued <- t.n_queued - 1;
-              t.bits_queued <- t.bits_queued - Packet.bits pkt)
-            fl.f_queue;
+          t.n_queued <- t.n_queued - Queue.length fl.f_queue;
           deactivate l fl;
           (* Rebuild the rotation without the flushed flow, preserving the
              relative order of the survivors. *)
@@ -104,10 +85,9 @@ let flush_flow t flow =
     t.links
 
 let queued t = t.n_queued
-let queued_bits t = t.bits_queued
 
 (* One DRR pass over a link: each active flow is visited once, its deficit
-   topped up by its weighted share of the round budget, and affordable
+   topped up by its equal share of the round budget, and affordable
    head-of-line packets are sent while the link budget lasts. Returns the
    link's sends as [(dst, packet)], last sent first. *)
 let select_link t l =
@@ -116,19 +96,16 @@ let select_link t l =
   else begin
     let budget0 = l.l_cap *. t.quantum in
     let budget = ref budget0 in
-    let total_weight = float_of_int l.total_weight in
+    let share = budget0 /. float_of_int n_active in
     let sent = ref [] in
     let take pkt =
       sent := (l.l_dst, pkt) :: !sent;
-      t.n_queued <- t.n_queued - 1;
-      t.bits_queued <- t.bits_queued - Packet.bits pkt
+      t.n_queued <- t.n_queued - 1
     in
     for _ = 1 to n_active do
       let fl = Queue.pop l.rotation in
       let q = fl.f_queue in
-      let d =
-        ref (fl.f_deficit +. (budget0 *. float_of_int fl.f_weight /. total_weight))
-      in
+      let d = ref (fl.f_deficit +. share) in
       (* Send while the head packet fits both the flow's credit and the
          link's budget; otherwise keep the credit for the next round. *)
       while

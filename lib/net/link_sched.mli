@@ -1,4 +1,4 @@
-(** Per-link weighted deficit-round-robin scheduling: the data plane of a
+(** Per-link deficit-round-robin scheduling: the data plane of a
     streaming session that multiplexes many broadcast instances over one
     shared fabric.
 
@@ -7,14 +7,13 @@
     a rotation over the flows with queued traffic, and a per-flow deficit
     counter in bits. One {!select} call picks at most one round's worth of
     traffic per link — a time budget of [quantum] simulated units, i.e.
-    [cap_e * quantum] bits on link [e] — splitting the budget across the
-    active flows in proportion to their weights, with unused credit carried
-    in the deficit counter exactly as in classic DRR.
+    [cap_e * quantum] bits on link [e] — splitting the budget equally
+    across the active flows, with unused credit carried in the deficit
+    counter exactly as in classic DRR.
 
     Fairness contract, for flows that stay backlogged on a link from their
     activation on, with no packet longer than its flow's per-round share
-    ([cap_e * quantum * w / W] bits for weight [w] among active weights
-    [W]): no flow ever sends more than its share summed over the rounds,
+    ([cap_e * quantum / n] bits among [n] active flows): no flow ever sends more than its share summed over the rounds,
     and the flow at the head of the rotation sends at least that minus one
     maximum packet size. When the packet sizes divide the shares, every
     flow sends exactly its share in every round. The round budget is
@@ -35,16 +34,14 @@
 
 type t
 
-val create : ?quantum:float -> Nab_graph.Digraph.t -> t
-(** A scheduler over the graph's links. [quantum] (default [32.0]) is the
-    per-round time budget; a round produced by {!select} therefore lasts
+val create : quantum:float -> Nab_graph.Digraph.t -> t
+(** A scheduler over the graph's links. [quantum] is the per-round time
+    budget; a round produced by {!select} therefore lasts
     about [quantum] simulated time units when links are saturated. Raises
     [Invalid_argument] when [quantum <= 0]. *)
 
-val enqueue : t -> flow:int -> ?weight:int -> src:int -> dst:int -> Packet.t -> unit
-(** Append a packet to [flow]'s FIFO on link [(src, dst)]. [weight]
-    (default 1, must be >= 1) sets the flow's share on that link; the
-    value at first enqueue wins while the flow stays active. Raises
+val enqueue : t -> flow:int -> src:int -> dst:int -> Packet.t -> unit
+(** Append a packet to [flow]'s FIFO on link [(src, dst)]. Raises
     [Invalid_argument] when the link is not in the graph. *)
 
 val flush_flow : t -> int -> unit
@@ -54,9 +51,6 @@ val flush_flow : t -> int -> unit
 
 val queued : t -> int
 (** Total packets currently queued across all links. *)
-
-val queued_bits : t -> int
-(** Total payload bits currently queued across all links. *)
 
 val select : t -> (int * (int * Packet.t) list) list
 (** Dequeue one round of traffic: for each link, up to the round budget in

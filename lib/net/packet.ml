@@ -47,9 +47,3 @@ let decode s =
         Error "trailing bytes after packet"
       else Ok p
   | exception Wire.Codec.Bad e -> Error e
-
-let pp fmt p =
-  Format.fprintf fmt "{%s %d=>%d via [%a] %a}" p.proto p.origin p.final_dst
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ';')
-       Format.pp_print_int)
-    p.route Wire.pp p.payload

@@ -17,7 +17,6 @@ val bits : t -> int
     which link when is part of the static algorithm description). *)
 
 val direct : proto:string -> origin:int -> dst:int -> Wire.payload -> t
-val pp : Format.formatter -> t -> unit
 
 (** {1 Byte codec}
 
@@ -27,8 +26,3 @@ val pp : Format.formatter -> t -> unit
 
 val encode : t -> string
 val decode : string -> (t, string) result
-
-val encode_into : Buffer.t -> t -> unit
-val decode_from : Wire.Codec.reader -> t
-(** Raises {!Wire.Codec.Bad} on malformed input (composite codecs catch at
-    their boundary). *)

@@ -22,43 +22,34 @@ type timing = Transport.timing = {
 }
 
 (* Accounting lives in the ledger; Sim adds synchronous delivery. The
-   delivered-message semantics (inbox ordering, delayed arrivals, drop
-   accounting, trace sampling) are byte-identical to the pre-compilation
-   implementation; test/test_net.ml keeps a verbatim copy of that
-   implementation and checks the two differentially on random graphs. *)
+   delivered-message semantics (inbox ordering, drop accounting, trace
+   sampling) are byte-identical to the pre-compilation implementation;
+   test/test_net.ml keeps a verbatim copy of that implementation and
+   checks the two differentially on random graphs. *)
 type 'm t = {
   l : 'm Ledger.t;
-  pending : (int, (int * int * 'm) list) Hashtbl.t;
-      (* due round -> (src, dst, msg): in-flight messages on delayed links *)
   (* Per destination index: the inbox under construction. Senders are
-     scanned in ascending order, so immediate deliveries arrive already
-     grouped by sender — groups are appended, messages within a group are
-     consed (the pre-rewrite cons-then-stable-sort produced exactly
-     ascending sender groups with reverse delivery order inside). Rounds
-     with delayed arrivals fall back to the verbatim legacy construction
-     (ib_flag / ib_legacy). *)
+     scanned in ascending order, so deliveries arrive already grouped by
+     sender — groups are appended, messages within a group are consed
+     (the pre-rewrite cons-then-stable-sort produced exactly ascending
+     sender groups with reverse delivery order inside). *)
   ib_open : bool array; (* a sender group is open *)
   ib_src : int array; (* sender id of the open group *)
   ib_group : (int * 'm) list array; (* open group, consed *)
   ib_done : (int * 'm) list array; (* closed groups, reverse final order *)
-  ib_flag : bool array; (* destination got delayed arrivals this round *)
-  ib_legacy : (int * 'm) list array; (* cons-in-delivery-order fallback *)
   dst_touched : int array;
   mutable n_dst : int;
 }
 
-let create ?delays ?obs ?keep_events g ~bits =
-  let l = Ledger.create ?delays ?obs ?keep_events ~who:"Sim.round" g ~bits in
+let create ?obs ?keep_events g ~bits =
+  let l = Ledger.create ?obs ?keep_events ~who:"Sim.round" g ~bits in
   let nv = Ledger.nv l in
   {
     l;
-    pending = Hashtbl.create 8;
     ib_open = Array.make nv false;
     ib_src = Array.make nv 0;
     ib_group = Array.make nv [];
     ib_done = Array.make nv [];
-    ib_flag = Array.make nv false;
-    ib_legacy = Array.make nv [];
     dst_touched = Array.make nv 0;
     n_dst = 0;
   }
@@ -67,57 +58,27 @@ let ledger t = t.l
 
 let round t ~phase outbox =
   let l = t.l in
-  let round_no = Ledger.begin_round l ~phase in
-  let touch_dst di =
-    t.dst_touched.(t.n_dst) <- di;
-    t.n_dst <- t.n_dst + 1
-  in
-  (* Messages whose propagation delay elapses this round arrive first;
-     their destinations use the legacy inbox construction for the rest of
-     the round (senders of delayed messages are not sorted). *)
-  (match Hashtbl.find_opt t.pending round_no with
-  | Some arrivals ->
-      List.iter
-        (fun (src, dst, msg) ->
-          let di = Ledger.vertex_index l dst in
-          if not t.ib_flag.(di) then begin
-            t.ib_flag.(di) <- true;
-            touch_dst di
-          end;
-          t.ib_legacy.(di) <- (src, msg) :: t.ib_legacy.(di);
-          Ledger.deliver l src dst msg)
-        (List.rev arrivals);
-      Hashtbl.remove t.pending round_no
-  | None -> ());
-  let deliver_now di src dst msg =
-    (if t.ib_flag.(di) then t.ib_legacy.(di) <- (src, msg) :: t.ib_legacy.(di)
-     else begin
-       if not t.ib_open.(di) then begin
-         t.ib_open.(di) <- true;
-         t.ib_src.(di) <- src;
-         touch_dst di
-       end
-       else if t.ib_src.(di) <> src then begin
-         t.ib_done.(di) <- List.rev_append t.ib_group.(di) t.ib_done.(di);
-         t.ib_group.(di) <- [];
-         t.ib_src.(di) <- src
-       end;
-       t.ib_group.(di) <- (src, msg) :: t.ib_group.(di)
-     end);
+  Ledger.begin_round l ~phase;
+  let deliver di src dst msg =
+    if not t.ib_open.(di) then begin
+      t.ib_open.(di) <- true;
+      t.ib_src.(di) <- src;
+      t.dst_touched.(t.n_dst) <- di;
+      t.n_dst <- t.n_dst + 1
+    end
+    else if t.ib_src.(di) <> src then begin
+      t.ib_done.(di) <- List.rev_append t.ib_group.(di) t.ib_done.(di);
+      t.ib_group.(di) <- [];
+      t.ib_src.(di) <- src
+    end;
+    t.ib_group.(di) <- (src, msg) :: t.ib_group.(di);
     Ledger.deliver l src dst msg
   in
   let send src (dst, msg) =
     let e = Ledger.edge_id l src dst in
     if e >= 0 then begin
       Ledger.charge l e msg;
-      let d = Ledger.edge_delay l e in
-      if d = 0 then deliver_now (Ledger.edge_dst l e) src dst msg
-      else begin
-        let due = round_no + d in
-        Hashtbl.replace t.pending due
-          ((src, dst, msg)
-          :: (match Hashtbl.find_opt t.pending due with Some l -> l | None -> []))
-      end
+      deliver (Ledger.edge_dst l e) src dst msg
     end
     else Ledger.drop l
   in
@@ -133,34 +94,20 @@ let round t ~phase outbox =
   let res = Array.make nv [] in
   for i = 0 to t.n_dst - 1 do
     let di = t.dst_touched.(i) in
-    (if t.ib_flag.(di) then
-       (* Delayed arrivals mixed in: replicate the pre-rewrite
-          cons-then-stable-sort construction verbatim. *)
-       res.(di) <- List.stable_sort (fun (a, _) (b, _) -> compare a b) t.ib_legacy.(di)
-     else begin
-       let done_rev =
-         if t.ib_open.(di) then List.rev_append t.ib_group.(di) t.ib_done.(di)
-         else t.ib_done.(di)
-       in
-       res.(di) <- List.rev done_rev
-     end);
-    t.ib_flag.(di) <- false;
+    res.(di) <- List.rev (List.rev_append t.ib_group.(di) t.ib_done.(di));
     t.ib_open.(di) <- false;
     t.ib_group.(di) <- [];
-    t.ib_done.(di) <- [];
-    t.ib_legacy.(di) <- []
+    t.ib_done.(di) <- []
   done;
   t.n_dst <- 0;
   fun v ->
     let di = Ledger.vertex_index l v in
     if di < 0 then [] else res.(di)
 
-let pending_count t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.pending 0
-
-(* Terminates: an empty outbox adds nothing to [pending] and every round
-   advances towards the largest due round. *)
-let drain t ~phase =
-  Ledger.drain t.l ~pending:(fun () -> pending_count t) (round t ~phase)
+(* Every message arrives in the round that sends it: nothing is ever in
+   flight between rounds. *)
+let pending_count _ = 0
+let drain _ ~phase:_ _ = []
 
 let graph t = Ledger.graph t.l
 let obs t = Ledger.obs t.l
@@ -204,13 +151,9 @@ end
 let transport (t : Packet.t t) : Transport.t =
   Transport.pack (module Packet_transport) t
 
-let factory ?delays () : Transport.factory =
- fun ~obs ~keep_events g ->
-  transport (create ?delays ~obs ~keep_events g ~bits:Packet.bits)
-
-(* Evaluated once at module initialisation: the shared default every
-   driver-level [?transport] argument points at, so "which backend runs
-   when the caller says nothing" is decided in exactly one place instead
-   of a fresh [factory ()] closure per call site. *)
-let default_factory : Transport.factory = factory ()
+(* The shared default every driver-level [?transport] argument points at,
+   so "which backend runs when the caller says nothing" is decided in
+   exactly one place. *)
+let default_factory : Transport.factory =
+ fun ~obs ~keep_events g -> transport (create ~obs ~keep_events g ~bits:Packet.bits)
 

@@ -27,21 +27,16 @@
 type 'm t
 
 val create :
-  ?delays:(int * int -> int) ->
   ?obs:Nab_obs.ctx ->
   ?keep_events:bool ->
   Nab_graph.Digraph.t ->
   bits:('m -> int) ->
   'm t
 (** A fresh simulator on the given network. [bits] gives the wire size of a
-    message; it must be positive. [delays (src, dst)] is the propagation
-    delay of a link in whole rounds (default 0 everywhere): a message sent
-    in round r is delivered by the (r + delay)-th call to {!round}. The
-    paper assumes zero delays and notes that relaxing this does not affect
-    correctness (footnote 1, Appendix D); the delayed mode lets tests and
-    benchmarks check that claim on the data plane. [delays] is evaluated
-    once per existing link at creation time (the network is compiled into a
-    flat form); it must be a pure function of the link.
+    message; it must be positive. Every message is delivered in the round
+    that sends it: the paper assumes zero propagation delay and notes that
+    relaxing this does not affect correctness (footnote 1, Appendix D).
+    Lateness is modelled only by {!Async_sim}.
 
     [keep_events] (default [false]) retains the full delivery trace for
     {!events}/{!events_of_phase}. Retention is unbounded — memory grows
@@ -71,17 +66,11 @@ val round : 'm t -> phase:string -> (int -> (int * 'm) list) -> int -> (int * 'm
     inbox as [(sender, message)] pairs, sorted by sender. *)
 
 val pending_count : 'm t -> int
-(** Messages accepted by {!round} onto delayed links whose due round has not
-    been executed yet. A protocol that stops calling {!round} while this is
-    non-zero silently strands those messages — finish with {!drain} or
-    assert this is 0. *)
+(** Always 0: no message outlives the round that sends it. *)
 
 val drain : 'm t -> phase:string -> int -> (int * 'm) list
-(** [drain sim ~phase] runs rounds with empty outboxes until no message is
-    in flight, accounting the (traffic-free) rounds to [phase], and returns
-    the merged late arrivals per node: the concatenation of the per-round
-    inboxes in delivery order, each sorted by sender as {!round} returns
-    them. No-op returning empty inboxes when nothing is pending. *)
+(** Empty inboxes, without running a round: there is nothing in flight to
+    deliver. *)
 
 type phase_stat = Transport.phase_stat = {
   phase : string;
@@ -166,15 +155,10 @@ val transport : Packet.t t -> Transport.t
     protocols drive it through {!Transport.round} while the caller keeps
     the concrete handle for anything simulator-specific. *)
 
-val factory :
-  ?delays:(int * int -> int) -> unit -> Transport.factory
+val default_factory : Transport.factory
 (** The synchronous reference {!Transport.factory}: each call creates a
     fresh {!create}d simulator over the given graph with
-    [~bits:Packet.bits] and packs it. *)
-
-val default_factory : Transport.factory
-(** [factory ()], evaluated once at module initialisation — the single
-    shared value behind every driver-level [?transport] default
-    ([Nab.create_session], [Pipelined.run], [Nab_stream.create], the
-    CLIs), so the no-argument backend choice lives in exactly one
-    place. *)
+    [~bits:Packet.bits] and packs it. It is the single shared value behind
+    every driver-level [?transport] default ([Nab.create_session],
+    [Pipelined.run], [Nab_stream.create], the CLIs), so the no-argument
+    backend choice lives in exactly one place. *)

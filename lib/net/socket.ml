@@ -287,6 +287,10 @@ let ignore_sigpipe =
 
 let monotonic () = Unix.gettimeofday ()
 
+(* The hang guard: a fleet's handshake and each of its rounds must finish
+   within this many seconds, or the lease fails with [Socket_error]. *)
+let timeout = 60.0
+
 (* ---------------------------- worker hook ----------------------------- *)
 
 let env_var = "NAB_SOCKET_NODE"
@@ -790,7 +794,6 @@ type fleet = {
    reproduce the inboxes exactly. *)
 type t = {
   sim : Packet.t Sim.t;
-  timeout : float;
   fleet : fleet;
   mutable state : [ `Live | `Failed of string | `Closed ];
   mutable node_stats : (int * stats) list;
@@ -976,13 +979,16 @@ let spawn_node spec =
 (* Spawn one node process per vertex, run the Hello/Init handshake, and
    wait for every node to finish its peer wiring. On failure everything
    spawned so far is reaped before the exception propagates. *)
-let spawn_fleet ~mode ~timeout ~key l g =
+let spawn_fleet ~mode ~key l g =
   let nv = Ledger.nv l in
   let token = random_token () in
   let dir, ctrl_addr =
     match mode with
     | `Unix ->
-        let d = Filename.temp_dir "nab-socket" "" in
+        let d =
+          try Filename.temp_dir "nab-socket" ""
+          with Sys_error e -> fail "cannot make a socket directory: %s" e
+        in
         (Some d, Unix.ADDR_UNIX (Filename.concat d "ctrl"))
     | `Tcp -> (None, Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
   in
@@ -1134,8 +1140,7 @@ let idle f =
   | _ -> false
   | exception Unix.Unix_error _ -> false
 
-let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
-    ?(keep_events = false) g =
+let create ?(mode : mode = `Unix) ?(obs = Nab_obs.null) ?(keep_events = false) g =
   if not (Atomic.get hook_installed) then
     fail
       "Socket.create: this process never called Socket.exec_node_if_requested \
@@ -1149,9 +1154,9 @@ let create ?(mode : mode = `Unix) ?(timeout = 60.0) ?(obs = Nab_obs.null)
     | Some f when idle f -> f
     | stale ->
         Option.iter (stop_fleet ~grace:0.0) stale;
-        spawn_fleet ~mode ~timeout ~key (Sim.ledger sim) g
+        spawn_fleet ~mode ~key (Sim.ledger sim) g
   in
-  { sim; timeout; fleet; state = `Live; node_stats = [] }
+  { sim; fleet; state = `Live; node_stats = [] }
 
 (* ------------------------------- close -------------------------------- *)
 
@@ -1255,7 +1260,7 @@ let round t ~phase outbox =
   let inboxes = Array.make nv None in
   let n_in = ref 0 in
   pump f.conns
-    ~deadline:(monotonic () +. t.timeout)
+    ~deadline:(monotonic () +. timeout)
     ~expect_live:true
     ~done_:(fun () ->
       Array.iteri
@@ -1317,8 +1322,8 @@ end
 
 let transport (t : t) : Transport.t = Transport.pack (module Socket_transport) t
 
-let factory ?mode ?timeout () : Transport.factory =
- fun ~obs ~keep_events g -> transport (create ?mode ?timeout ~obs ~keep_events g)
+let factory ?mode () : Transport.factory =
+ fun ~obs ~keep_events g -> transport (create ?mode ~obs ~keep_events g)
 
 (* ----------------------------- availability ---------------------------- *)
 

@@ -82,7 +82,6 @@ val exec_node_if_requested : unit -> unit
 
 val create :
   ?mode:mode ->
-  ?timeout:float ->
   ?obs:Nab_obs.ctx ->
   ?keep_events:bool ->
   Nab_graph.Digraph.t ->
@@ -90,8 +89,9 @@ val create :
 (** Lease a fleet for the graph: a parked one of the same [mode] and graph
     if its control channels are healthy, otherwise a new one — one node
     process per vertex, the per-pair data links wired, and the handshake
-    run to the ready barrier. [timeout] (default 60s) bounds the handshake
-    and every subsequent round. Raises {!Socket_error} on any setup
+    run to the ready barrier. A 60 s timeout bounds the handshake and every
+    subsequent round: a fleet that stops answering fails instead of
+    hanging. Raises {!Socket_error} on any setup
     failure (after reaping whatever it had spawned), and when the calling
     process never ran {!exec_node_if_requested}. *)
 
@@ -114,7 +114,7 @@ val transport : t -> Transport.t
 (** Pack the fleet behind the backend-neutral boundary. The packed
     [Transport.close] is {!close}. *)
 
-val factory : ?mode:mode -> ?timeout:float -> unit -> Transport.factory
+val factory : ?mode:mode -> unit -> Transport.factory
 (** Factory for session drivers: every broadcast instance gets its own
     lease over the instance graph (sessions close it per instance), so
     serial instances on one graph reuse one fleet. *)

@@ -76,8 +76,8 @@ module type TRANSPORT = sig
       [outbox v] is what node [v] sends as [(destination, message)] pairs;
       the result maps each node to its inbox as [(sender, message)] pairs
       sorted by sender. Messages on non-existent links are dropped and
-      counted in {!dropped}. Backends with latency or delays may park
-      messages in flight — they arrive in a later round's inbox. *)
+      counted in {!dropped}. A backend with latency ({!Async_sim}) may
+      park messages in flight — they arrive in a later round's inbox. *)
 
   val pending_count : t -> int
   (** Messages accepted but not yet delivered (in flight). A protocol that
@@ -142,5 +142,5 @@ val close : t -> unit
 type factory = obs:Nab_obs.ctx -> keep_events:bool -> Nab_graph.Digraph.t -> t
 (** How sessions create per-instance transports: {!Nab} and [Pipelined]
     take a factory and instantiate one backend per broadcast instance over
-    the session graph. {!Sim.factory} is the default (synchronous)
+    the session graph. {!Sim.default_factory} is the default (synchronous)
     implementation; {!Async_sim.factory} the event-loop one. *)

@@ -393,7 +393,6 @@ type ctx = {
   sinks : sink list;
   table : (string, acc) Hashtbl.t;
   samples : int;
-  time : (unit -> float) option;
 }
 
 let null =
@@ -405,10 +404,9 @@ let null =
     sinks = [];
     table = Hashtbl.create 1;
     samples = 0;
-    time = None;
   }
 
-let make ?(sample_messages = 0) ?clock sinks =
+let make ?(sample_messages = 0) sinks =
   {
     on = true;
     lock = Mutex.create ();
@@ -417,12 +415,10 @@ let make ?(sample_messages = 0) ?clock sinks =
     sinks;
     table = Hashtbl.create 32;
     samples = max 0 sample_messages;
-    time = clock;
   }
 
 let enabled c = c.on
 let sample_messages c = c.samples
-let clock c = c.time
 
 let emit c ev ~scope ?(t = 0.0) ?(attrs = []) name =
   if c.on then begin
@@ -480,26 +476,6 @@ let metrics c =
     List.sort (fun a b -> compare a.m_name b.m_name) ms
   end
 
-let find_metric c name =
-  if not c.on then None
-  else begin
-    Mutex.lock c.lock;
-    let a = Hashtbl.find_opt c.table name in
-    Mutex.unlock c.lock;
-    Option.map
-      (fun a ->
-        {
-          m_name = name;
-          m_kind = a.a_kind;
-          m_count = a.a_count;
-          m_sum = a.a_sum;
-          m_min = a.a_min;
-          m_max = a.a_max;
-          m_last = a.a_last;
-        })
-      a
-  end
-
 let close c =
   if c.on then begin
     Mutex.lock c.lock;
@@ -512,13 +488,3 @@ let close c =
       List.iter (fun s -> s.sink_close ()) c.sinks
     end
   end
-
-let with_ctx ?sample_messages ?clock sinks f =
-  let c = make ?sample_messages ?clock sinks in
-  match f c with
-  | v ->
-      close c;
-      v
-  | exception e ->
-      close c;
-      raise e

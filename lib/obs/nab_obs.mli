@@ -12,13 +12,10 @@
     {2 Determinism}
 
     Every quantity recorded by the in-tree emitters is {e logical}: sequence
-    numbers, simulated time, bit counts, round counts. No wall clock is read
-    unless a caller explicitly passes one to {!make} — so fixed-seed trace
-    and metrics artifacts are byte-identical at any [NAB_JOBS] value, the
-    same contract [test/test_parallel.ml] enforces for printed results.
-    The one caveat: contexts made with [~clock] (pool task latencies) and
-    anything recorded from inside pool workers are excluded from that
-    guarantee, which is why {!Nab_util.Pool} instrumentation is opt-in.
+    numbers, simulated time, bit counts, round counts. No wall clock is
+    read, so fixed-seed trace and metrics artifacts are byte-identical at
+    any [NAB_JOBS] value, the same contract [test/test_parallel.ml]
+    enforces for printed results.
 
     {2 Trace schema (JSONL sink)}
 
@@ -113,9 +110,6 @@ type metric = {
   m_last : float;
 }
 
-val event_to_json : event -> Json.t
-(** The trace-schema encoding of one event. *)
-
 (** {1 Sinks} *)
 
 type sink = {
@@ -148,20 +142,16 @@ val null : ctx
 (** The default context: disabled, never records anything. All emitters
     reduce to a single branch on it. *)
 
-val make :
-  ?sample_messages:int -> ?clock:(unit -> float) -> sink list -> ctx
+val make : ?sample_messages:int -> sink list -> ctx
 (** A live context fanning out to the given sinks. [sample_messages = s > 0]
     asks the simulator to emit every s-th delivered message as a trace
-    event (default 0: rounds only — message traces are bulky).
-    [clock] enables real-time measurements (pool task latencies); leaving
-    it unset keeps every recorded quantity deterministic. *)
+    event (default 0: rounds only — message traces are bulky). *)
 
 val enabled : ctx -> bool
 (** [false] exactly for {!null}. Emitters with non-trivial attribute
     construction should guard on this. *)
 
 val sample_messages : ctx -> int
-val clock : ctx -> (unit -> float) option
 
 val span_begin :
   ctx -> scope:string -> ?t:float -> ?attrs:(string * value) list -> string -> unit
@@ -184,24 +174,9 @@ val observe : ctx -> string -> float -> unit
 val metrics : ctx -> metric list
 (** Aggregated so far, sorted by name (empty for {!null}). *)
 
-val find_metric : ctx -> string -> metric option
-(** One metric by exact name, without materializing the whole sorted list
-    — how a harness reads a single counter or gauge (say
-    ["stream.goodput"]) off a live context mid-run. [None] for {!null} or
-    a name never recorded. *)
-
 val close : ctx -> unit
 (** Flush metrics to every sink, then close the sinks. Idempotent; a
     no-op on {!null}. The context must not be used afterwards. *)
-
-val with_ctx :
-  ?sample_messages:int ->
-  ?clock:(unit -> float) ->
-  sink list ->
-  (ctx -> 'a) ->
-  'a
-(** [with_ctx sinks f] runs [f] with a fresh context and {!close}s it even
-    if [f] raises. *)
 
 (** All recording calls are thread-safe: a single mutex serializes sequence
     numbering, sink fan-out and metric aggregation, so pool workers may

@@ -112,7 +112,7 @@ let set_cap t cap =
   enforce_cap t;
   Mutex.unlock t.lock
 
-let create ?cap ~name () =
+let create ~name () =
   let t =
     {
       name;
@@ -122,7 +122,7 @@ let create ?cap ~name () =
       head = None;
       tail = None;
       live = 0;
-      cap = (match cap with Some c when c < 1 -> Some 1 | c -> c);
+      cap = None;
       hits = 0;
       misses = 0;
       evictions = 0;

@@ -19,8 +19,8 @@
 
     A cache is unbounded by default. For campaigns whose working set is
     open-ended (a 10^5-scenario soak over mostly-distinct sampled
-    topologies) an LRU entry bound can be set per cache ({!set_cap}) or
-    globally ({!set_cap_all}, the [--plan-cache-cap] campaign flag): the
+    topologies) an LRU entry bound can be set on every cache
+    ({!set_cap_all}, the [--plan-cache-cap] campaign flag): the
     least-recently-used entries are dropped once the bound is exceeded, an
     evicted key simply recomputes on its next request, and in-flight
     computations are never evicted. Eviction changes {e when} a plan is
@@ -29,11 +29,10 @@
 
 type 'v t
 
-val create : ?cap:int -> name:string -> unit -> 'v t
-(** A fresh cache, registered under [name] for {!clear_all},
+val create : name:string -> unit -> 'v t
+(** A fresh, unbounded cache, registered under [name] for {!clear_all},
     {!global_stats} and {!set_cap_all}. Create caches at module
-    initialisation (one per kind of plan), not per use. [cap] bounds the
-    entry count (LRU eviction, clamped to [>= 1]); omitted = unbounded. *)
+    initialisation (one per kind of plan), not per use. *)
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 (** [find_or_compute t ~key f] returns the cached value for [key], or runs
@@ -48,15 +47,13 @@ val find : 'v t -> key:string -> 'v option
     Does not count towards {!stats}, but a hit does refresh the entry's LRU
     recency. *)
 
-val set_cap : 'v t -> int option -> unit
-(** Set or clear the LRU entry bound. [Some n] (clamped to [>= 1]) evicts
-    least-recently-used entries immediately if the cache already exceeds
-    [n]; [None] removes the bound. In-flight (still-computing) entries are
-    never evicted and do not count towards the bound. *)
-
 val set_cap_all : int option -> unit
-(** {!set_cap} on every cache created so far — the process-wide knob behind
-    [campaign run --plan-cache-cap]. *)
+(** Set or clear the LRU entry bound of every cache created so far — the
+    process-wide knob behind [campaign run --plan-cache-cap]. [Some n]
+    (clamped to [>= 1]) evicts least-recently-used entries immediately
+    where a cache already exceeds [n]; [None] removes the bound. In-flight
+    (still-computing) entries are never evicted and do not count towards
+    the bound. *)
 
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 

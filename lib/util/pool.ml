@@ -44,14 +44,6 @@ let override = ref None
 
 let set_jobs n = override := Some (max 1 n)
 
-(* Opt-in accounting (see the .mli for why it is not on by default). The
-   ctx serializes internally, so workers may record through it directly. *)
-let obs_ctx = ref Nab_obs.null
-
-let set_obs ctx = obs_ctx := ctx
-
-let obs () = !obs_ctx
-
 let jobs () =
   match !override with
   | Some n -> n
@@ -116,28 +108,6 @@ let ensure_workers target =
 
 let run_batch n task_of =
   let b = { remaining = n; failure = None } in
-  let ctx = !obs_ctx in
-  let task_of =
-    if not (Nab_obs.enabled ctx) then task_of
-    else
-      match Nab_obs.clock ctx with
-      | None ->
-          fun i ->
-            Nab_obs.add ctx "pool.tasks" 1;
-            task_of i
-      | Some now ->
-          fun i ->
-            Nab_obs.add ctx "pool.tasks" 1;
-            let t0 = now () in
-            Fun.protect
-              ~finally:(fun () ->
-                Nab_obs.observe ctx "pool.task_latency_s" (now () -. t0))
-              (fun () -> task_of i)
-  in
-  if Nab_obs.enabled ctx then begin
-    Nab_obs.add ctx "pool.batches" 1;
-    Nab_obs.gauge ctx "pool.workers" (float_of_int (running_workers ()))
-  end;
   let task i () =
     (match task_of i with
     | () -> ()

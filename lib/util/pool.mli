@@ -49,19 +49,3 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 val running_workers : unit -> int
 (** Worker domains currently alive (0 until the first parallel batch).
     Exposed for tests. *)
-
-val set_obs : Nab_obs.ctx -> unit
-(** Route pool accounting to an observability context: counters
-    [pool.batches] and [pool.tasks], gauge [pool.workers], and — only when
-    the context was {!Nab_obs.make}d with [~clock] — a [pool.task_latency_s]
-    histogram of per-task wall time.
-
-    Opt-in (default {!Nab_obs.null}) and deliberately {e not} wired up by
-    the CLI's [--metrics] flag: batch and task counts depend on the job
-    count ([jobs = 1] short-circuits to [List.mapi] and records nothing),
-    so including them by default would break the byte-identical-at-any-jobs
-    artifact guarantee. The context may be shared with other subsystems;
-    recording is thread-safe. *)
-
-val obs : unit -> Nab_obs.ctx
-(** The current pool context ({!Nab_obs.null} until {!set_obs}). *)

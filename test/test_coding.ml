@@ -475,7 +475,7 @@ let test_ec_no_mismatch_when_equal () =
   let sim = Sim.create k4 ~bits:Packet.bits in
   let x = Array.init rho4 (fun i -> i + 1) in
   let flags =
-    Equality_check.run ~net:(Sim.transport sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
+    Equality_check.run ~net:(Sim.transport sim) ~graph:(Sim.graph sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
       ~faulty:Vset.empty ()
   in
   List.iter (fun (v, f) -> Alcotest.(check bool) (Printf.sprintf "node %d" v) false f) flags;
@@ -493,7 +493,7 @@ let test_ec_detects_differing_values () =
       let odd = 1 + Random.State.int st 3 in
       let sim = Sim.create k4 ~bits:Packet.bits in
       let flags =
-        Equality_check.run ~net:(Sim.transport sim) ~phase:"ec" ~coding:c
+        Equality_check.run ~net:(Sim.transport sim) ~graph:(Sim.graph sim) ~phase:"ec" ~coding:c
           ~values:(fun v -> if v = odd then other else base)
           ~faulty:Vset.empty ()
       in
@@ -519,7 +519,7 @@ let test_ec_duration_exact =
       let x = Array.init (stripes * rho) (fun _ -> Random.State.int st 256) in
       let sim = Sim.create g ~bits:Packet.bits in
       let (_ : (int * bool) list) =
-        Equality_check.run ~net:(Sim.transport sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
+        Equality_check.run ~net:(Sim.transport sim) ~graph:(Sim.graph sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
           ~faulty:Vset.empty ()
       in
       let l = stripes * rho * m in
@@ -552,7 +552,7 @@ let test_ec_faulty_cannot_frame_consistency () =
     if dst = 2 then Array.map (fun s -> s lxor 1) y else y
   in
   let flags =
-    Equality_check.run ~net:(Sim.transport sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
+    Equality_check.run ~net:(Sim.transport sim) ~graph:(Sim.graph sim) ~phase:"ec" ~coding:c ~values:(fun _ -> x)
       ~faulty:(Vset.singleton 4) ~adversary ()
   in
   Alcotest.(check bool) "victim 2 flags" true (List.assoc 2 flags);

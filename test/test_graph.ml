@@ -643,8 +643,6 @@ let test_dot_output () =
   let s = Dot.of_digraph ~name:"test" Gen.figure2 in
   Alcotest.(check bool) "digraph header" true (contains_sub s "digraph test");
   Alcotest.(check bool) "directed edge" true (contains_sub s "1 -> 2");
-  let u = Dot.of_ugraph (Ugraph.of_digraph Gen.figure2) in
-  Alcotest.(check bool) "undirected edges" true (contains_sub u "--");
   let h = Dot.of_digraph ~highlight:[ (1, 2) ] Gen.figure2 in
   Alcotest.(check bool) "highlight red" true (contains_sub h "color=red")
 

@@ -209,26 +209,19 @@ let test_sim_duration_property =
          in
          Float.abs ((Sim.timing sim).Sim.wall -. expected) < 1e-9))
 
-let test_sim_pending_and_drain () =
-  (* A 2-round delay on (2,3): after node 1's flag reaches 2 and 2 forwards,
-     the forwarded copy is still in flight once the sender goes quiet. The
-     seed simulator dropped such messages on the floor; [pending_count] must
-     expose them and [drain] must deliver them. *)
-  let delays (src, dst) = if (src, dst) = (2, 3) then 2 else 0 in
-  let sim = Sim.create ~delays line_graph ~bits:Packet.bits in
-  drop (Sim.round sim ~phase:"p" (fun v -> if v = 2 then [ (3, flag true) ] else []));
-  Alcotest.(check int) "one message in flight" 1 (Sim.pending_count sim);
+let test_sim_drain_runs_no_round () =
+  (* Every message lands in the round that sends it, so there is never
+     anything in flight: [drain] returns empty inboxes and runs no round. *)
+  let sim = Sim.create line_graph ~bits:Packet.bits in
+  let inbox = Sim.round sim ~phase:"p" (fun v -> if v = 2 then [ (3, flag true) ] else []) in
+  Alcotest.(check int) "delivered in its round" 1 (List.length (inbox 3));
+  Alcotest.(check int) "nothing in flight" 0 (Sim.pending_count sim);
+  let rounds = Sim.rounds_run sim in
   let late = Sim.drain sim ~phase:"p" in
-  Alcotest.(check int) "drained" 0 (Sim.pending_count sim);
-  (match late 3 with
-  | [ (sender, pkt) ] ->
-      Alcotest.(check int) "late sender" 2 sender;
-      Alcotest.(check bool) "late payload" true (pkt.Packet.payload = Wire.Flag true)
-  | l -> Alcotest.fail (Printf.sprintf "expected one late arrival, got %d" (List.length l)));
-  Alcotest.(check int) "others empty" 0 (List.length (late 1));
-  (* Draining an idle simulator is a no-op. *)
-  let empty = Sim.drain sim ~phase:"p" in
-  Alcotest.(check int) "no-op drain" 0 (List.length (empty 3))
+  Alcotest.(check int) "no round run" rounds (Sim.rounds_run sim);
+  List.iter
+    (fun v -> Alcotest.(check int) "empty inbox" 0 (List.length (late v)))
+    [ 1; 2; 3 ]
 
 let test_sim_rejects_zero_bits () =
   let sim = Sim.create line_graph ~bits:(fun _ -> 0) in
@@ -241,13 +234,13 @@ let test_sim_rejects_zero_bits () =
    [Ref_sim] (test/ref_sim) is the pre-compilation simulator, kept
    verbatim. The compiled core in lib/net/sim.ml must be observably
    byte-identical to it: inbox contents and ordering (including
-   same-sender ties and delayed arrivals), drop counts, timings, per-link
+   same-sender ties), drop counts, timings, per-link
    totals, utilisation, events. Mirrors the Ref_gauss pattern in
    bench/kernels.ml. *)
 
-(* One random episode: ids (possibly sparse), a random edge set, per-link
-   delays in 0..2 derived from [dseed], and per-round send lists whose
-   destination index [n] maps to an absent vertex (exercising drops). *)
+(* One random episode: ids (possibly sparse), a random edge set, and
+   per-round send lists whose destination index [n] maps to an absent
+   vertex (exercising drops). *)
 let diff_case_gen =
   QCheck2.Gen.(
     let* n = int_range 2 6 in
@@ -272,20 +265,18 @@ let diff_case_gen =
            pairs)
     in
     let edges = List.filter_map Fun.id edges in
-    let* dseed = int_range 0 97 in
     let* sends =
       list_size (int_range 1 6)
         (list_size (int_range 0 12)
            (triple (int_range 0 (n - 1)) (int_range 0 n) (int_range 1 200)))
     in
-    return (ids, edges, dseed, sends))
+    return (ids, edges, sends))
 
-let run_differential ?(delayed = true) (ids, edges, dseed, sends) =
+let run_differential (ids, edges, sends) =
   let g = Digraph.of_edges ~vertices:(Array.to_list ids) edges in
-  let delays (s, d) = if delayed then ((s * 5) + (d * 3) + dseed) mod 3 else 0 in
   let bits m = 1 + (m land 7) in
-  let sim = Sim.create ~delays ~keep_events:true g ~bits in
-  let rsim = Ref_sim.create ~delays g ~bits in
+  let sim = Sim.create ~keep_events:true g ~bits in
+  let rsim = Ref_sim.create g ~bits in
   let verts = Digraph.vertices g in
   let id_of i = if i >= Array.length ids then 999983 else ids.(i) in
   let ok = ref true in
@@ -342,15 +333,7 @@ let test_sim_differential_zero_delay =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300
        ~name:"compiled core byte-identical to reference fabric (zero delays)"
-       diff_case_gen
-       (fun case -> run_differential ~delayed:false case))
-
-let test_sim_differential_delayed =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300
-       ~name:"compiled core byte-identical to reference fabric (delayed links)"
-       diff_case_gen
-       (fun case -> run_differential ~delayed:true case))
+       diff_case_gen run_differential)
 
 (* ---------- Link_sched ---------- *)
 
@@ -360,22 +343,23 @@ let sched_packet ~tag ~src ~dst bits =
   Packet.direct ~proto:"ls" ~origin:src ~dst (Wire.Value { bits; data = [| tag |] })
 
 type sched_op =
-  | Enqueue of { flow : int; weight : int; edge : int; bits : int }
+  | Enqueue of { flow : int; edge : int; bits : int }
   | Flush of int
   | Select
 
 let pp_sched_op = function
-  | Enqueue { flow; weight; edge; bits } ->
-      Printf.sprintf "enqueue(flow %d, w %d, edge %d, %d bits)" flow weight edge bits
+  | Enqueue { flow; edge; bits } ->
+      Printf.sprintf "enqueue(flow %d, edge %d, %d bits)" flow edge bits
   | Flush f -> Printf.sprintf "flush %d" f
   | Select -> "select"
 
 (* [Ref_link_sched] (test/ref_link_sched) is the scheduler before its
-   links moved into an array and its per-flow state into one record. On
-   random scripts — several weights per link, packets from one bit to many
-   round budgets long (so the force-send rule fires), flushes mid-stream —
-   both must return the same select outputs and the same backlog after
-   every step. *)
+   links moved into an array and its per-flow state into one record; it
+   still takes a per-flow weight, which is always 1 here, as every flow's
+   share is equal. On random scripts — several flows per link, packets
+   from one bit to many round budgets long (so the force-send rule fires),
+   flushes mid-stream — both must return the same select outputs and the
+   same backlog after every step. *)
 let test_link_sched_differential =
   let gen =
     QCheck2.Gen.(
@@ -386,10 +370,9 @@ let test_link_sched_differential =
           [
             ( 6,
               let+ flow = int_bound 5
-              and+ weight = int_range 1 4
               and+ edge = int_bound 11
               and+ bits = int_range 1 96 in
-              Enqueue { flow; weight; edge; bits } );
+              Enqueue { flow; edge; bits } );
             (1, map (fun f -> Flush f) (int_bound 5));
             (4, return Select);
           ]
@@ -416,19 +399,16 @@ let test_link_sched_differential =
          let edges = Array.of_list pairs in
          let t = Link_sched.create ~quantum g and r = Ref_link_sched.create ~quantum g in
          let tags = ref 0 in
-         let same () =
-           Link_sched.queued t = Ref_link_sched.queued r
-           && Link_sched.queued_bits t = Ref_link_sched.queued_bits r
-         in
+         let same () = Link_sched.queued t = Ref_link_sched.queued r in
          List.for_all
            (fun op ->
              (match op with
-             | Enqueue { flow; weight; edge; bits } ->
+             | Enqueue { flow; edge; bits } ->
                  let src, dst = edges.(edge) in
                  incr tags;
                  let pkt = sched_packet ~tag:!tags ~src ~dst bits in
-                 Link_sched.enqueue t ~flow ~weight ~src ~dst pkt;
-                 Ref_link_sched.enqueue r ~flow ~weight ~src ~dst pkt;
+                 Link_sched.enqueue t ~flow ~src ~dst pkt;
+                 Ref_link_sched.enqueue r ~flow ~weight:1 ~src ~dst pkt;
                  true
              | Flush f ->
                  Link_sched.flush_flow t f;
@@ -453,24 +433,21 @@ let test_link_sched_force_send () =
 
 (* The fairness contract of link_sched.mli, on one link whose flows are
    all backlogged from the first round (so the rotation keeps activation
-   order and flow 0 is its head). Returns the bits each flow sent in
-   [rounds] rounds and each flow's share of them. *)
-let drr_run ~weights ~cap ~quantum ~rounds ~size =
+   order and flow 0 is its head). Returns the bits each of the [flows]
+   flows sent in [rounds] rounds and its equal share of them. *)
+let drr_run ~flows ~cap ~quantum ~rounds ~size =
   let g = Digraph.of_edges [ (0, 1, cap) ] in
   let t = Link_sched.create ~quantum g in
   let budget = float_of_int cap *. quantum in
-  let w_total = List.fold_left ( + ) 0 weights in
   (* Enough packets that every flow stays backlogged throughout; the tag
      names the flow. *)
   let per_flow = (rounds * int_of_float budget) + 2 in
-  List.iteri
-    (fun flow weight ->
-      for _ = 1 to per_flow do
-        Link_sched.enqueue t ~flow ~weight ~src:0 ~dst:1
-          (sched_packet ~tag:flow ~src:0 ~dst:1 (size ()))
-      done)
-    weights;
-  let sent = Array.make (List.length weights) 0 in
+  for flow = 0 to flows - 1 do
+    for _ = 1 to per_flow do
+      Link_sched.enqueue t ~flow ~src:0 ~dst:1 (sched_packet ~tag:flow ~src:0 ~dst:1 (size ()))
+    done
+  done;
+  let sent = Array.make flows 0 in
   for _ = 1 to rounds do
     List.iter
       (fun (_, pkts) ->
@@ -482,41 +459,31 @@ let drr_run ~weights ~cap ~quantum ~rounds ~size =
           pkts)
       (Link_sched.select t)
   done;
-  ( sent,
-    Array.of_list
-      (List.map
-         (fun w -> float_of_int rounds *. budget *. float_of_int w /. float_of_int w_total)
-         weights) )
+  (sent, Array.make flows (float_of_int rounds *. budget /. float_of_int flows))
 
 let drr_gen =
   QCheck2.Gen.(
-    let* weights = list_size (int_range 2 5) (int_range 1 4) in
+    let* flows = int_range 2 5 in
     let* cap = int_range 1 4 in
     let* rounds = int_range 1 60 in
     let+ seed = int in
-    (weights, cap, rounds, seed))
+    (flows, cap, rounds, seed))
 
-let drr_print (weights, cap, rounds, seed) =
-  Printf.sprintf "weights [%s], cap %d, %d rounds, seed %d"
-    (String.concat ";" (List.map string_of_int weights))
-    cap rounds seed
+let drr_print (flows, cap, rounds, seed) =
+  Printf.sprintf "%d flows, cap %d, %d rounds, seed %d" flows cap rounds seed
 
 (* Random packet sizes up to the smallest per-round share: no flow exceeds
    its share, and the rotation head stays within one packet of it. *)
 let test_link_sched_fairness =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200 ~name:"DRR share bounds" ~print:drr_print drr_gen
-       (fun (weights, cap, rounds, seed) ->
+       (fun (flows, cap, rounds, seed) ->
          let quantum = 16.0 in
-         let w_total = List.fold_left ( + ) 0 weights in
-         let min_share =
-           float_of_int cap *. quantum *. float_of_int (List.fold_left min max_int weights)
-           /. float_of_int w_total
-         in
-         let max_pkt = max 1 (int_of_float min_share) in
+         let round_share = float_of_int cap *. quantum /. float_of_int flows in
+         let max_pkt = max 1 (int_of_float round_share) in
          let rng = Random.State.make [| seed |] in
          let sent, share =
-           drr_run ~weights ~cap ~quantum ~rounds ~size:(fun () ->
+           drr_run ~flows ~cap ~quantum ~rounds ~size:(fun () ->
                1 + Random.State.int rng max_pkt)
          in
          Array.iteri
@@ -534,11 +501,11 @@ let test_link_sched_fairness =
 let test_link_sched_exact_shares =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:100 ~name:"DRR exact shares" ~print:drr_print drr_gen
-       (fun (weights, cap, rounds, seed) ->
-         (* quantum = W makes flow i's share cap * w_i bits per round. *)
-         let quantum = float_of_int (List.fold_left ( + ) 0 weights) in
+       (fun (flows, cap, rounds, seed) ->
+         (* quantum = flows makes each flow's share cap bits per round. *)
+         let quantum = float_of_int flows in
          let size = if seed land 1 = 0 then 1 else cap in
-         let sent, share = drr_run ~weights ~cap ~quantum ~rounds ~size:(fun () -> size) in
+         let sent, share = drr_run ~flows ~cap ~quantum ~rounds ~size:(fun () -> size) in
          Array.for_all2 (fun s sh -> float_of_int s = sh) sent share))
 
 let () =
@@ -562,10 +529,9 @@ let () =
           Alcotest.test_case "events off by default" `Quick test_sim_events_off_by_default;
           Alcotest.test_case "same-sender order" `Quick test_sim_same_sender_order;
           test_sim_duration_property;
-          Alcotest.test_case "pending count and drain" `Quick test_sim_pending_and_drain;
+          Alcotest.test_case "drain runs no round" `Quick test_sim_drain_runs_no_round;
           Alcotest.test_case "rejects zero bits" `Quick test_sim_rejects_zero_bits;
           test_sim_differential_zero_delay;
-          test_sim_differential_delayed;
         ] );
       (* Link_sched's tests. A group name no longer than "wire" keeps
          Alcotest's name column, so the printed names of the other tests do

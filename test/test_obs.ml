@@ -108,7 +108,7 @@ let test_bitvec_hex () =
       (-1, "", "negative length");
     ]
 
-(* ---------- run_report JSON round-trip ---------- *)
+(* ---------- run_report equality ---------- *)
 
 let instance_equal (a : Nab.instance_report) (b : Nab.instance_report) =
   a.Nab.k = b.Nab.k && a.value_bits = b.value_bits && a.gamma_k = b.gamma_k
@@ -145,34 +145,6 @@ let sample_report () =
   let config = Nab.config ~f:1 ~l_bits:256 ~m:8 () in
   Nab.run ~g:k4 ~config ~adversary:Adversary.ec_liar
     ~inputs:(input_fn ~l:256 ~seed:17) ~q:3 ()
-
-let test_report_json_roundtrip () =
-  let r = sample_report () in
-  let j = Report.run_to_json r in
-  (match Report.run_of_json j with
-  | Ok r' -> Alcotest.(check bool) "decode (run_to_json r) = r" true (report_equal r r')
-  | Error e -> Alcotest.failf "run_of_json: %s" e);
-  (* Through the actual wire format (string), as the CLI emits it. *)
-  match J.of_string (J.to_string j) with
-  | Error e -> Alcotest.failf "reparse: %s" e
-  | Ok j' -> (
-      match Report.run_of_json j' with
-      | Ok r' ->
-          Alcotest.(check bool) "decode via text = r" true (report_equal r r')
-      | Error e -> Alcotest.failf "run_of_json after reparse: %s" e)
-
-let test_report_json_rejects_malformed () =
-  let j = Report.run_to_json (sample_report ()) in
-  let drop name = function
-    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> name) fields)
-    | j -> j
-  in
-  (match Report.run_of_json (drop "instances" j) with
-  | Ok _ -> Alcotest.fail "missing instances must not decode"
-  | Error e -> Alcotest.(check bool) "error is descriptive" true (String.length e > 0));
-  match Report.run_of_json (J.Str "nope") with
-  | Ok _ -> Alcotest.fail "non-object must not decode"
-  | Error _ -> ()
 
 (* ---------- the no-op sink changes nothing ---------- *)
 
@@ -344,13 +316,6 @@ let () =
         ] );
       ( "bitvec",
         [ Alcotest.test_case "hex round-trip" `Quick test_bitvec_hex ] );
-      ( "report",
-        [
-          Alcotest.test_case "run_report JSON round-trip" `Quick
-            test_report_json_roundtrip;
-          Alcotest.test_case "malformed JSON rejected" `Quick
-            test_report_json_rejects_malformed;
-        ] );
       ( "noop",
         [ Alcotest.test_case "no-op sink leaves output identical" `Quick
             test_null_ctx_identity ] );

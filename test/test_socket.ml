@@ -52,7 +52,7 @@ let sends g u =
 
 let test_rounds_match_sim () =
   let g = k4 () in
-  let sim = Sim.factory () ~obs:Nab_obs.null ~keep_events:false g in
+  let sim = Sim.default_factory ~obs:Nab_obs.null ~keep_events:false g in
   let sock = Socket.factory () ~obs:Nab_obs.null ~keep_events:false g in
   Fun.protect
     ~finally:(fun () ->
@@ -254,7 +254,7 @@ let test_dead_parked_fleet_respawns () =
   let victim = List.nth pids1 1 in
   Unix.kill victim Sys.sigkill;
   wait_exited victim;
-  let sim = Sim.factory () ~obs:Nab_obs.null ~keep_events:false g in
+  let sim = Sim.default_factory ~obs:Nab_obs.null ~keep_events:false g in
   let t = Socket.create g in
   let pids2 = Socket.pids t in
   Alcotest.(check bool) "fresh spawn after a node died while parked" true

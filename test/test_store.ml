@@ -170,9 +170,13 @@ let test_diff_jsonl_self_empty () =
 
 (* ---- plan cache LRU bound ---- *)
 
+(* The bound is process-wide (the [--plan-cache-cap] knob), so the test
+   lifts it again before it returns: later tests run on unbounded caches. *)
 let test_plan_cache_lru () =
-  let cache = Nab_util.Plan_cache.create ~cap:2 ~name:"test.lru" () in
+  let cache = Nab_util.Plan_cache.create ~name:"test.lru" () in
   let compute k = Nab_util.Plan_cache.find_or_compute cache ~key:k (fun () -> k ^ "!") in
+  Fun.protect ~finally:(fun () -> Nab_util.Plan_cache.set_cap_all None) @@ fun () ->
+  Nab_util.Plan_cache.set_cap_all (Some 2);
   ignore (compute "a");
   ignore (compute "b");
   ignore (compute "a");
@@ -188,11 +192,11 @@ let test_plan_cache_lru () =
   (* an evicted key recomputes to the same value: eviction is invisible *)
   Alcotest.(check string) "evicted key recomputes" "b!" (compute "b");
   (* shrinking the cap evicts immediately *)
-  Nab_util.Plan_cache.set_cap cache (Some 1);
+  Nab_util.Plan_cache.set_cap_all (Some 1);
   let s = Nab_util.Plan_cache.stats cache in
-  Alcotest.(check int) "set_cap shrinks now" 1 s.Nab_util.Plan_cache.entries;
+  Alcotest.(check int) "set_cap_all shrinks now" 1 s.Nab_util.Plan_cache.entries;
   (* unbounded again: no further evictions *)
-  Nab_util.Plan_cache.set_cap cache None;
+  Nab_util.Plan_cache.set_cap_all None;
   ignore (compute "d");
   ignore (compute "e");
   let s = Nab_util.Plan_cache.stats cache in
