@@ -83,7 +83,7 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let metrics_arg =
-  let doc = "Write aggregated counters/gauges/histograms as CSV to $(docv)." in
+  let doc = "Write aggregated counters and gauges as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let sample_arg =
@@ -352,43 +352,19 @@ let bounds_cmd =
     (Cmd.info "bounds" ~doc:"Compute gamma*, rho* and the Theorem 2/3 bounds.")
     term
 
-(* ---- pipelined execution ---- *)
-
-let pipelined_cmd =
-  let q_arg = Arg.(value & opt int 8 & info [ "q" ] ~docv:"Q" ~doc:"Instances.") in
-  let l_arg =
-    Arg.(value & opt int 4096 & info [ "l" ] ~docv:"L" ~doc:"Input bits per instance.")
-  in
-  let run topo f seed q l =
-    setup_logs ();
-    let* s = checked (Scenario.make ~f ~l_bits:l ~seed ~q topo ()) in
-    let g = Scenario.graph s and config = Scenario.config s in
-    let inputs = Bitvec.random_stream l (Random.State.make [| seed; 0x9199 |]) in
-    let r = Pipelined.run ~g ~config ~inputs ~q () in
-    Printf.printf
-      "pipelined %d instances: gamma=%d rho=%d hops=%d\n\
-       completion %.1f (model %.1f), per-instance %.1f (round core %.1f)\n\
-       throughput %.3f bits/unit, delivered everywhere: %b\n"
-      q r.Pipelined.gamma r.Pipelined.rho r.Pipelined.hops r.Pipelined.completion
-      r.Pipelined.model_completion r.Pipelined.per_instance r.Pipelined.round_core
-      r.Pipelined.throughput r.Pipelined.all_delivered;
-    Ok ()
-  in
-  let term =
-    Cli_flags.with_jobs
-      Term.(term_result' (const run $ topo_term $ f_arg $ seed_arg $ q_arg $ l_arg))
-  in
-  Cmd.v
-    (Cmd.info "pipelined" ~doc:"Run Q fault-free instances overlapped per Figure 3.")
-    term
-
 (* ---- pipeline ---- *)
 
 let pipeline_cmd =
   let q_arg = Arg.(value & opt int 5 & info [ "q" ] ~doc:"Instances.") in
   let hops_arg = Arg.(value & opt int 3 & info [ "hops" ] ~doc:"Phase-1 hop count.") in
-  let render q hops = print_string (Pipeline.render ~q ~hops) in
-  let term = Term.(const render $ q_arg $ hops_arg) in
+  (* A non-positive count is a usage error (exit 124), not an uncaught
+     Invalid_argument from Pipeline.render. *)
+  let render q hops =
+    if q < 1 then Error (Printf.sprintf "-q must be positive, got %d" q)
+    else if hops < 1 then Error (Printf.sprintf "--hops must be positive, got %d" hops)
+    else Ok (print_string (Pipeline.render ~q ~hops))
+  in
+  let term = Term.(term_result' (const render $ q_arg $ hops_arg)) in
   Cmd.v (Cmd.info "pipeline" ~doc:"Render the Figure-3 pipelining schedule.") term
 
 (* ---- consensus ---- *)
@@ -471,4 +447,4 @@ let () =
   let doc = "Network-Aware Byzantine broadcast (Liang & Vaidya, PODC 2012)" in
   let info = Cmd.info "nab" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
-       [ run_cmd; bounds_cmd; consensus_cmd; pipelined_cmd; pipeline_cmd; stats_cmd; dot_cmd ]))
+       [ run_cmd; bounds_cmd; consensus_cmd; pipeline_cmd; stats_cmd; dot_cmd ]))

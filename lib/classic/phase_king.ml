@@ -146,16 +146,3 @@ let broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs ~default ~faulty
     (fun j -> List.iter (fun s -> Hashtbl.replace decisions (s, j) (pref s j)) sources)
     verts;
   decisions
-
-let broadcast ~net ?nodes ~phase ~routing ~f ~source ~value ~default ~faulty
-    ?adversary ?reliable_hooks () =
-  let decisions =
-    broadcast_all ~net ?nodes ~phase ~routing ~f ~inputs:[ (source, value) ] ~default
-      ~faulty ?adversary ?reliable_hooks ()
-  in
-  let verts =
-    match nodes with
-    | None -> Digraph.vertices (Transport.graph net)
-    | Some vs -> List.sort_uniq compare vs
-  in
-  List.map (fun v -> (v, Hashtbl.find decisions (source, v))) verts

@@ -31,18 +31,3 @@ val broadcast_all :
 (** Decisions keyed by [(source, node)], over participants [nodes]
     (default: all graph vertices). Requires |nodes| > 4f. Guarantees
     agreement always, and validity when the source is honest. *)
-
-val broadcast :
-  net:Transport.t ->
-  ?nodes:int list ->
-  phase:string ->
-  routing:Routing.t ->
-  f:int ->
-  source:int ->
-  value:Wire.payload ->
-  default:Wire.payload ->
-  faulty:Vset.t ->
-  ?adversary:adversary ->
-  ?reliable_hooks:Reliable.hooks ->
-  unit ->
-  (int * Wire.payload) list

@@ -42,12 +42,5 @@ let paths t ~src ~dst =
 
 let max_path_len t = t.max_len
 
-let next_hop _t ~route ~me =
-  let rec go = function
-    | a :: (b :: _ as rest) -> if a = me then Some b else go rest
-    | _ -> None
-  in
-  go route
-
 let is_route t ~src ~dst route =
   List.exists (List.equal Int.equal route) (paths t ~src ~dst)

@@ -23,9 +23,6 @@ val paths : t -> src:int -> dst:int -> int list list
 val max_path_len : t -> int
 (** Longest route length in edges; bounds the rounds one exchange takes. *)
 
-val next_hop : t -> route:int list -> me:int -> int option
-(** The vertex after [me] on the route, if any. *)
-
 val is_route : t -> src:int -> dst:int -> int list -> bool
 (** Whether the given route is one of the table's routes for the pair —
     receivers use this to reject forged routes. *)

@@ -12,15 +12,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Bitvec.get: out of range";
   Char.code (Bytes.get t.data (i / 8)) land (0x80 lsr (i mod 8)) <> 0
 
-let set t i b =
-  if i < 0 || i >= t.len then invalid_arg "Bitvec.set: out of range";
-  let data = Bytes.copy t.data in
-  let byte = Char.code (Bytes.get data (i / 8)) in
-  let mask = 0x80 lsr (i mod 8) in
-  let byte = if b then byte lor mask else byte land lnot mask in
-  Bytes.set data (i / 8) (Char.chr (byte land 0xff));
-  { t with data }
-
 (* Clear padding bits of the last byte so equality stays structural. *)
 let clear_padding len data =
   let rem = len mod 8 in

@@ -10,9 +10,6 @@ val create : int -> t
 (** All-zero value of the given bit length (>= 0). *)
 
 val length : t -> int
-val get : t -> int -> bool
-val set : t -> int -> bool -> t
-(** Functional update. *)
 
 val init : int -> (int -> bool) -> t
 (** [init len f] has bit [i] equal to [f i]. The bit-at-a-time reference

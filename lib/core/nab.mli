@@ -178,9 +178,6 @@ val session_next_k : session -> int
     - instance ids are dense and increasing: {!session_push_report} for
       instance k moves {!session_next_k} to k+1. *)
 
-val padded_bits : l:int -> rho:int -> m:int -> int
-(** L rounded up to a whole number of rho*m-bit equality-check units. *)
-
 val session_plan_for : session -> source:int -> graph_plan
 (** The plan of the current G_k for instances originating at [source]
     (the session-config source or any other submitting vertex), served
@@ -188,7 +185,8 @@ val session_plan_for : session -> source:int -> graph_plan
     {!Plan_cache}. *)
 
 val session_value_bits : session -> graph_plan -> int
-(** {!padded_bits} of the session's L under the plan's rho. *)
+(** The session's L rounded up to a whole number of rho*m-bit
+    equality-check units, under the plan's rho. *)
 
 exception Unexplained_disputes of { f : int; disputes : Params.dispute list }
 (** Raised by {!session_dc_apply} when no set of at most [f] nodes covers

@@ -5,12 +5,11 @@ type t = {
   taps : int; (* reduction polynomial with the leading x^m term removed *)
   mask : int; (* 2^m - 1 *)
   full : int; (* reduction polynomial including the leading term *)
-  gen : int option Atomic.t; (* cached multiplicative generator *)
   tables : (exp_table * int array) option Atomic.t;
       (* lazily-built (exp, log) tables for m <= table_degree_limit, laid
          out as in [build_tables].
-         Both caches are atomics so a racing domain either sees [None] (and
-         falls into the mutex-guarded build below) or a fully-built value:
+         An atomic, so a racing domain either sees [None] (and falls into
+         the mutex-guarded build below) or a fully-built value:
          [Atomic.set] publishes the array contents, a plain mutable field
          would not. *)
 }
@@ -20,10 +19,8 @@ let table_degree_limit = 16
 exception Invalid_degree of int
 
 let max_degree = 61
-let zero = 0
 let one = 1
 let degree f = f.m
-let order f = 1 lsl f.m
 let reduction_poly f = f.full
 let is_valid f x = x >= 0 && x <= f.mask
 let add _ a b = a lxor b
@@ -107,7 +104,7 @@ let find_irreducible m =
 (* ------------------------------ fields ------------------------------ *)
 
 (* One mutex guards every lazily-built cache of the module: the descriptor
-   table below, and each descriptor's generator/log-table builds. The hot
+   table below, and each descriptor's log-table build. The hot
    paths ([mul], [inv]) never take it — they only do an [Atomic.get] — so
    the double-checked slow path is the sole contention point, and it runs at
    most once per (field, cache) pair. *)
@@ -131,7 +128,6 @@ let make_unchecked m full =
     taps = full land ((1 lsl m) - 1);
     mask = (1 lsl m) - 1;
     full;
-    gen = Atomic.make None;
     tables = Atomic.make None;
   }
 
@@ -152,10 +148,6 @@ let create_with_poly ~m ~poly =
   if not (irreducible ~m ~poly) then
     invalid_arg "Gf2p.create_with_poly: polynomial is reducible";
   make_unchecked m poly
-
-let of_int f x =
-  if x < 0 then invalid_arg "Gf2p.of_int: negative";
-  poly_mod x f.full
 
 (* Build multiplication tables from successive powers of x (a generator of
    the field as an additive spanning sequence is unnecessary: x generates a
@@ -196,7 +188,6 @@ let build_tables f =
     log_t.(!x) <- k;
     x := raw_mul !x gen
   done;
-  if Atomic.get f.gen = None then Atomic.set f.gen (Some gen);
   let tables = (exp_t, log_t) in
   Atomic.set f.tables (Some tables);
   tables
@@ -247,38 +238,3 @@ let div f a b = mul f a (inv f b)
    field range for large m. *)
 let random f st = Random.State.full_int st (1 lsl f.m)
 let random_nonzero f st = 1 + Random.State.full_int st f.mask
-
-let generator f =
-  match Atomic.get f.gen with
-  | Some g -> g
-  | None ->
-      with_cache_lock (fun () ->
-          match Atomic.get f.gen with
-          | Some g -> g
-          | None ->
-              let g =
-                if f.m = 1 then 1
-                else begin
-                  (* Raw carry-less arithmetic only: [pow f] would re-enter
-                     [tables_of] and the (non-reentrant) cache lock. *)
-                  let raw_mul = mul_with ~m:f.m ~taps:f.taps in
-                  let raw_pow x k =
-                    let rec go x k acc =
-                      if k = 0 then acc
-                      else
-                        let acc = if k land 1 = 1 then raw_mul acc x else acc in
-                        go (raw_mul x x) (k lsr 1) acc
-                    in
-                    go x k 1
-                  in
-                  let group = f.mask in
-                  let primes = Numth.prime_divisors group in
-                  let is_gen g =
-                    List.for_all (fun p -> raw_pow g (group / p) <> one) primes
-                  in
-                  let rec search g = if is_gen g then g else search (g + 1) in
-                  search 2
-                end
-              in
-              Atomic.set f.gen (Some g);
-              g)

@@ -11,7 +11,7 @@
     Every operation of this module may be called concurrently from multiple
     domains (e.g. from [Nab_util.Pool] tasks). The module's lazily-built
     mutable state — the per-degree descriptor cache of {!create}, and each
-    descriptor's memoized generator and log/antilog tables — is published
+    descriptor's log/antilog tables — is published
     through atomics and built under a single internal mutex, double-checked
     so the hot paths ({!mul}, {!inv}) stay a pure table lookup and never
     contend once a cache is warm. Arithmetic results never depend on which
@@ -37,34 +37,18 @@ val create_with_poly : m:int -> poly:int -> t
 val degree : t -> int
 (** Extension degree [m]. *)
 
-val order : t -> int
-(** Number of field elements, [2^m]. *)
-
 val reduction_poly : t -> int
 (** The reduction polynomial as a full bit mask including the leading term. *)
-
-val zero : int
-val one : int
-
-val is_valid : t -> int -> bool
-(** [is_valid f x] is true iff [x] is a reduced element of [f]. *)
-
-val of_int : t -> int -> int
-(** [of_int f x] reduces an arbitrary non-negative int (read as a GF(2)
-    polynomial) modulo the reduction polynomial. *)
 
 val add : t -> int -> int -> int
 (** Addition = subtraction = XOR. *)
 
 val sub : t -> int -> int -> int
 val mul : t -> int -> int -> int
-val sq : t -> int -> int
-
-val pow : t -> int -> int -> int
-(** [pow f x k] for [k >= 0]; [pow f x 0 = one] including for [x = zero]. *)
 
 val inv : t -> int -> int
-(** Multiplicative inverse. Raises [Division_by_zero] on [zero]. *)
+(** Multiplicative inverse: a table lookup up to degree 16, [a^(2^m - 2)]
+    by square-and-multiply above it. Raises [Division_by_zero] on [0]. *)
 
 val div : t -> int -> int -> int
 (** [div f a b = mul f a (inv f b)]. Raises [Division_by_zero] if [b = 0]. *)
@@ -74,13 +58,6 @@ val random : t -> Random.State.t -> int
 
 val random_nonzero : t -> Random.State.t -> int
 (** Uniformly random element of the multiplicative group. *)
-
-val generator : t -> int
-(** A generator of the multiplicative group (smallest one). *)
-
-val irreducible : m:int -> poly:int -> bool
-(** Rabin irreducibility test for a degree-[m] polynomial over GF(2), given
-    as a full bit mask. Exposed for tests. *)
 
 type exp_table = (int, Bigarray.int16_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 

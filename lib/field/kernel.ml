@@ -43,9 +43,7 @@ type mode =
     }
       (* m > 16: 4-bit nibble-sliced carry-less multiplication. *)
 
-type t = { fld : Gf2p.t; m : int; mask : int; mode : mode }
-
-let field k = k.fld
+type t = { m : int; mask : int; mode : mode }
 
 (* ------------------------------ stats ------------------------------ *)
 
@@ -183,7 +181,7 @@ let resolve fld =
             scratch = Domain.DLS.new_key (fun () -> Array.make (nt * 16) 0);
           }
   in
-  { fld; m; mask; mode }
+  { m; mask; mode }
 
 let of_field fld =
   let m = Gf2p.degree fld in
@@ -197,9 +195,7 @@ let of_field fld =
         (* Resolve against the canonical per-degree descriptor whenever the
            polynomial matches it, so kernels reached through repeatedly
            minted [Gf2p.create_with_poly] descriptors share the canonical
-           descriptor (and its lazily-built tables) instead of pinning
-           whichever minted copy arrived first. A genuinely non-default
-           polynomial pins its first descriptor — documented in the mli. *)
+           descriptor's lazily-built tables instead of building their own. *)
         let canonical =
           let c = Gf2p.create m in
           if Gf2p.reduction_poly c = poly then c else fld
@@ -216,8 +212,6 @@ let of_field fld =
       raise e
 
 (* ------------------------- scalar operations ------------------------- *)
-
-let add _ a b = a lxor b
 
 let mul k a b =
   assert (a land lnot k.mask = 0 && b land lnot k.mask = 0);
@@ -261,7 +255,6 @@ let inv k a =
       go a (k.mask - 1) 1
 
 let div k a b = mul k a (inv k b)
-let muladd k acc a b = acc lxor mul k a b
 
 (* Raw-mode short-row helper: with [a] fixed across a whole row, precompute
    a * x^j mod poly for j < m once, so each element multiply is one table

@@ -62,34 +62,21 @@ val of_field : Gf2p.t -> t
     Memoization is keyed by [(degree, reduction polynomial)], so distinct
     {!Gf2p.create_with_poly} descriptors with the same parameters all alias
     one cached kernel. When the polynomial is the canonical one for its
-    degree, the kernel resolves against (and {!field} returns) the
-    canonical {!Gf2p.create} descriptor — repeatedly minted copies do not
-    pin each other alive. For a genuinely non-default polynomial, the first
-    descriptor seen is retained and returned by {!field} for all later
-    aliases; descriptors with equal parameters are observably
-    interchangeable, so only physical identity differs. *)
-
-val field : t -> Gf2p.t
-(** The descriptor the kernel was resolved against — the canonical one for
-    its [(degree, poly)] pair when that pair is canonical (see
-    {!of_field}); not necessarily the descriptor passed in. *)
+    degree, the kernel resolves against the canonical {!Gf2p.create}
+    descriptor, so it shares that descriptor's tables. The kernel keeps
+    no descriptor, so minted copies are never pinned alive. *)
 
 (** {1 Scalar operations}
 
     Same results as the {!Gf2p} counterparts, without the per-call cache
     lookup. *)
 
-val add : t -> int -> int -> int
 val mul : t -> int -> int -> int
 
 val inv : t -> int -> int
 (** Raises [Division_by_zero] on [0]. *)
 
 val div : t -> int -> int -> int
-
-val muladd : t -> int -> int -> int -> int
-(** [muladd k acc a b = acc + a * b] — the fused step of Horner and dot
-    loops. *)
 
 (** {1 Fused row primitives}
 

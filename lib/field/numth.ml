@@ -64,15 +64,17 @@ let is_prime n =
     not (List.exists witnesses_composite miller_rabin_bases)
   end
 
-(* Pollard-Brent rho; returns a non-trivial factor of a composite n. *)
+(* Pollard-Brent rho; returns a non-trivial factor of a composite n. The
+   random starts use [full_int]: [Random.State.int] rejects bounds of 2^30
+   and up, which a composite left over by trial division can exceed. *)
 let pollard_brent rng n =
   assert (n > 3 && not (is_prime n));
   if n land 1 = 0 then 2
   else begin
     let rec attempt () =
-      let c = 1 + Random.State.int rng (n - 1) in
+      let c = 1 + Random.State.full_int rng (n - 1) in
       let f x = (mulmod x x n + c) mod n in
-      let y = ref (1 + Random.State.int rng (n - 1)) in
+      let y = ref (1 + Random.State.full_int rng (n - 1)) in
       let g = ref 1 and r = ref 1 and q = ref 1 in
       let x = ref 0 and ys = ref 0 in
       while !g = 1 do

@@ -7,16 +7,13 @@ let rec depth_of t ~root v =
   if v = root then 0
   else
     match parent t v with
-    | None -> invalid_arg "Arborescence.depth: vertex not in tree"
+    | None -> invalid_arg "Arborescence.vertices_by_depth: vertex not in tree"
     | Some p -> 1 + depth_of t ~root p
 
 let vertices_by_depth t ~root =
   let vs = root :: List.map snd t in
   List.map (fun v -> (v, depth_of t ~root v)) vs
   |> List.sort (fun (v1, d1) (v2, d2) -> compare (d1, v1) (d2, v2))
-
-let depth t ~root =
-  List.fold_left (fun acc (_, d) -> max acc d) 0 (vertices_by_depth t ~root)
 
 let decrement_cap g u v =
   let c = Digraph.cap g u v in

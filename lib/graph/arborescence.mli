@@ -22,9 +22,6 @@ val verify : Digraph.t -> root:int -> tree list -> (unit, string) result
 
 val children : tree -> int -> int list
 val parent : tree -> int -> int option
-val depth : tree -> root:int -> int
-(** Longest root-to-leaf distance in arcs; 0 for a single-vertex tree. *)
-
 val vertices_by_depth : tree -> root:int -> (int * int) list
 (** [(vertex, depth)] pairs sorted by depth then vertex; the root has
     depth 0. Drives the hop-by-hop Phase-1 forwarding schedule. *)

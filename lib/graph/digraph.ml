@@ -69,8 +69,6 @@ let adjacency m v =
 let out_edges g v = adjacency g.succ v
 let in_edges g v = adjacency g.pred v
 let out_degree g v = List.length (out_edges g v)
-let in_degree g v = List.length (in_edges g v)
-
 let neighbors g v =
   let outs = List.map fst (out_edges g v) in
   let ins = List.map fst (in_edges g v) in
@@ -102,10 +100,6 @@ let induced g keep =
       if Vset.mem src keep && Vset.mem dst keep then add_edge acc ~src ~dst ~cap
       else acc)
     g g'
-
-let subgraph_p g ~sub =
-  Vset.subset sub.verts g.verts
-  && fold_edges (fun s d c ok -> ok && cap g s d >= c) sub true
 
 let equal a b =
   Vset.equal a.verts b.verts

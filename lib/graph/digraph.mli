@@ -39,7 +39,6 @@ val in_edges : t -> int -> (int * int) list
 (** [(src, cap)] pairs, sorted by source. *)
 
 val out_degree : t -> int -> int
-val in_degree : t -> int -> int
 
 val neighbors : t -> int -> int list
 (** Vertices adjacent by an edge in either direction, sorted. *)
@@ -57,10 +56,6 @@ val remove_vertex : t -> int -> t
 val induced : t -> Vset.t -> t
 (** Subgraph induced by the given vertices. *)
 
-val subgraph_p : t -> sub:t -> bool
-(** [subgraph_p g ~sub]: every vertex and edge of [sub] is in [g] with
-    capacity no larger than in [g]. *)
-
 val equal : t -> t -> bool
 
 val fingerprint : t -> string
@@ -71,8 +66,5 @@ val fingerprint : t -> string
 
 val fold_edges : (int -> int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over (src, dst, cap). *)
-
-val reachable : t -> int -> Vset.t
-(** Vertices reachable from the given vertex by directed paths (inclusive). *)
 
 val is_strongly_connected : t -> bool

@@ -11,12 +11,9 @@
     [node] lines are optional (edges imply their endpoints); they add
     isolated vertices or just assert existence. *)
 
-val parse : string -> (Digraph.t, string) result
-(** Parse a document; the error carries a 1-based line number. *)
-
 val parse_file : string -> (Digraph.t, string) result
-val print : Digraph.t -> string
-(** Canonical form: sorted [node]/[edge] lines; [parse (print g)] equals
-    [g]. *)
+(** Parse a file; the error carries a 1-based line number. *)
 
 val write_file : string -> Digraph.t -> unit
+(** Canonical form: sorted [node]/[edge] lines; [parse_file] of the
+    written file equals the graph. *)

@@ -18,8 +18,4 @@ type t = {
 val compute : Digraph.t -> t
 (** Raises [Invalid_argument] on graphs with fewer than 2 vertices. *)
 
-val eccentricity : Digraph.t -> int -> int
-(** Longest shortest path (hops) from the vertex; -1 if some vertex is
-    unreachable. *)
-
 val pp : Format.formatter -> t -> unit

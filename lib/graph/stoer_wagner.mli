@@ -8,9 +8,3 @@ val min_cut : Ugraph.t -> int * Vset.t
     vertices (no cut exists). *)
 
 val min_cut_value : Ugraph.t -> int
-
-val min_cut_edges : vertices:int list -> (int * int * int) list -> int * Vset.t
-(** {!min_cut} on a raw [(u, v, cap)] edge list over [vertices]. A pair
-    appearing more than once contributes the {e sum} of its capacities (the
-    adjacency matrix accumulates; it does not overwrite). Exposed for
-    callers holding multigraph-style edge lists and for tests. *)

@@ -32,7 +32,6 @@ let of_digraph d =
 
 let mem_vertex = Digraph.mem_vertex
 let mem_edge = Digraph.mem_edge
-let cap = Digraph.cap
 let vertices = Digraph.vertices
 let vertex_set = Digraph.vertex_set
 let num_vertices = Digraph.num_vertices

@@ -11,7 +11,6 @@ val of_digraph : Digraph.t -> t
 
 val mem_vertex : t -> int -> bool
 val mem_edge : t -> int -> int -> bool
-val cap : t -> int -> int -> int
 val vertices : t -> int list
 val vertex_set : t -> Vset.t
 val num_vertices : t -> int

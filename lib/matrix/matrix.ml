@@ -66,19 +66,9 @@ let hcat a b =
   init a.nr (a.nc + b.nc) (fun i j ->
       if j < a.nc then get a i j else get b i (j - a.nc))
 
-let vcat a b =
-  if a.nc <> b.nc then invalid_arg "Matrix.vcat: column mismatch";
-  init (a.nr + b.nr) a.nc (fun i j ->
-      if i < a.nr then get a i j else get b (i - a.nr) j)
-
 let sub_matrix a ~row ~col ~rows ~cols =
   if row < 0 || col < 0 || rows < 0 || cols < 0 || row + rows > a.nr || col + cols > a.nc
   then invalid_arg "Matrix.sub_matrix: out of range";
   init rows cols (fun i j -> get a (row + i) (col + j))
-
-let select_cols a js =
-  let js = Array.of_list js in
-  Array.iter (fun j -> if j < 0 || j >= a.nc then invalid_arg "Matrix.select_cols") js;
-  init a.nr (Array.length js) (fun i j -> get a i js.(j))
 
 let random fld nr nc st = init nr nc (fun _ _ -> Gf2p.random fld st)

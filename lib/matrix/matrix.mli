@@ -46,10 +46,6 @@ val hcat : t -> t -> t
 (** Horizontal concatenation; row counts must agree. [hcat] of two 0-column
     matrices with equal rows is allowed. *)
 
-val vcat : t -> t -> t
-
 val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
-val select_cols : t -> int list -> t
-(** Keep the listed columns, in the order given. *)
 
 val random : Gf2p.t -> int -> int -> Random.State.t -> t

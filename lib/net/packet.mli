@@ -21,8 +21,9 @@ val direct : proto:string -> origin:int -> dst:int -> Wire.payload -> t
 (** {1 Byte codec}
 
     Envelope + payload in {!Wire}'s binary format, for {!Socket}'s framed
-    links. Same totality contract as {!Wire.decode}: any byte string
-    returns [Ok] or [Error], bounded allocation, no exceptions. *)
+    links. [decode] is total: any byte string returns [Ok] or [Error]
+    (bounded allocation, no exceptions), and [decode (encode p) = Ok p].
+    Trailing bytes after the packet are an error. *)
 
 val encode : t -> string
 val decode : string -> (t, string) result

@@ -160,5 +160,5 @@ val default_factory : Transport.factory
     fresh {!create}d simulator over the given graph with
     [~bits:Packet.bits] and packs it. It is the single shared value behind
     every driver-level [?transport] default ([Nab.create_session],
-    [Pipelined.run], [Nab_stream.create], the CLIs), so the no-argument
+    [Nab_stream.create], the CLIs), so the no-argument
     backend choice lives in exactly one place. *)

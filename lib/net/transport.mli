@@ -1,6 +1,6 @@
 (** The protocol/network boundary: a first-class [TRANSPORT] signature that
     every protocol layer ({!Nab_core.Phase1}, [Equality_check], [Dispute],
-    [Nab], [Pipelined] and the classic baselines) is written against, so a
+    [Nab], [Nab_stream] and the classic baselines) is written against, so a
     protocol run is parameterised by {e how} messages move — not hard-wired
     to the synchronous round simulator.
 
@@ -140,7 +140,8 @@ val rounds_run : t -> int
 val close : t -> unit
 
 type factory = obs:Nab_obs.ctx -> keep_events:bool -> Nab_graph.Digraph.t -> t
-(** How sessions create per-instance transports: {!Nab} and [Pipelined]
-    take a factory and instantiate one backend per broadcast instance over
-    the session graph. {!Sim.default_factory} is the default (synchronous)
+(** How sessions create transports: {!Nab} takes a factory and
+    instantiates one backend per broadcast instance over the session graph;
+    [Nab_stream] instantiates one shared by all its instances.
+    {!Sim.default_factory} is the default (synchronous)
     implementation; {!Async_sim.factory} the event-loop one. *)

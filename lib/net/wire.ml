@@ -40,23 +40,12 @@ and claims_bits acc = function
 
 let equal (a : payload) (b : payload) = a = b
 
-let rec size = function
-  | Flag _ | Nothing -> 1
-  | Value { data; _ } -> 1 + Array.length data
-  | Coded { data; _ } -> 1 + Array.length data
-  | Labeled { label; body } -> 1 + List.length label + size body
-  | Batch ps -> List.fold_left (fun acc p -> acc + size p) 1 ps
-  | Claims cs ->
-      List.fold_left
-        (fun acc c -> acc + 1 + String.length c.c_phase + size c.c_body)
-        1 cs
-
 (* ----------------------------- byte codec -----------------------------
 
    Every integer travels as a zigzag LEB128 varint, so arbitrary (also
    negative — Byzantine senders do that) ints round-trip exactly; strings
    and sequences are length-prefixed. The decoder is total: it never
-   raises past its own boundary (internal [Bad] is caught by [decode]),
+   raises past its own boundary ([Packet.decode] catches [Bad]),
    and it validates every declared element count against the bytes that
    remain BEFORE allocating — a 4-byte header claiming 10^9 elements is
    rejected without touching the allocator, which is what makes feeding
@@ -172,11 +161,6 @@ let rec encode_into buf = function
         cs
   | Nothing -> Buffer.add_char buf (Char.chr tag_nothing)
 
-let encode p =
-  let buf = Buffer.create 64 in
-  encode_into buf p;
-  Buffer.contents buf
-
 (* [List.init]/[Array.init] leave the evaluation order of [f] unspecified,
    which matters when [f] advances a reader: force left-to-right. *)
 let read_list n f =
@@ -243,14 +227,6 @@ let rec decode_payload r depth =
   else raise (Bad (Printf.sprintf "unknown payload tag %d" tag))
 
 let decode_from r = decode_payload r 0
-
-let decode s =
-  let r = { src = s; pos = 0 } in
-  match decode_payload r 0 with
-  | p ->
-      if r.pos <> String.length s then Error "trailing bytes after payload"
-      else Ok p
-  | exception Bad e -> Error e
 
 let pp_dir fmt = function
   | Sent -> Format.pp_print_string fmt "sent"

@@ -39,47 +39,40 @@ val bits : payload -> int
 val equal : payload -> payload -> bool
 val pp : Format.formatter -> payload -> unit
 
-val size : payload -> int
-(** Structural node count: 1 per constructor, plus 1 per array element,
-    label element and claim, plus the length of each claim's phase string.
-    The unit the byte-codec overhead bound below is expressed in. *)
-
 (** {1 Byte codec}
 
-    The binary encoding {!Socket} frames on the real wire. One tag byte per
-    constructor; every integer is a zigzag LEB128 varint (so negative ints
-    — which Byzantine senders do emit — round-trip exactly); strings,
-    arrays and lists are length-prefixed.
+    The binary encoding {!Socket} frames on the real wire, inside a
+    {!Packet} envelope. One tag byte per constructor; every integer is a
+    zigzag LEB128 varint (so negative ints — which Byzantine senders do
+    emit — round-trip exactly); strings, arrays and lists are
+    length-prefixed.
 
     {b Framing overhead.} The encoding tracks {!bits} up to a constant
     per-node overhead: for every canonical protocol payload whose integer
     fields fit in 28 bits (4-byte varints — true of every honest payload in
     this repository: rounds, node ids, labels, symbol widths and
-    field-symbol values),
+    field-symbol values), the [n] bytes {!encode_into} appends for [p]
+    satisfy
 
-    {[ 8 * String.length (encode p) <= 2 * bits p + 64 * size p ]}
+    {[ 8 * n <= 2 * bits p + 64 * nodes p ]}
 
-    i.e. at most two physical bits per accounted information bit plus 64
+    where [nodes p] counts 1 per constructor, plus 1 per array element,
+    label element and claim, plus the length of each claim's phase string.
+    That is at most two physical bits per accounted information bit plus 64
     bits per structural node. [test/test_wire.ml] asserts this bound on
     every constructor and on deep random payloads; the constant is part of
     the codec contract, so tightening the encoding may lower it but a
     codec change must never raise it.
 
-    {b Robustness.} [decode] is total: any byte string returns [Ok] or
-    [Error], never an exception. Declared element counts are validated
-    against the bytes actually remaining {e before} any allocation, so a
-    short frame claiming a billion elements is rejected in O(1); nesting
-    is capped (depth 200), and unused tag bytes, bad claim directions and
-    trailing garbage are decode errors. This is the paper's "faulty nodes
-    send arbitrary bit strings" model made real: honest nodes parse
-    attacker-controlled bytes against this schema and survive. *)
-
-val encode : payload -> string
-(** Serialize to the byte format above. *)
-
-val decode : string -> (payload, string) result
-(** Total inverse of {!encode}: [decode (encode p) = Ok p] for every
-    payload; malformed input returns [Error] and never raises. *)
+    {b Robustness.} {!decode_from} reads attacker-controlled bytes safely:
+    malformed input raises {!Codec.Bad}, which {!Packet.decode} turns into
+    [Error]. Declared element counts are validated against the bytes
+    actually remaining {e before} any allocation, so a short frame claiming
+    a billion elements is rejected in O(1); nesting is capped (depth 200),
+    and unused tag bytes and bad claim directions are decode errors. This
+    is the paper's "faulty nodes send arbitrary bit strings" model made
+    real: honest nodes parse attacker-controlled bytes against this schema
+    and survive. *)
 
 (** Shared low-level primitives (varints, length-prefixed strings, bounded
     counts) for composite codecs layered over payloads: {!Packet}'s
@@ -112,7 +105,7 @@ module Codec : sig
 end
 
 val encode_into : Buffer.t -> payload -> unit
-(** [encode] appending to an existing buffer (composite codecs). *)
+(** Append the encoding of a payload to a buffer. *)
 
 val decode_from : Codec.reader -> payload
 (** Read one payload from a reader, leaving trailing bytes for the caller;

@@ -279,7 +279,7 @@ type event = {
   attrs : (string * value) list;
 }
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
 type metric = {
   m_name : string;
@@ -343,10 +343,7 @@ let jsonl_writer add_string flush =
 let jsonl_sink oc = jsonl_writer (output_string oc) (fun () -> flush oc)
 let buffer_jsonl_sink buf = jsonl_writer (Buffer.add_string buf) ignore
 
-let kind_label = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
+let kind_label = function Counter -> "counter" | Gauge -> "gauge"
 
 let csv_of_metrics ms =
   let buf = Buffer.create 256 in
@@ -451,7 +448,6 @@ let record c kind name v =
 
 let add c name n = record c Counter name (float_of_int n)
 let gauge c name v = record c Gauge name v
-let observe c name v = record c Histogram name v
 
 let metrics c =
   if not c.on then []

@@ -38,8 +38,8 @@
 
     Aggregated in the context, flushed on {!close}, sorted by name:
     {v name,kind,count,sum,min,max,last v}
-    [kind] is [counter] ({!add}), [gauge] ({!gauge}) or [histogram]
-    ({!observe}); [count] is the number of recordings. *)
+    [kind] is [counter] ({!add}) or [gauge] ({!gauge}); [count] is the
+    number of recordings. *)
 
 (** {1 JSON} *)
 
@@ -98,7 +98,7 @@ type event = {
   attrs : (string * value) list;
 }
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
 type metric = {
   m_name : string;
@@ -167,9 +167,6 @@ val add : ctx -> string -> int -> unit
 
 val gauge : ctx -> string -> float -> unit
 (** Set a gauge (last value wins; min/max/count still aggregate). *)
-
-val observe : ctx -> string -> float -> unit
-(** Record a histogram observation. *)
 
 val metrics : ctx -> metric list
 (** Aggregated so far, sorted by name (empty for {!null}). *)

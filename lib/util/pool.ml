@@ -55,12 +55,6 @@ let jobs () =
           | Some _ | None -> Domain.recommended_domain_count ())
       | None -> Domain.recommended_domain_count ())
 
-let running_workers () =
-  Mutex.lock pool.lock;
-  let w = pool.workers in
-  Mutex.unlock pool.lock;
-  w
-
 let rec worker_loop () =
   Mutex.lock pool.lock;
   while Queue.is_empty pool.queue && not pool.shutdown do

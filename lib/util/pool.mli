@@ -42,10 +42,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     (default {!jobs} [()]). Results are in input order. If any [f x] raises,
     the first (lowest-index) exception is re-raised in the caller after the
     whole batch has settled. *)
-
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Indexed variant of {!map}. *)
-
-val running_workers : unit -> int
-(** Worker domains currently alive (0 until the first parallel batch).
-    Exposed for tests. *)

@@ -3,6 +3,7 @@
 # another lib/ module, bin/, bench/, examples/ or perfbench/. Exports that
 # only tests call must be on test/exports_keep.txt, each with its reason,
 # and every entry there must still be an export without a program caller.
+# A reason that starts with "self-tested" is not accepted.
 #
 # A reference counts when it appears as [Module.name] in a program file,
 # or as a bare [name] in a program file that opens [Module] (with [open],
@@ -38,6 +39,14 @@ for mli in $(find lib -name '*.mli' | sort); do
       status=1
     fi
   done
+done
+
+# Exports that only their own module's tests call are not kept: delete
+# them, or test them through the export that calls them.
+self_tested=$(sed -e 's/#.*//' "$keep_file" | awk '$2 ~ /^self-tested/ { print $1 }')
+for entry in $self_tested; do
+  echo "$keep_file: $entry is only self-tested; delete it or test it through its caller"
+  status=1
 done
 
 for entry in $keep; do

@@ -36,12 +36,6 @@ let test_routing_too_sparse () =
   | _ -> Alcotest.fail "expected failure"
   | exception Invalid_argument _ -> ()
 
-let test_next_hop () =
-  let g = Gen.complete ~n:4 ~cap:1 in
-  let r = Routing.build g ~f:1 in
-  Alcotest.(check (option int)) "middle" (Some 3) (Routing.next_hop r ~route:[ 1; 2; 3 ] ~me:2);
-  Alcotest.(check (option int)) "end" None (Routing.next_hop r ~route:[ 1; 2; 3 ] ~me:3)
-
 (* ---------- Reliable ---------- *)
 
 (* A 5-node, 3-connected graph where 1 and 4 are NOT adjacent, so logical
@@ -483,9 +477,12 @@ let test_eig_matches_reference =
 let check_pk_guarantees ~name ~graph ~f ~source ~value ~faulty ?adversary () =
   let sim = new_sim graph in
   let routing = Routing.build graph ~f in
+  let by_pair =
+    Phase_king.broadcast_all ~net:(Sim.transport sim) ~phase:"pk" ~routing ~f
+      ~inputs:[ (source, value) ] ~default:Wire.Nothing ~faulty ?adversary ()
+  in
   let decisions =
-    Phase_king.broadcast ~net:(Sim.transport sim) ~phase:"pk" ~routing ~f ~source ~value
-      ~default:Wire.Nothing ~faulty ?adversary ()
+    List.map (fun v -> (v, Hashtbl.find by_pair (source, v))) (Digraph.vertices graph)
   in
   let honest = List.filter (fun (v, _) -> not (Vset.mem v faulty)) decisions in
   (match honest with
@@ -569,8 +566,8 @@ let test_pk_requires_n_gt_4f () =
   Alcotest.check_raises "n > 4f"
     (Invalid_argument "Phase_king.broadcast_all: requires n > 4f") (fun () ->
       ignore
-        (Phase_king.broadcast ~net:(Sim.transport sim) ~phase:"pk" ~routing ~f:1 ~source:1
-           ~value:Wire.Nothing ~default:Wire.Nothing ~faulty:Vset.empty ()))
+        (Phase_king.broadcast_all ~net:(Sim.transport sim) ~phase:"pk" ~routing ~f:1
+           ~inputs:[ (1, Wire.Nothing) ] ~default:Wire.Nothing ~faulty:Vset.empty ()))
 
 (* ---------- Oblivious baseline ---------- *)
 
@@ -600,7 +597,6 @@ let () =
           Alcotest.test_case "direct edges" `Quick test_routing_direct_edges;
           Alcotest.test_case "disjoint paths" `Quick test_routing_disjoint;
           Alcotest.test_case "too sparse" `Quick test_routing_too_sparse;
-          Alcotest.test_case "next hop" `Quick test_next_hop;
         ] );
       ( "reliable",
         [

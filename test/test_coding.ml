@@ -11,15 +11,16 @@ let qtest ?(count = 60) name gen prop =
 
 (* ---------- Bitvec ---------- *)
 
+(* The bits of a value, MSB first, as 0/1 symbols. *)
+let bits v = Bitvec.to_symbols v ~sym_bits:1
+
 let test_bitvec_basics () =
   let v = Bitvec.create 10 in
   Alcotest.(check int) "length" 10 (Bitvec.length v);
-  Alcotest.(check bool) "zero" false (Bitvec.get v 3);
-  let v = Bitvec.set v 3 true in
-  Alcotest.(check bool) "set" true (Bitvec.get v 3);
-  Alcotest.(check bool) "functional update" false (Bitvec.get (Bitvec.create 10) 3);
-  Alcotest.check_raises "oob" (Invalid_argument "Bitvec.get: out of range") (fun () ->
-      ignore (Bitvec.get v 10))
+  Alcotest.(check (array int)) "zero" (Array.make 10 0) (bits v);
+  let w = Bitvec.init 10 (fun i -> i = 3) in
+  Alcotest.(check (array int)) "bit 3 set" [| 0; 0; 0; 1; 0; 0; 0; 0; 0; 0 |] (bits w);
+  Alcotest.(check bool) "differs from zero" false (Bitvec.equal v w)
 
 let bv_gen bits =
   QCheck2.Gen.(
@@ -51,14 +52,14 @@ let concat_ref parts =
   let pos = ref 0 in
   List.iter
     (fun p ->
-      for i = 0 to Bitvec.length p - 1 do
-        arr.(!pos + i) <- Bitvec.get p i
-      done;
+      Array.iteri (fun i b -> arr.(!pos + i) <- b = 1) (bits p);
       pos := !pos + Bitvec.length p)
     parts;
   Bitvec.init total (fun i -> arr.(i))
 
-let slice_ref v ~pos ~len = Bitvec.init len (fun i -> Bitvec.get v (pos + i))
+let slice_ref v ~pos ~len =
+  let b = bits v in
+  Bitvec.init len (fun i -> b.(pos + i) = 1)
 
 let test_concat_matches_reference =
   (* Mixed lengths so parts start both byte-aligned and mid-byte. *)
@@ -96,8 +97,8 @@ let test_slice_aligned_exact () =
 let test_slice_semantics () =
   let v = Bitvec.of_string "\xF0" in
   Alcotest.(check int) "8 bits" 8 (Bitvec.length v);
-  Alcotest.(check bool) "msb first" true (Bitvec.get v 0);
-  Alcotest.(check bool) "low half" false (Bitvec.get v 4);
+  Alcotest.(check int) "msb first" 1 (bits v).(0);
+  Alcotest.(check int) "low half" 0 (bits v).(4);
   let hi = Bitvec.slice v ~pos:0 ~len:4 in
   Alcotest.(check (array int)) "hi nibble" [| 0xF |] (Bitvec.to_symbols hi ~sym_bits:4)
 
@@ -105,8 +106,8 @@ let test_pad_to () =
   let v = Bitvec.of_string "\xFF" in
   let p = Bitvec.pad_to v 12 in
   Alcotest.(check int) "padded length" 12 (Bitvec.length p);
-  Alcotest.(check bool) "original preserved" true (Bitvec.get p 7);
-  Alcotest.(check bool) "padding zero" false (Bitvec.get p 11);
+  Alcotest.(check int) "original preserved" 1 (bits p).(7);
+  Alcotest.(check int) "padding zero" 0 (bits p).(11);
   Alcotest.(check bool) "same when equal" true (Bitvec.equal v (Bitvec.pad_to v 8))
 
 let test_bitvec_random_padding_clean () =

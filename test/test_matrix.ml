@@ -1,4 +1,4 @@
-(* Tests for Vec, Matrix and Gauss over GF(2^8). *)
+(* Tests for Matrix and Gauss over GF(2^8). *)
 
 open Nab_field
 open Nab_matrix
@@ -18,17 +18,6 @@ let matrix_gen rows cols =
       (list_repeat (rows * cols) elt_gen))
 
 let square_gen = QCheck2.Gen.(dim_gen >>= fun n -> pair (return n) (matrix_gen n n))
-
-(* ---------- Vec ---------- *)
-
-let test_vec_ops () =
-  let a = [| 1; 2; 3 |] and b = [| 3; 2; 1 |] in
-  Alcotest.(check (array int)) "add = xor" [| 2; 0; 2 |] (Vec.add f a b);
-  Alcotest.(check int) "dot" (Gf2p.add f (Gf2p.mul f 1 3) (Gf2p.add f (Gf2p.mul f 2 2) (Gf2p.mul f 3 1)))
-    (Vec.dot f a b);
-  Alcotest.(check bool) "is_zero" true (Vec.is_zero (Vec.zero 4));
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Vec: length mismatch")
-    (fun () -> ignore (Vec.add f a [| 1 |]))
 
 (* ---------- Matrix ---------- *)
 
@@ -73,12 +62,8 @@ let test_hcat_vcat () =
   let a = Matrix.of_arrays [| [| 1; 2 |] |] and b = Matrix.of_arrays [| [| 3 |] |] in
   let h = Matrix.hcat a b in
   Alcotest.(check (array int)) "hcat row" [| 1; 2; 3 |] (Matrix.row h 0);
-  let v = Matrix.vcat a (Matrix.of_arrays [| [| 4; 5 |] |]) in
-  Alcotest.(check (array int)) "vcat col" [| 2; 5 |] (Matrix.col v 1);
   let sub = Matrix.sub_matrix h ~row:0 ~col:1 ~rows:1 ~cols:2 in
-  Alcotest.(check (array int)) "sub" [| 2; 3 |] (Matrix.row sub 0);
-  let sel = Matrix.select_cols h [ 2; 0 ] in
-  Alcotest.(check (array int)) "select_cols" [| 3; 1 |] (Matrix.row sel 0)
+  Alcotest.(check (array int)) "sub" [| 2; 3 |] (Matrix.row sub 0)
 
 (* ---------- Gauss ---------- *)
 
@@ -154,7 +139,6 @@ let test_random_invertible_whp () =
 let () =
   Alcotest.run "matrix"
     [
-      ("vec", [ Alcotest.test_case "ops" `Quick test_vec_ops ]);
       ( "matrix",
         [
           Alcotest.test_case "shapes" `Quick test_matrix_shape;

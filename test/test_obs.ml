@@ -257,17 +257,15 @@ let test_metrics_aggregation () =
   Nab_obs.add ctx "c" 3;
   Nab_obs.gauge ctx "g" 7.5;
   Nab_obs.gauge ctx "g" 2.5;
-  Nab_obs.observe ctx "h" 1.0;
-  Nab_obs.observe ctx "h" 9.0;
   let by_name = List.map (fun m -> (m.Nab_obs.m_name, m)) (Nab_obs.metrics ctx) in
   Nab_obs.close ctx;
-  Alcotest.(check (list string)) "sorted names" [ "c"; "g"; "h" ] (List.map fst by_name);
+  Alcotest.(check (list string)) "sorted names" [ "c"; "g" ] (List.map fst by_name);
   let m name = List.assoc name by_name in
   Alcotest.(check (float 0.0)) "counter sums" 5.0 (m "c").Nab_obs.m_sum;
   Alcotest.(check (float 0.0)) "gauge last wins" 2.5 (m "g").Nab_obs.m_last;
   Alcotest.(check (float 0.0)) "gauge max" 7.5 (m "g").Nab_obs.m_max;
-  Alcotest.(check int) "histogram count" 2 (m "h").Nab_obs.m_count;
-  Alcotest.(check (float 0.0)) "histogram min" 1.0 (m "h").Nab_obs.m_min
+  Alcotest.(check (float 0.0)) "gauge min" 2.5 (m "g").Nab_obs.m_min;
+  Alcotest.(check int) "gauge count" 2 (m "g").Nab_obs.m_count
 
 (* ---------- utilization degenerate case & report rendering ---------- *)
 

@@ -31,13 +31,6 @@ let test_pool_order () =
         (Pool.map ~jobs:4 (fun x -> (x * 7) + 1) xs))
     [ 0; 1; 2; 5; 33 ]
 
-let test_pool_mapi () =
-  let xs = [ 'a'; 'b'; 'c'; 'd'; 'e' ] in
-  Alcotest.(check (list (pair int char)))
-    "mapi pairs index with element"
-    (List.mapi (fun i c -> (i, c)) xs)
-    (Pool.mapi ~jobs:3 (fun i c -> (i, c)) xs)
-
 let test_pool_exception () =
   (* Both 3 and 7 raise; the caller must see the lowest index. *)
   Alcotest.check_raises "lowest-index failure wins" (Failure "task 3") (fun () ->
@@ -58,8 +51,7 @@ let test_pool_nested () =
   Alcotest.(check (list (list int)))
     "nested maps complete with correct values"
     (List.init 4 (fun r -> List.init 4 (fun c -> r * c)))
-    table;
-  Alcotest.(check bool) "workers were spawned" true (Pool.running_workers () > 0)
+    table
 
 (* ---------- Params at jobs=1 vs jobs=4 ---------- *)
 
@@ -130,7 +122,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map keeps input order" `Quick test_pool_order;
-          Alcotest.test_case "mapi passes indices" `Quick test_pool_mapi;
           Alcotest.test_case "lowest-index exception" `Quick test_pool_exception;
           Alcotest.test_case "nested maps don't deadlock" `Quick test_pool_nested;
         ] );

@@ -708,40 +708,6 @@ let test_nab_throughput_reaches_bound () =
     true
     (report.Nab.throughput_pipelined <= stars.Params.capacity_ub +. 1e-9)
 
-let test_pipelined_execution () =
-  let g = Gen.dumbbell ~clique:3 ~clique_cap:4 ~bridge_cap:2 in
-  let config = Nab.config ~l_bits:2048 ~m:16 () in
-  let inputs = input_fn ~l:2048 ~seed:31 in
-  let r1 = Pipelined.run ~g ~config ~inputs ~q:1 () in
-  let r8 = Pipelined.run ~g ~config ~inputs ~q:8 () in
-  Alcotest.(check bool) "q=1 delivered" true r1.Pipelined.all_delivered;
-  Alcotest.(check bool) "q=8 delivered" true r8.Pipelined.all_delivered;
-  (* Filling the pipeline lowers the per-instance cost strictly. *)
-  Alcotest.(check bool) "pipeline amortises" true
-    (r8.Pipelined.per_instance < r1.Pipelined.per_instance);
-  (* Per-instance cost never beats the analytic round core. *)
-  Alcotest.(check bool) "core is a floor" true
-    (r8.Pipelined.per_instance >= r8.Pipelined.round_core -. 1e-9);
-  (* Q instances pipelined beat Q instances run back to back. *)
-  let seq = Nab.run ~g ~config ~adversary:Adversary.none ~inputs ~q:8 () in
-  Alcotest.(check bool)
-    (Printf.sprintf "pipelined %.0f < sequential %.0f" r8.Pipelined.completion
-       seq.Nab.total_wall)
-    true
-    (r8.Pipelined.completion < seq.Nab.total_wall)
-
-let test_pipelined_matches_nab_params () =
-  let g = Gen.complete ~n:4 ~cap:2 in
-  let config = Nab.config ~l_bits:512 ~m:8 () in
-  let r = Pipelined.run ~g ~config ~inputs:(input_fn ~l:512 ~seed:3) ~q:2 () in
-  Alcotest.(check int) "gamma" (Params.gamma_k g ~source:1) r.Pipelined.gamma;
-  Alcotest.(check int) "rho" (Params.rho_k g ~total_n:4 ~f:1 ~disputes:[])
-    r.Pipelined.rho;
-  (* gamma = 6 trees in K4 cap 2: some trees are necessarily 2 hops deep
-     (only 6 direct source-edge units exist, and the packing needs 18 arcs). *)
-  Alcotest.(check bool) "hops within diameter bound" true
-    (r.Pipelined.hops >= 1 && r.Pipelined.hops <= 3)
-
 let test_nab_gamma_rho_match_params () =
   let report, _ = run_nab ~q:1 Adversary.none in
   let inst = List.hd report.Nab.instances in
@@ -1068,8 +1034,6 @@ let () =
           Alcotest.test_case "false flag budget" `Quick test_nab_false_flag_budget;
           Alcotest.test_case "throughput reaches bound" `Quick
             test_nab_throughput_reaches_bound;
-          Alcotest.test_case "pipelined execution" `Quick test_pipelined_execution;
-          Alcotest.test_case "pipelined params" `Quick test_pipelined_matches_nab_params;
           Alcotest.test_case "params consistency" `Quick test_nab_gamma_rho_match_params;
           Alcotest.test_case "config validation" `Quick test_nab_config_validation;
           Alcotest.test_case "rejects bad networks" `Quick test_nab_rejects_bad_networks;

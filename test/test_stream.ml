@@ -216,6 +216,42 @@ let test_stream_goodput_amortizes () =
     true
     (stream.Nab_stream.wall < serial.Nab.total_wall)
 
+(* Figure 3 on the stream: q fault-free instances admitted at once. Every
+   instance stays on G_1, so L/gamma_1 + L/rho_1 bounds the per-instance
+   time from below. After exclusions it does not: Phase-1-only instances
+   cost less than the round core. *)
+let test_stream_pipelined_g1_floor () =
+  let g = Gen.dumbbell ~clique:3 ~clique_cap:4 ~bridge_cap:2 in
+  let config = Nab.config ~l_bits:2048 ~m:16 () in
+  let inputs = input_fn ~l:2048 ~seed:31 in
+  let pipelined q =
+    let r = Nab_stream.run ~window:q ~g ~config ~adversary:Adversary.none ~inputs ~q () in
+    let run = r.Nab_stream.run in
+    Alcotest.(check int) (Printf.sprintf "q=%d delivered" q) q r.Nab_stream.delivered;
+    Alcotest.(check bool) (Printf.sprintf "q=%d agreed and valid" q) true
+      (Nab.fault_free_agree run
+      && Nab.valid_outputs run ~inputs
+      && List.for_all (fun (i : Nab.instance_report) -> not i.Nab.mismatch) run.Nab.instances);
+    (r, r.Nab_stream.wall /. float_of_int q)
+  in
+  let _, per1 = pipelined 1 in
+  let r8, per8 = pipelined 8 in
+  Alcotest.(check bool) "pipeline amortises" true (per8 < per1);
+  let inst = List.hd r8.Nab_stream.run.Nab.instances in
+  let round_core =
+    float_of_int inst.Nab.value_bits
+    *. ((1.0 /. float_of_int inst.Nab.gamma_k) +. (1.0 /. float_of_int inst.Nab.rho_k))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "per-instance %.0f >= G_1 round core %.0f" per8 round_core)
+    true
+    (per8 >= round_core -. 1e-9);
+  let serial = Nab.run ~g ~config ~adversary:Adversary.none ~inputs ~q:8 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "pipelined %.0f < serial %.0f" r8.Nab_stream.wall serial.Nab.total_wall)
+    true
+    (r8.Nab_stream.wall < serial.Nab.total_wall)
+
 (* A transport that puts packets the stream must ignore at the front of
    every stream-data inbox: labels of other protocols and malformed stream
    labels, many copies each (so a label misread as instance 1's would
@@ -318,6 +354,8 @@ let () =
           Alcotest.test_case "backpressure window" `Quick test_stream_backpressure;
           Alcotest.test_case "multi-source session" `Quick test_stream_multi_source;
           Alcotest.test_case "goodput amortizes" `Quick test_stream_goodput_amortizes;
+          Alcotest.test_case "pipelined q=8, fault-free G_1 floor" `Quick
+            test_stream_pipelined_g1_floor;
           Alcotest.test_case "foreign and stale labels ignored" `Quick
             test_stream_ignores_foreign_labels;
         ] );

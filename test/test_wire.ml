@@ -1,16 +1,46 @@
-(* The byte codec's contract (wire.mli):
+(* The byte codec's contract (wire.mli, packet.mli), checked through the
+   packet codec that Socket frames, with one fixed envelope:
 
    - Round-trip: [decode (encode p) = Ok p] for every payload, including
      deep nesting and negative integers (zigzag varints).
    - Overhead bound: for canonical payloads whose integer fields fit in
-     28 bits, [8 * String.length (encode p) <= 2 * bits p + 64 * size p].
-     The constant is part of the contract — a codec change may lower it
-     but must never raise it.
+     28 bits, the payload's bytes [n] satisfy
+     [8 * n <= 2 * bits p + 64 * nodes p]. The constant is part of the
+     contract — a codec change may lower it but must never raise it.
    - Totality: [decode] of arbitrary attacker bytes returns [Ok]/[Error],
      never raises, and never lets a declared element count drive
      allocation beyond the input size. *)
 
 open Nab_net
+
+let envelope p = Packet.direct ~proto:"wire-test" ~origin:1 ~dst:2 p
+let encode p = Packet.encode (envelope p)
+
+let decode s =
+  match Packet.decode s with
+  | Ok q when q = envelope q.Packet.payload -> Ok q.Packet.payload
+  | Ok _ -> Error "envelope changed"
+  | Error e -> Error e
+
+(* The envelope's bytes: everything ahead of the payload. [Nothing] is a
+   single tag byte. *)
+let header =
+  let s = encode Wire.Nothing in
+  String.sub s 0 (String.length s - 1)
+
+let payload_bytes p = String.length (encode p) - String.length header
+
+(* The unit of the overhead bound: 1 per constructor, plus 1 per array
+   element, label element and claim, plus each claim's phase length. *)
+let rec nodes = function
+  | Wire.Flag _ | Wire.Nothing -> 1
+  | Wire.Value { data; _ } | Wire.Coded { data; _ } -> 1 + Array.length data
+  | Wire.Labeled { label; body } -> 1 + List.length label + nodes body
+  | Wire.Batch ps -> List.fold_left (fun acc p -> acc + nodes p) 1 ps
+  | Wire.Claims cs ->
+      List.fold_left
+        (fun acc c -> acc + 1 + String.length c.Wire.c_phase + nodes c.Wire.c_body)
+        1 cs
 
 (* ------------------------- payload generators ------------------------- *)
 
@@ -121,13 +151,11 @@ let arb_arbitrary = QCheck.make ~print:(Format.asprintf "%a" Wire.pp) gen_arbitr
 
 (* --------------------------- overhead bound --------------------------- *)
 
-let within_bound p =
-  8 * String.length (Wire.encode p) <= (2 * Wire.bits p) + (64 * Wire.size p)
+let within_bound p = 8 * payload_bytes p <= (2 * Wire.bits p) + (64 * nodes p)
 
 let bound_report p =
-  Format.asprintf "%a: 8*%d bytes vs 2*%d bits + 64*%d nodes" Wire.pp p
-    (String.length (Wire.encode p))
-    (Wire.bits p) (Wire.size p)
+  Format.asprintf "%a: 8*%d bytes vs 2*%d bits + 64*%d nodes" Wire.pp p (payload_bytes p)
+    (Wire.bits p) (nodes p)
 
 (* One exemplar per constructor, including the worst canonical cases we
    could think of (empty arrays, wide labels, single-claim transcripts):
@@ -222,7 +250,7 @@ let test_bits_qcheck =
 
 let test_roundtrip_qcheck =
   QCheck.Test.make ~count:500 ~name:"decode (encode p) = Ok p (arbitrary ints)"
-    arb_arbitrary (fun p -> Wire.decode (Wire.encode p) = Ok p)
+    arb_arbitrary (fun p -> decode (encode p) = Ok p)
 
 let deep_nest depth =
   let rec go d acc =
@@ -238,11 +266,11 @@ let test_roundtrip_deep () =
   (* Just under the decoder's depth cap: must round-trip exactly. *)
   let p = deep_nest 190 in
   Alcotest.(check bool) "depth-190 payload round-trips" true
-    (Wire.decode (Wire.encode p) = Ok p);
+    (decode (encode p) = Ok p);
   (* Beyond the cap: encoding still works (the cap protects the decoder's
      stack, not honest senders), decoding is a clean error. *)
-  let too_deep = Wire.encode (deep_nest 300) in
-  match Wire.decode too_deep with
+  let too_deep = encode (deep_nest 300) in
+  match decode too_deep with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "depth-300 payload decoded past the nesting cap"
 
@@ -267,30 +295,32 @@ let test_roundtrip_extreme_ints () =
       ]
   in
   Alcotest.(check bool) "min_int/max_int fields round-trip" true
-    (Wire.decode (Wire.encode p) = Ok p)
+    (decode (encode p) = Ok p)
 
 (* ------------------------- adversarial decode ------------------------- *)
 
 (* decode must be total: whatever the bytes, it returns Ok/Error and never
-   raises. Exercised over pure noise, bit-flipped valid encodings, and
-   every strict truncation of a valid encoding. *)
+   raises. Exercised over pure noise (alone and behind a valid envelope),
+   valid encodings with a corrupted payload byte, and every strict
+   truncation of a valid encoding. *)
 
 let decode_total s =
-  match Wire.decode s with Ok _ | Error _ -> true | exception _ -> false
+  match decode s with Ok _ | Error _ -> true | exception _ -> false
 
 let test_fuzz_random =
   QCheck.Test.make ~count:1000 ~name:"decode of random bytes never raises"
     QCheck.(string_of_size Gen.(int_bound 64))
-    decode_total
+    (fun noise -> decode_total (header ^ noise) && decode_total noise)
 
 let test_fuzz_mutated =
   QCheck.Test.make ~count:500 ~name:"decode of corrupted encodings never raises"
     QCheck.(pair arb_canonical (pair small_nat small_nat))
     (fun (p, (pos, delta)) ->
-      let b = Bytes.of_string (Wire.encode p) in
-      let len = Bytes.length b in
+      let b = Bytes.of_string (encode p) in
+      let hlen = String.length header in
+      let len = Bytes.length b - hlen in
       if len > 0 then begin
-        let pos = pos mod len in
+        let pos = hlen + (pos mod len) in
         Bytes.set b pos
           (Char.chr ((Char.code (Bytes.get b pos) + 1 + delta) land 0xFF))
       end;
@@ -303,10 +333,10 @@ let test_fuzz_truncations =
      mean the decoder is not a function of the byte stream. *)
   QCheck.Test.make ~count:200 ~name:"every strict truncation is a decode error"
     arb_canonical (fun p ->
-      let s = Wire.encode p in
+      let s = encode p in
       let ok = ref true in
       for len = 0 to String.length s - 1 do
-        match Wire.decode (String.sub s 0 len) with
+        match decode (String.sub s 0 len) with
         | Error _ -> ()
         | Ok _ -> ok := false
         | exception _ -> ok := false
@@ -342,7 +372,7 @@ let test_oversized_counts () =
   in
   List.iter
     (fun (label, s) ->
-      match Wire.decode s with
+      match decode (header ^ s) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (label ^ ": decoded instead of rejecting")
       | exception e ->
@@ -350,8 +380,8 @@ let test_oversized_counts () =
     cases
 
 let test_trailing_garbage () =
-  let s = Wire.encode (Wire.Flag true) ^ "\x00" in
-  match Wire.decode s with
+  let s = encode (Wire.Flag true) ^ "\x00" in
+  match decode s with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing byte accepted"
 
